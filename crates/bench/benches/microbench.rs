@@ -15,11 +15,12 @@ use alsrac::lac::{generate_lacs, LacConfig};
 use alsrac_circuits::arith;
 use alsrac_map::cell::{map_cells, Library};
 use alsrac_map::lut::map_luts;
+use alsrac_metrics::ErrorMetric;
 use alsrac_rt::bench::Runner;
-use alsrac_sim::{FlipInfluence, PatternBuffer, Simulation};
+use alsrac_sim::{FlipInfluence, InfluenceScratch, OutputIndex, PatternBuffer, Simulation};
 use alsrac_truthtable::{isop, Tt};
 
-fn bench_simulation(runner: &mut Runner) {
+fn bench_sweep(runner: &mut Runner) {
     let aig = arith::array_multiplier(8);
     let patterns = PatternBuffer::random(16, 4096, 7);
     runner.bench("simulate mtp8 x 4096 patterns", || {
@@ -63,13 +64,17 @@ fn bench_influence(runner: &mut Runner) {
     let patterns = PatternBuffer::random(12, 2048, 9);
     let sim = Simulation::new(&aig, &patterns);
     let fanouts = aig.fanout_map();
+    let outputs = OutputIndex::new(&aig);
+    let mut scratch = InfluenceScratch::new();
     let node = aig.iter_ands().nth(10).expect("ands");
     runner.bench("flip influence mtp6 x 2048 patterns", || {
         black_box(FlipInfluence::compute(
             black_box(&aig),
             &sim,
             &fanouts,
+            &outputs,
             node,
+            &mut scratch,
         ));
     });
 }
@@ -88,7 +93,7 @@ fn bench_batch_estimation(runner: &mut Runner) {
     );
     let est_patterns = PatternBuffer::random(16, 2048, 6);
     runner.bench("batch estimate all LACs ksa8", || {
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts);
+        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate);
         black_box(estimator.estimate_all(black_box(&lacs)));
     });
 }
@@ -113,7 +118,7 @@ fn bench_mappers(runner: &mut Runner) {
 
 fn main() {
     let mut runner = Runner::from_args();
-    bench_simulation(&mut runner);
+    bench_sweep(&mut runner);
     bench_isop(&mut runner);
     bench_cuts(&mut runner);
     bench_care_harvest(&mut runner);

@@ -19,6 +19,7 @@ use alsrac::estimate::Estimator;
 use alsrac::lac::{generate_lacs, Lac, LacConfig};
 use alsrac_aig::Aig;
 use alsrac_circuits::arith;
+use alsrac_metrics::ErrorMetric;
 use alsrac_rt::pool;
 use alsrac_sim::{PatternBuffer, Simulation};
 
@@ -95,7 +96,13 @@ fn main() {
     let mut entries = Vec::new();
     for case in cases() {
         let (est_patterns, fanouts, lacs) = prepare(&case.aig);
-        let estimator = Estimator::new(&case.aig, &case.aig, &est_patterns, &fanouts);
+        let estimator = Estimator::new(
+            &case.aig,
+            &case.aig,
+            &est_patterns,
+            &fanouts,
+            ErrorMetric::ErrorRate,
+        );
 
         let reference = pool::with_threads(1, || estimator.estimate_all(&lacs));
         let serial_secs = time_at(1, || {

@@ -11,13 +11,16 @@
 //! seen, and certifies it at the end.
 
 use alsrac_aig::Aig;
-use alsrac_metrics::{measure, measure_auto, ErrorMetric};
+use alsrac_metrics::{measure_auto, ErrorMetric};
 use alsrac_rt::json::Obj;
 use alsrac_rt::{derive_indexed, derive_seed, trace, Rng, Stream};
 use alsrac_sim::{PatternBuffer, Simulation};
 
 use crate::estimate::Estimator;
-use crate::flow::{rejected_record, run_end_record, run_start_record, FlowResult, IterationRecord};
+use crate::flow::{
+    accepted_record, check_circuit, rejected_record, run_end_record, run_start_record, FlowResult,
+    IterationRecord,
+};
 use crate::lac::{generate_lacs, LacConfig};
 use crate::FlowError;
 
@@ -70,21 +73,7 @@ impl Default for LiuConfig {
 ///
 /// Same contract as [`crate::flow::run`].
 pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> {
-    if original.num_inputs() == 0 || original.num_outputs() == 0 {
-        return Err(FlowError::DegenerateCircuit {
-            inputs: original.num_inputs(),
-            outputs: original.num_outputs(),
-        });
-    }
-    if config.metric != ErrorMetric::ErrorRate && original.num_outputs() > 63 {
-        return Err(FlowError::MetricUnavailable {
-            reason: format!(
-                "{} needs integer-decodable outputs, circuit has {}",
-                config.metric,
-                original.num_outputs()
-            ),
-        });
-    }
+    check_circuit(original, config.metric)?;
     let mut rng = Rng::for_stream(config.seed, Stream::Proposal);
     let est_patterns = if original.num_inputs() <= crate::flow::EXHAUSTIVE_ESTIMATION_LIMIT {
         PatternBuffer::exhaustive(original.num_inputs())
@@ -154,14 +143,8 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
 
         // Constraint check by batch estimation against the original.
         let est_span = trace::span("estimate");
-        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts);
-        let influence = alsrac_sim::FlipInfluence::compute(
-            &current,
-            estimator.simulation(),
-            &fanouts,
-            proposal.node.node(),
-        );
-        let m = estimator.estimate(proposal, &influence);
+        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts, config.metric);
+        let m = estimator.estimate_all(std::slice::from_ref(proposal))[0];
         let est_ns = est_span.finish();
         let Some(error) = m.value(config.metric) else {
             break;
@@ -211,25 +194,22 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
         let opt_ns = opt_span.finish();
         if trace::is_enabled() {
             trace::emit(
-                Obj::new()
-                    .str("type", "iteration")
-                    .u64("run", run_id)
-                    .u64("iter", iter as u64)
-                    .bool("accepted", true)
-                    .u64("candidates", pool.len() as u64)
-                    .u64("rounds", config.proposal_rounds as u64)
-                    .str("lac", &proposal.kind())
-                    .f64("est_error", error)
-                    .i64("gain", proposal.est_gain() as i64)
-                    .u64("ands", current.num_ands() as u64)
-                    .u64("depth", u64::from(current.depth()))
-                    .obj(
-                        "phase_ns",
-                        phases()
-                            .u64("estimate", est_ns)
-                            .u64("apply", apply_ns)
-                            .u64("optimize", opt_ns),
-                    ),
+                accepted_record(
+                    run_id,
+                    iter,
+                    pool.len(),
+                    config.proposal_rounds,
+                    proposal,
+                    error,
+                    &current,
+                )
+                .obj(
+                    "phase_ns",
+                    phases()
+                        .u64("estimate", est_ns)
+                        .u64("apply", apply_ns)
+                        .u64("optimize", opt_ns),
+                ),
             );
         }
     }
@@ -240,17 +220,12 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
 
     // Statistical certification of the returned design.
     let measure_span = trace::span("measure");
-    let measured = if original.num_inputs() <= alsrac_metrics::EXHAUSTIVE_INPUT_LIMIT {
-        let patterns = PatternBuffer::exhaustive(original.num_inputs());
-        measure(original, &best, &patterns)?
-    } else {
-        measure_auto(
-            original,
-            &best,
-            config.measure_rounds,
-            derive_seed(config.seed, Stream::Measurement),
-        )?
-    };
+    let measured = measure_auto(
+        original,
+        &best,
+        config.measure_rounds,
+        derive_seed(config.seed, Stream::Measurement),
+    )?;
     let measure_ns = measure_span.finish();
     let wall_ns = flow_span.finish();
     if trace::is_enabled() {

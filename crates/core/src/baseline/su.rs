@@ -12,14 +12,17 @@
 //! exactly the gap the paper quantifies.
 
 use alsrac_aig::{Aig, NodeId};
-use alsrac_metrics::{measure, measure_auto, ErrorMetric};
+use alsrac_metrics::{measure_auto, ErrorMetric};
 use alsrac_rt::json::Obj;
 use alsrac_rt::trace;
 use alsrac_sim::PatternBuffer;
 use alsrac_truthtable::{Cube, Sop};
 
 use crate::estimate::Estimator;
-use crate::flow::{rejected_record, run_end_record, run_start_record, FlowResult, IterationRecord};
+use crate::flow::{
+    accepted_record, check_circuit, rejected_record, run_end_record, run_start_record, FlowResult,
+    IterationRecord,
+};
 use crate::lac::Lac;
 use crate::FlowError;
 
@@ -188,21 +191,7 @@ fn generate_candidates(
 ///
 /// Same contract as [`crate::flow::run`].
 pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
-    if original.num_inputs() == 0 || original.num_outputs() == 0 {
-        return Err(FlowError::DegenerateCircuit {
-            inputs: original.num_inputs(),
-            outputs: original.num_outputs(),
-        });
-    }
-    if config.metric != ErrorMetric::ErrorRate && original.num_outputs() > 63 {
-        return Err(FlowError::MetricUnavailable {
-            reason: format!(
-                "{} needs integer-decodable outputs, circuit has {}",
-                config.metric,
-                original.num_outputs()
-            ),
-        });
-    }
+    check_circuit(original, config.metric)?;
     let est_patterns = if original.num_inputs() <= crate::flow::EXHAUSTIVE_ESTIMATION_LIMIT {
         PatternBuffer::exhaustive(original.num_inputs())
     } else {
@@ -236,7 +225,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         let rounds = est_patterns.num_patterns();
         let est_span = trace::span("estimate");
         let fanouts = current.fanout_map();
-        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts);
+        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts, config.metric);
         let mut est_ns = est_span.finish();
         let lac_span = trace::span("lac_gen");
         let lacs = generate_candidates(&current, &estimator, &fanouts, config.candidates_per_node);
@@ -253,7 +242,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
             break;
         }
         let rank_span = trace::span("estimate");
-        let best = estimator.best_candidate(&lacs, config.metric);
+        let best = estimator.best_candidate(&lacs);
         est_ns += rank_span.finish();
         let Some((best_idx, best_m)) = best else {
             break;
@@ -288,26 +277,23 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         });
         if trace::is_enabled() {
             trace::emit(
-                Obj::new()
-                    .str("type", "iteration")
-                    .u64("run", run_id)
-                    .u64("iter", iterations as u64)
-                    .bool("accepted", true)
-                    .u64("candidates", lacs.len() as u64)
-                    .u64("rounds", rounds as u64)
-                    .str("lac", &lacs[best_idx].kind())
-                    .f64("est_error", best_error)
-                    .i64("gain", lacs[best_idx].est_gain() as i64)
-                    .u64("ands", current.num_ands() as u64)
-                    .u64("depth", u64::from(current.depth()))
-                    .obj(
-                        "phase_ns",
-                        Obj::new()
-                            .u64("estimate", est_ns)
-                            .u64("lac_gen", lac_ns)
-                            .u64("apply", apply_ns)
-                            .u64("optimize", opt_ns),
-                    ),
+                accepted_record(
+                    run_id,
+                    iterations,
+                    lacs.len(),
+                    rounds,
+                    &lacs[best_idx],
+                    best_error,
+                    &current,
+                )
+                .obj(
+                    "phase_ns",
+                    Obj::new()
+                        .u64("estimate", est_ns)
+                        .u64("lac_gen", lac_ns)
+                        .u64("apply", apply_ns)
+                        .u64("optimize", opt_ns),
+                ),
             );
         }
         if current.num_ands() == 0 {
@@ -324,17 +310,12 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         current = alsrac_synth::optimize(&current);
     }
     let measure_span = trace::span("measure");
-    let measured = if original.num_inputs() <= alsrac_metrics::EXHAUSTIVE_INPUT_LIMIT {
-        let patterns = PatternBuffer::exhaustive(original.num_inputs());
-        measure(original, &current, &patterns)?
-    } else {
-        measure_auto(
-            original,
-            &current,
-            config.measure_rounds,
-            config.seed ^ 0x3EA5,
-        )?
-    };
+    let measured = measure_auto(
+        original,
+        &current,
+        config.measure_rounds,
+        config.seed ^ 0x3EA5,
+    )?;
     let measure_ns = measure_span.finish();
     let wall_ns = flow_span.finish();
     if trace::is_enabled() {
@@ -418,7 +399,7 @@ mod tests {
         let exact = alsrac_circuits::arith::ripple_carry_adder(3);
         let patterns = PatternBuffer::exhaustive(6);
         let fanouts = exact.fanout_map();
-        let estimator = Estimator::new(&exact, &exact, &patterns, &fanouts);
+        let estimator = Estimator::new(&exact, &exact, &patterns, &fanouts, ErrorMetric::ErrorRate);
         let lacs = generate_candidates(&exact, &estimator, &fanouts, 3);
         for lac in &lacs {
             for &d in &lac.divisors {

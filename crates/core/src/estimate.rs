@@ -32,29 +32,36 @@ use crate::lac::Lac;
 /// patterns, plus the current circuit's fanout map (computed once per
 /// graph snapshot by the caller — every flow already has it in hand for
 /// LAC generation).
+///
+/// Per-candidate comparisons are tailored to the metric being ranked.
+/// [`ErrorMetric::ErrorRate`] never reads the distance metrics, so it takes
+/// a sparse rate-only compare: the base mismatch columns are precomputed
+/// once per snapshot (`O(outputs × words)`) and each candidate then costs
+/// `O(words + outputs × dirty_words)`, where dirty words are those its
+/// flips actually reach. `error_rate` is bit-identical to a full compare;
+/// the unread distance metrics come back as `None`. Distance metrics take
+/// the full fused decode.
 pub struct Estimator<'a> {
     current: &'a Aig,
     patterns: &'a PatternBuffer,
     fanouts: &'a FanoutMap,
+    metric: ErrorMetric,
     sim: Simulation,
     original_outputs: Cow<'a, OutputWords>,
     current_outputs: OutputWords,
     masks: Vec<u64>,
-    /// Node → driven outputs, built once per snapshot so the fused
-    /// influence pass can skip the per-candidate all-outputs scan.
+    /// Node → driven outputs, built once per snapshot so the influence
+    /// pass can skip the per-candidate all-outputs scan.
     output_index: OutputIndex,
-    full_influence: bool,
-    /// Precomputed per-word base mismatch columns + total error-lane
-    /// count, set by [`Estimator::for_metric`] when ranking by
-    /// [`ErrorMetric::ErrorRate`]. Present → per-candidate comparisons
-    /// take the sparse rate-only path
-    /// ([`alsrac_metrics::compare_flipped_error_rate`]) that only pays
-    /// for the words a candidate actually flips.
+    /// Per-word base mismatch columns + total error-lane count, present
+    /// exactly when `metric` is [`ErrorMetric::ErrorRate`] (the sparse
+    /// rate-only compare, [`alsrac_metrics::compare_flipped_error_rate`]).
     rate_base: Option<(Vec<u64>, u64)>,
 }
 
 impl<'a> Estimator<'a> {
-    /// Builds an estimator by simulating both circuits on `patterns`.
+    /// Builds an estimator ranking by `metric` by simulating both circuits
+    /// on `patterns`.
     ///
     /// `fanouts` must be the fanout map of `current` (the same snapshot —
     /// it is used to walk TFO cones during influence computation).
@@ -73,6 +80,7 @@ impl<'a> Estimator<'a> {
         current: &'a Aig,
         patterns: &'a PatternBuffer,
         fanouts: &'a FanoutMap,
+        metric: ErrorMetric,
     ) -> Estimator<'a> {
         assert_eq!(original.num_inputs(), current.num_inputs(), "input arity");
         assert_eq!(
@@ -83,13 +91,13 @@ impl<'a> Estimator<'a> {
         let original_sim = Simulation::new(original, patterns);
         let original_outputs = Cow::Owned(original_sim.output_words(original));
         let sim = Simulation::new(current, patterns);
-        Estimator::assemble(original_outputs, sim, current, patterns, fanouts)
+        Estimator::assemble(original_outputs, sim, current, patterns, fanouts, metric)
     }
 
-    /// Builds an estimator from precomputed state: the original circuit's
-    /// output words (simulated once per run — the reference never changes)
-    /// and an existing simulation of `current` (typically carried across
-    /// iterations via [`Simulation::update`]).
+    /// Builds an estimator ranking by `metric` from precomputed state: the
+    /// original circuit's output words (simulated once per run — the
+    /// reference never changes) and an existing simulation of `current`
+    /// (typically carried across iterations via [`Simulation::update`]).
     ///
     /// # Panics
     ///
@@ -100,6 +108,7 @@ impl<'a> Estimator<'a> {
         current: &'a Aig,
         patterns: &'a PatternBuffer,
         fanouts: &'a FanoutMap,
+        metric: ErrorMetric,
     ) -> Estimator<'a> {
         assert_eq!(
             original_outputs.num_outputs(),
@@ -113,6 +122,7 @@ impl<'a> Estimator<'a> {
             current,
             patterns,
             fanouts,
+            metric,
         )
     }
 
@@ -122,54 +132,25 @@ impl<'a> Estimator<'a> {
         current: &'a Aig,
         patterns: &'a PatternBuffer,
         fanouts: &'a FanoutMap,
+        metric: ErrorMetric,
     ) -> Estimator<'a> {
         let current_outputs = sim.output_words(current);
         let masks = patterns.word_masks();
-        let output_index = OutputIndex::new(current);
+        let rate_base = (!metric.needs_distance()).then(|| {
+            alsrac_metrics::base_diff_columns(&original_outputs, &current_outputs, &masks)
+        });
         Estimator {
             current,
             patterns,
             fanouts,
+            metric,
             sim,
             original_outputs,
             current_outputs,
             masks,
-            output_index,
-            full_influence: false,
-            rate_base: None,
+            output_index: OutputIndex::new(current),
+            rate_base,
         }
-    }
-
-    /// Switches influence computation to the full-TFO-cone baseline
-    /// algorithm (no event-driven early exit). Results are bit-identical
-    /// either way; this exists so `bench_sim` and the determinism tests can
-    /// compare the two engines' work counters.
-    pub fn with_full_influence(mut self) -> Estimator<'a> {
-        self.full_influence = true;
-        self
-    }
-
-    /// Tailors per-candidate comparisons to the metric being ranked:
-    /// [`ErrorMetric::ErrorRate`] never reads the distance metrics, so
-    /// the default engine switches to a sparse rate-only compare — the
-    /// base mismatch columns are precomputed once per snapshot
-    /// (`O(outputs × words)`) and each candidate then costs
-    /// `O(words + outputs × dirty_words)`, where dirty words are those
-    /// its flips actually reach. `error_rate` stays bit-identical; the
-    /// unread distance metrics come back as `None`. Distance metrics keep
-    /// the full fused decode, and the full-influence baseline always
-    /// keeps the historical materialize-then-compare shape.
-    pub fn for_metric(mut self, metric: ErrorMetric) -> Estimator<'a> {
-        self.rate_base = if metric.needs_distance() {
-            None
-        } else {
-            Some(alsrac_metrics::base_diff_columns(
-                &self.original_outputs,
-                &self.current_outputs,
-                &self.masks,
-            ))
-        };
-        self
     }
 
     /// The base simulation of the current circuit (used by the SASIMI
@@ -212,30 +193,15 @@ impl<'a> Estimator<'a> {
             .collect()
     }
 
-    /// Estimates the full error measurement of applying one LAC to the
-    /// current circuit, relative to the original circuit.
-    ///
-    /// The default engine compares through the fused single-pass kernel
-    /// ([`compare_flipped_output_words`]); the full-influence baseline
-    /// keeps the historical materialize-then-compare shape so `bench_sim`
-    /// measures the old engine as it was. Both produce bit-identical
-    /// measurements.
-    pub fn estimate(&self, lac: &Lac, influence: &FlipInfluence) -> Measurement {
+    /// Estimates the error measurement of applying one LAC to the current
+    /// circuit, relative to the original circuit.
+    fn estimate(&self, lac: &Lac, influence: &FlipInfluence) -> Measurement {
         debug_assert_eq!(
             influence.node(),
             lac.node.node(),
             "influence/LAC node mismatch"
         );
         let change = self.change_mask(lac);
-        if self.full_influence {
-            let candidate_outputs = influence.apply(&self.current_outputs, &change);
-            return compare_output_words(
-                &self.original_outputs,
-                &candidate_outputs,
-                &self.masks,
-                self.patterns.num_patterns(),
-            );
-        }
         if let Some((base_diff, base_lanes)) = &self.rate_base {
             return compare_flipped_error_rate(
                 &self.original_outputs,
@@ -283,62 +249,48 @@ impl<'a> Estimator<'a> {
         trace::add("lacs_scored", lacs.len() as u64);
         trace::add("influences_computed", nodes.len() as u64);
         trace::add("influence_cache_hits", (lacs.len() - nodes.len()) as u64);
-        let influences = if self.full_influence {
-            pool::par_map(&nodes, |&node| {
-                FlipInfluence::compute_full(self.current, &self.sim, self.fanouts, node)
-            })
-        } else {
-            // One scratch arena per worker: allocation-free propagation in
-            // steady state, and since each influence is a pure function of
-            // the shared simulation, placement by index keeps the result
-            // bit-identical at any thread count. Touched outputs are
-            // discovered during the propagation walk itself (fused).
-            pool::par_map_init(&nodes, InfluenceScratch::new, |scratch, &node| {
-                FlipInfluence::compute_fused(
-                    self.current,
-                    &self.sim,
-                    self.fanouts,
-                    &self.output_index,
-                    node,
-                    scratch,
-                )
-            })
-        };
+        // One scratch arena per worker: allocation-free propagation in
+        // steady state, and since each influence is a pure function of the
+        // shared simulation, placement by index keeps the result
+        // bit-identical at any thread count.
+        let influences = pool::par_map_init(&nodes, InfluenceScratch::new, |scratch, &node| {
+            FlipInfluence::compute(
+                self.current,
+                &self.sim,
+                self.fanouts,
+                &self.output_index,
+                node,
+                scratch,
+            )
+        });
         pool::par_map(lacs, |lac| {
             self.estimate(lac, &influences[slot[&lac.node.node()]])
         })
     }
 
-    /// Picks the index of the candidate with the smallest error under
-    /// `metric`, tie-breaking by the largest estimated node gain.
+    /// Picks the index of the candidate with the smallest error under the
+    /// estimator's metric, tie-breaking by the largest estimated node gain.
     ///
     /// Returns `None` when `lacs` is empty or the metric is unavailable
     /// (distance metric on a >63-output circuit).
-    pub fn best_candidate(
-        &self,
-        lacs: &[Lac],
-        metric: ErrorMetric,
-    ) -> Option<(usize, Measurement)> {
-        self.ranked_candidates(lacs, metric)
+    pub fn best_candidate(&self, lacs: &[Lac]) -> Option<(usize, Measurement)> {
+        self.ranked_candidates(lacs)
             .map(|ranked| ranked.into_iter().next())?
     }
 
-    /// Ranks all candidates by (error, then largest estimated gain),
-    /// best first. Candidates whose metric value is NaN are excluded —
-    /// a NaN compares as "greater than everything" under a naive sort
-    /// recovery and must never outrank a real measurement.
+    /// Ranks all candidates by (error under the estimator's metric, then
+    /// largest estimated gain), best first. Candidates whose metric value
+    /// is NaN are excluded — a NaN compares as "greater than everything"
+    /// under a naive sort recovery and must never outrank a real
+    /// measurement.
     ///
     /// Returns `None` when the metric is unavailable (distance metric on a
     /// >63-output circuit).
-    pub fn ranked_candidates(
-        &self,
-        lacs: &[Lac],
-        metric: ErrorMetric,
-    ) -> Option<Vec<(usize, Measurement)>> {
+    pub fn ranked_candidates(&self, lacs: &[Lac]) -> Option<Vec<(usize, Measurement)>> {
         let measurements = self.estimate_all(lacs);
         let mut indexed: Vec<(usize, f64, isize)> = Vec::with_capacity(lacs.len());
         for (i, m) in measurements.iter().enumerate() {
-            let value = m.value(metric)?;
+            let value = m.value(self.metric)?;
             indexed.push((i, value, lacs[i].est_gain()));
         }
         Some(
@@ -389,7 +341,9 @@ mod tests {
     use crate::lac::{generate_lacs, LacConfig};
 
     /// Estimated error must equal the exact error of actually applying the
-    /// LAC and re-measuring — the headline property of batch estimation.
+    /// LAC and re-measuring, bit for bit — the headline property of batch
+    /// estimation. ER takes the sparse rate-only compare (distance metrics
+    /// left unpopulated), NMED the full decode.
     #[test]
     fn estimation_matches_direct_application() {
         let aig = alsrac_circuits::arith::ripple_carry_adder(3);
@@ -409,20 +363,36 @@ mod tests {
         assert!(!lacs.is_empty());
 
         let est_patterns = PatternBuffer::exhaustive(6);
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts);
-        let estimates = estimator.estimate_all(&lacs);
-        for (lac, est) in lacs.iter().zip(&estimates) {
+        let rate = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate)
+            .estimate_all(&lacs);
+        let decode = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::Nmed)
+            .estimate_all(&lacs);
+        for ((lac, rate), decode) in lacs.iter().zip(&rate).zip(&decode) {
             let applied = lac.apply(&aig).expect("no cycle");
             let direct =
                 alsrac_metrics::measure(&aig, &applied, &est_patterns).expect("same arity");
-            assert!(
-                (est.error_rate - direct.error_rate).abs() < 1e-12,
-                "ER mismatch for {lac:?}: est {} direct {}",
-                est.error_rate,
-                direct.error_rate
+            assert_eq!(
+                rate.error_rate.to_bits(),
+                direct.error_rate.to_bits(),
+                "ER mismatch for {lac:?}"
             );
-            assert_eq!(est.nmed, direct.nmed, "NMED mismatch for {lac:?}");
-            assert_eq!(est.mred, direct.mred, "MRED mismatch for {lac:?}");
+            assert_eq!(rate.nmed, None, "ER estimates skip the decode");
+            assert_eq!(
+                decode.error_rate.to_bits(),
+                direct.error_rate.to_bits(),
+                "ER mismatch for {lac:?}"
+            );
+            assert_eq!(
+                decode.nmed.map(f64::to_bits),
+                direct.nmed.map(f64::to_bits),
+                "NMED mismatch for {lac:?}"
+            );
+            assert_eq!(
+                decode.mred.map(f64::to_bits),
+                direct.mred.map(f64::to_bits),
+                "MRED mismatch for {lac:?}"
+            );
+            assert_eq!(decode.max_error_distance, direct.max_error_distance);
         }
     }
 
@@ -435,7 +405,13 @@ mod tests {
         current.set_output_lit(2, alsrac_aig::Lit::FALSE); // stuck carry
         let patterns = PatternBuffer::exhaustive(4);
         let fanouts = current.fanout_map();
-        let estimator = Estimator::new(&original, &current, &patterns, &fanouts);
+        let estimator = Estimator::new(
+            &original,
+            &current,
+            &patterns,
+            &fanouts,
+            ErrorMetric::ErrorRate,
+        );
         let baseline = estimator.baseline();
         assert!(baseline.error_rate > 0.0);
     }
@@ -458,10 +434,8 @@ mod tests {
         );
         assert!(lacs.len() >= 2);
         let est_patterns = PatternBuffer::exhaustive(6);
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts);
-        let (best_idx, best_m) = estimator
-            .best_candidate(&lacs, ErrorMetric::ErrorRate)
-            .expect("candidates exist");
+        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate);
+        let (best_idx, best_m) = estimator.best_candidate(&lacs).expect("candidates exist");
         let all = estimator.estimate_all(&lacs);
         for m in &all {
             assert!(best_m.error_rate <= m.error_rate + 1e-12);
@@ -487,17 +461,20 @@ mod tests {
         );
         assert!(lacs.len() >= 2, "need a few candidates");
         let est_patterns = PatternBuffer::exhaustive(6);
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts);
-        let serial = alsrac_rt::pool::with_threads(1, || estimator.estimate_all(&lacs));
-        for threads in [2, 5] {
-            let parallel = alsrac_rt::pool::with_threads(threads, || estimator.estimate_all(&lacs));
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.num_patterns, p.num_patterns);
-                assert_eq!(s.error_rate.to_bits(), p.error_rate.to_bits());
-                assert_eq!(s.nmed.map(f64::to_bits), p.nmed.map(f64::to_bits));
-                assert_eq!(s.mred.map(f64::to_bits), p.mred.map(f64::to_bits));
-                assert_eq!(s.max_error_distance, p.max_error_distance);
+        for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
+            let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, metric);
+            let serial = alsrac_rt::pool::with_threads(1, || estimator.estimate_all(&lacs));
+            for threads in [2, 5] {
+                let parallel =
+                    alsrac_rt::pool::with_threads(threads, || estimator.estimate_all(&lacs));
+                assert_eq!(serial.len(), parallel.len());
+                for (s, p) in serial.iter().zip(&parallel) {
+                    assert_eq!(s.num_patterns, p.num_patterns);
+                    assert_eq!(s.error_rate.to_bits(), p.error_rate.to_bits());
+                    assert_eq!(s.nmed.map(f64::to_bits), p.nmed.map(f64::to_bits));
+                    assert_eq!(s.mred.map(f64::to_bits), p.mred.map(f64::to_bits));
+                    assert_eq!(s.max_error_distance, p.max_error_distance);
+                }
             }
         }
     }

@@ -10,7 +10,7 @@ use alsrac_sim::{PatternBuffer, Simulation};
 use crate::certify::{self, WceGate};
 use crate::checkpoint::Checkpoint;
 use crate::estimate::Estimator;
-use crate::lac::{generate_lacs_with, LacConfig};
+use crate::lac::{generate_lacs_with, Lac, LacConfig};
 use crate::window::WindowConfig;
 use crate::FlowError;
 
@@ -26,8 +26,6 @@ pub struct FlowConfig {
     pub threshold: f64,
     /// Initial care-simulation rounds `N`.
     pub initial_rounds: usize,
-    /// Maximum LACs per node `L`.
-    pub lac_limit: usize,
     /// Consecutive empty-candidate iterations before `N` shrinks (`t`).
     pub patience: usize,
     /// Shrink factor for `N` (`r`, in `(0, 1)`).
@@ -57,12 +55,6 @@ pub struct FlowConfig {
     /// paper's behaviour; larger values trade area for speed on big
     /// circuits). The final result is always optimized.
     pub optimize_period: usize,
-    /// Disable the incremental estimation engine: re-simulate both circuits
-    /// from scratch every iteration and compute flip influences over full
-    /// TFO cones. Results are bit-identical either way (both engines are
-    /// exact); this exists as the measured baseline for `bench_sim` and the
-    /// incremental-vs-full determinism tests.
-    pub full_resim: bool,
     /// Produce a SAT certificate of the final error
     /// ([`FlowResult::certificate`]): exact model counting of the miter
     /// for [`ErrorMetric::ErrorRate`] (XOR-hash (ε, δ) counting beyond
@@ -101,7 +93,6 @@ impl Default for FlowConfig {
             metric: ErrorMetric::ErrorRate,
             threshold: 0.01,
             initial_rounds: 32,
-            lac_limit: 1,
             patience: 5,
             shrink: 0.9,
             est_rounds: 2048,
@@ -111,7 +102,6 @@ impl Default for FlowConfig {
             max_iterations: 10_000,
             optimize_after_apply: true,
             optimize_period: 1,
-            full_resim: false,
             certify: false,
             budget: Budget::unlimited(),
             lac: LacConfig::default(),
@@ -344,17 +334,25 @@ pub fn resume(
 /// Shared validation of [`run`] and [`resume`].
 fn preflight(original: &Aig, config: &FlowConfig) -> Result<(), FlowError> {
     config.validate()?;
+    check_circuit(original, config.metric)
+}
+
+/// The circuit checks every search loop (ALSRAC, Su, Liu) runs first:
+/// [`FlowError::DegenerateCircuit`] without inputs or outputs, and
+/// [`FlowError::MetricUnavailable`] for a distance metric on more than 63
+/// outputs.
+pub(crate) fn check_circuit(original: &Aig, metric: ErrorMetric) -> Result<(), FlowError> {
     if original.num_inputs() == 0 || original.num_outputs() == 0 {
         return Err(FlowError::DegenerateCircuit {
             inputs: original.num_inputs(),
             outputs: original.num_outputs(),
         });
     }
-    if config.metric != ErrorMetric::ErrorRate && original.num_outputs() > 63 {
+    if metric != ErrorMetric::ErrorRate && original.num_outputs() > 63 {
         return Err(FlowError::MetricUnavailable {
             reason: format!(
                 "{} needs integer-decodable outputs, circuit has {}",
-                config.metric,
+                metric,
                 original.num_outputs()
             ),
         });
@@ -463,10 +461,11 @@ fn run_from(
     // The estimation patterns are fixed for the whole run and the original
     // circuit never changes, so its reference output words are simulated
     // exactly once. The current circuit's estimation simulation is carried
-    // across iterations and updated cone-locally on accepted LACs
-    // (`full_resim` restores the old sweep-everything behaviour).
-    let original_est_outputs = (!config.full_resim)
-        .then(|| Simulation::new(original, est_patterns).output_words(original));
+    // across iterations and updated cone-locally on accepted LACs; it is
+    // `None` only while an optimize pass has invalidated it (sweeping the
+    // optimized circuit eagerly instead would keep a simulation alive
+    // through the next `lac_gen`, which raises the flow's peak heap).
+    let original_est_outputs = Simulation::new(original, est_patterns).output_words(original);
     let mut est_sim: Option<Simulation> = None;
     // WCE mode: the threshold is an absolute maximum error distance, and
     // every acceptance is gated by a SAT query instead of trusting the
@@ -547,27 +546,19 @@ fn run_from(
         empty_streak = 0;
 
         let est_span = trace::span("estimate");
-        let estimator = match &original_est_outputs {
-            // Incremental engine: reuse the carried estimation simulation of
-            // `current` (or sweep once after an optimize pass invalidated it)
-            // and the once-simulated reference outputs.
-            Some(reference) => Estimator::with_state(
-                reference,
-                est_sim
-                    .take()
-                    .unwrap_or_else(|| Simulation::new(&current, est_patterns)),
-                &current,
-                est_patterns,
-                &fanouts,
-            )
-            .for_metric(config.metric),
-            // Baseline engine: full re-simulation of both circuits and
-            // full-TFO-cone influence masks, every iteration.
-            None => {
-                Estimator::new(original, &current, est_patterns, &fanouts).with_full_influence()
-            }
-        };
-        let Some(ranked) = estimator.ranked_candidates(&lacs, config.metric) else {
+        // Reuse the carried estimation simulation of `current`, or sweep
+        // once after an optimize pass invalidated it.
+        let estimator = Estimator::with_state(
+            &original_est_outputs,
+            est_sim
+                .take()
+                .unwrap_or_else(|| Simulation::new(&current, est_patterns)),
+            &current,
+            est_patterns,
+            &fanouts,
+            config.metric,
+        );
+        let Some(ranked) = estimator.ranked_candidates(&lacs) else {
             break; // metric not evaluable — cannot happen after the arity check
         };
         let est_ns = est_span.finish();
@@ -597,15 +588,7 @@ fn run_from(
                 }
                 // Skip the rare candidate whose materialized cover hashes onto
                 // its own fanout (would create a cycle).
-                let candidate = if config.full_resim {
-                    lacs[idx].apply(&current).ok().map(|aig| (aig, None))
-                } else {
-                    lacs[idx]
-                        .apply_with_delta(&current, &fanouts)
-                        .ok()
-                        .map(|(aig, delta)| (aig, Some(delta)))
-                };
-                let (aig, delta) = candidate?;
+                let (aig, delta) = lacs[idx].apply_with_delta(&current, &fanouts).ok()?;
                 // The SAT accept gate of the WCE-constrained mode: a
                 // sampled max can miss the worst-case input, so a
                 // candidate only passes if `distance > bound` is UNSAT.
@@ -646,9 +629,7 @@ fn run_from(
         let Some((best_idx, best_error, applied_aig, delta)) = choice else {
             // Nothing applied: `current` is unchanged, so its estimation
             // simulation is still valid for the next iteration.
-            if !config.full_resim {
-                est_sim = Some(estimator.into_simulation());
-            }
+            est_sim = Some(estimator.into_simulation());
             if trace::is_enabled() {
                 trace::emit(
                     rejected_record(run_id, iterations, "over_budget", lacs.len(), rounds).obj(
@@ -682,35 +663,31 @@ fn run_from(
             }
             continue;
         };
+        over_streak = 0;
+        stuck_streak = 0;
+        applied += 1;
+        let optimized_now =
+            config.optimize_after_apply && applied.is_multiple_of(config.optimize_period.max(1));
         // Cone-local resimulation: only nodes in the substitution's TFO are
         // re-evaluated; everything else is copied from the carried
-        // simulation. This must happen before `current` is replaced because
-        // the estimator borrows it until consumed. The span is part of the
-        // incremental engine's cost (zero-work under `full_resim`), so
-        // engine benchmarks charge it alongside `estimate`.
+        // simulation. Skipped when an optimize pass follows: the optimizer
+        // restructures the graph arbitrarily, so the next iteration could
+        // not reuse the result. (The estimator borrows `current` until
+        // consumed.)
         let sim_update_span = trace::span("sim_update");
-        let new_sim = delta.map(|delta| {
+        est_sim = (!optimized_now).then(|| {
             estimator
                 .into_simulation()
                 .update(&applied_aig, &delta, est_patterns)
         });
         let sim_update_ns = sim_update_span.finish();
         current = applied_aig;
-        fanouts = current.fanout_map();
-        over_streak = 0;
-        stuck_streak = 0;
-        applied += 1;
         let opt_span = trace::span("optimize");
-        let optimized_now =
-            config.optimize_after_apply && applied.is_multiple_of(config.optimize_period.max(1));
         if optimized_now {
             current = alsrac_synth::optimize(&current);
-            // The optimizer restructures the graph arbitrarily: the carried
-            // simulation and fanout map are both stale.
-            fanouts = current.fanout_map();
         }
-        est_sim = if optimized_now { None } else { new_sim };
         let opt_ns = opt_span.finish();
+        fanouts = current.fanout_map();
         history.push(IterationRecord {
             estimated_error: best_error,
             ands: current.num_ands(),
@@ -720,28 +697,25 @@ fn run_from(
             // `est_error` is the same f64 as the history entry above, so the
             // JSONL value round-trips bit-for-bit against `FlowResult`.
             trace::emit(
-                Obj::new()
-                    .str("type", "iteration")
-                    .u64("run", run_id)
-                    .u64("iter", iterations as u64)
-                    .bool("accepted", true)
-                    .u64("candidates", lacs.len() as u64)
-                    .u64("rounds", rounds as u64)
-                    .str("lac", &lacs[best_idx].kind())
-                    .f64("est_error", best_error)
-                    .i64("gain", lacs[best_idx].est_gain() as i64)
-                    .u64("ands", current.num_ands() as u64)
-                    .u64("depth", u64::from(current.depth()))
-                    .obj(
-                        "phase_ns",
-                        Obj::new()
-                            .u64("care_sim", care_ns)
-                            .u64("lac_gen", lac_ns)
-                            .u64("estimate", est_ns)
-                            .u64("apply", apply_ns)
-                            .u64("sim_update", sim_update_ns)
-                            .u64("optimize", opt_ns),
-                    ),
+                accepted_record(
+                    run_id,
+                    iterations,
+                    lacs.len(),
+                    rounds,
+                    &lacs[best_idx],
+                    best_error,
+                    &current,
+                )
+                .obj(
+                    "phase_ns",
+                    Obj::new()
+                        .u64("care_sim", care_ns)
+                        .u64("lac_gen", lac_ns)
+                        .u64("estimate", est_ns)
+                        .u64("apply", apply_ns)
+                        .u64("sim_update", sim_update_ns)
+                        .u64("optimize", opt_ns),
+                ),
             );
         }
     }
@@ -780,24 +754,18 @@ fn run_from(
         current = alsrac_synth::optimize(&current);
     }
     let measure_span = trace::span("measure");
-    let measured = if let Some(bias) = &config.input_bias {
-        let patterns = PatternBuffer::biased(
-            original.num_inputs(),
-            config.measure_rounds,
-            bias,
-            derive_seed(config.seed, Stream::Measurement),
-        );
-        measure(original, &current, &patterns)?
-    } else if original.num_inputs() <= alsrac_metrics::EXHAUSTIVE_INPUT_LIMIT {
-        let patterns = PatternBuffer::exhaustive(original.num_inputs());
-        measure(original, &current, &patterns)?
-    } else {
-        measure_auto(
-            original,
-            &current,
-            config.measure_rounds,
-            derive_seed(config.seed, Stream::Measurement),
-        )?
+    let measure_seed = derive_seed(config.seed, Stream::Measurement);
+    let measured = match &config.input_bias {
+        Some(bias) => {
+            let patterns = PatternBuffer::biased(
+                original.num_inputs(),
+                config.measure_rounds,
+                bias,
+                measure_seed,
+            );
+            measure(original, &current, &patterns)?
+        }
+        None => measure_auto(original, &current, config.measure_rounds, measure_seed)?,
     };
     let measure_ns = measure_span.finish();
     // The certificate replaces trust in sampling: exact WCE for the
@@ -985,6 +953,33 @@ pub(crate) fn rejected_record(
         .str("reason", reason)
         .u64("candidates", candidates as u64)
         .u64("rounds", rounds as u64)
+}
+
+/// Common fields of an accepted-iteration telemetry record: the committed
+/// LAC, its estimated error, and the circuit after apply (and optimize,
+/// when one ran). Like [`rejected_record`], the caller attaches
+/// `phase_ns`; shared with the baseline flows.
+pub(crate) fn accepted_record(
+    run: u64,
+    iter: usize,
+    candidates: usize,
+    rounds: usize,
+    lac: &Lac,
+    est_error: f64,
+    current: &Aig,
+) -> Obj {
+    Obj::new()
+        .str("type", "iteration")
+        .u64("run", run)
+        .u64("iter", iter as u64)
+        .bool("accepted", true)
+        .u64("candidates", candidates as u64)
+        .u64("rounds", rounds as u64)
+        .str("lac", &lac.kind())
+        .f64("est_error", est_error)
+        .i64("gain", lac.est_gain() as i64)
+        .u64("ands", current.num_ands() as u64)
+        .u64("depth", u64::from(current.depth()))
 }
 
 #[cfg(test)]

@@ -1,25 +1,25 @@
-//! Property suite for the fused estimation pass.
+//! Property suite for the estimation pass.
 //!
-//! [`Estimator::estimate_all`] evaluates every LAC candidate through the
-//! fused single-pass kernel: influence rows are built during the flip
-//! propagation walk and compared against the reference outputs without
-//! materializing candidate output words. The pre-fusion engine — full-TFO
-//! influence plus materialize-then-compare — survives behind
-//! [`Estimator::with_full_influence`] as the baseline `bench_sim` measures
-//! against. The two must produce **bit-identical** `f64` measurements:
-//! the flow's apply/stop decisions compare estimates against thresholds,
-//! so even one ULP of drift could change which LAC lands.
+//! [`Estimator::estimate_all`] evaluates every LAC candidate through one
+//! fused pass: influence rows are built during the flip propagation walk
+//! and compared against the reference outputs without materializing
+//! candidate output words. Its oracle is direct application: apply the
+//! LAC, re-simulate, and measure with [`alsrac_metrics::measure`] on the
+//! same patterns. The two must agree **bit for bit** in `f64`: the flow's
+//! apply/stop decisions compare estimates against thresholds, so even one
+//! ULP of drift could change which LAC lands.
 //!
-//! This test pins that equivalence on an evolving circuit: it repeatedly
-//! generates candidates, cross-checks both engines at 1, 3, and 7 worker
-//! threads, then actually applies a LAC and re-checks on the rebuilt graph
-//! (estimates are always relative to the *original* circuit, so later
-//! rounds also exercise non-zero accumulated baseline error).
+//! This test pins that on an evolving circuit: it repeatedly generates
+//! candidates, checks both compare paths (ER's sparse rate-only compare,
+//! NMED's full decode) at 1, 3, and 7 worker threads, then actually
+//! applies a LAC and re-checks on the rebuilt graph (estimates are always
+//! relative to the *original* circuit, so later rounds also exercise
+//! non-zero accumulated baseline error).
 
 use alsrac::estimate::Estimator;
 use alsrac::lac::{generate_lacs, LacConfig};
 use alsrac_circuits::arith;
-use alsrac_metrics::{ErrorMetric, Measurement};
+use alsrac_metrics::{measure, ErrorMetric, Measurement};
 use alsrac_rt::pool;
 use alsrac_sim::{PatternBuffer, Simulation};
 
@@ -49,7 +49,7 @@ fn assert_bit_identical(a: &Measurement, b: &Measurement, what: &str) {
 }
 
 #[test]
-fn fused_estimates_match_the_full_influence_baseline_across_lac_applies_and_threads() {
+fn estimates_match_direct_application_across_lac_applies_and_threads() {
     let original = arith::ripple_carry_adder(3);
     let mut current = original.clone();
     // 200 patterns -> 4 words: a full batch for the kernel plus a masked
@@ -75,47 +75,48 @@ fn fused_estimates_match_the_full_influence_baseline_across_lac_applies_and_thre
             break;
         }
 
-        let fused = Estimator::new(&original, &current, &est_patterns, &fanouts);
-        let baseline =
-            Estimator::new(&original, &current, &est_patterns, &fanouts).with_full_influence();
-        // The flow's production ErrorRate engine: sparse rate-only compare
-        // against precomputed base mismatch columns.
-        let rate = Estimator::new(&original, &current, &est_patterns, &fanouts)
-            .for_metric(ErrorMetric::ErrorRate);
-        let reference = pool::with_threads(1, || baseline.estimate_all(&lacs));
-        for threads in [1usize, 3, 7] {
-            let got = pool::with_threads(threads, || fused.estimate_all(&lacs));
-            assert_eq!(got.len(), reference.len());
-            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                let what = format!("round {round}, {threads} threads, lac {i}");
-                assert_bit_identical(g, r, &what);
-            }
-            // The baseline engine must itself be thread-count invariant.
-            let base_again = pool::with_threads(threads, || baseline.estimate_all(&lacs));
-            for (i, (g, r)) in base_again.iter().zip(&reference).enumerate() {
-                let what = format!("baseline round {round}, {threads} threads, lac {i}");
-                assert_bit_identical(g, r, &what);
-            }
-            // Rate-only engine: bit-identical error_rate, distance metrics
-            // deliberately unpopulated (ErrorRate ranking never reads them).
-            let rate_got = pool::with_threads(threads, || rate.estimate_all(&lacs));
-            assert_eq!(rate_got.len(), reference.len());
-            for (i, (g, r)) in rate_got.iter().zip(&reference).enumerate() {
-                let what = format!("rate round {round}, {threads} threads, lac {i}");
-                assert_eq!(g.num_patterns, r.num_patterns, "{what}: num_patterns");
-                assert_eq!(
-                    g.error_rate.to_bits(),
-                    r.error_rate.to_bits(),
-                    "{what}: error_rate {} vs {}",
-                    g.error_rate,
-                    r.error_rate
-                );
-                assert_eq!(g.nmed, None, "{what}: nmed must be skipped");
-                assert_eq!(g.mred, None, "{what}: mred must be skipped");
-                assert_eq!(
-                    g.max_error_distance, None,
-                    "{what}: max_error_distance must be skipped"
-                );
+        // Cyclic substitutions have no direct application to compare.
+        let direct: Vec<Option<Measurement>> = lacs
+            .iter()
+            .map(|lac| {
+                let applied = lac.apply(&current).ok()?;
+                Some(measure(&original, &applied, &est_patterns).expect("same arity"))
+            })
+            .collect();
+        assert!(
+            direct.iter().any(Option::is_some),
+            "round {round}: every LAC cycles"
+        );
+        for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
+            let estimator = Estimator::new(&original, &current, &est_patterns, &fanouts, metric);
+            for threads in [1usize, 3, 7] {
+                let got = pool::with_threads(threads, || estimator.estimate_all(&lacs));
+                assert_eq!(got.len(), lacs.len());
+                for (i, (g, want)) in got.iter().zip(&direct).enumerate() {
+                    let Some(want) = want else { continue };
+                    let what = format!("{metric} round {round}, {threads} threads, lac {i}");
+                    if metric == ErrorMetric::ErrorRate {
+                        // Sparse rate-only compare: bit-identical
+                        // error_rate, distance metrics deliberately
+                        // unpopulated (ER ranking never reads them).
+                        assert_eq!(g.num_patterns, want.num_patterns, "{what}: num_patterns");
+                        assert_eq!(
+                            g.error_rate.to_bits(),
+                            want.error_rate.to_bits(),
+                            "{what}: error_rate {} vs {}",
+                            g.error_rate,
+                            want.error_rate
+                        );
+                        assert_eq!(g.nmed, None, "{what}: nmed must be skipped");
+                        assert_eq!(g.mred, None, "{what}: mred must be skipped");
+                        assert_eq!(
+                            g.max_error_distance, None,
+                            "{what}: max_error_distance must be skipped"
+                        );
+                    } else {
+                        assert_bit_identical(g, want, &what);
+                    }
+                }
             }
         }
         rounds_checked += 1;

@@ -707,7 +707,21 @@ pub fn measure_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alsrac_aig::Lit;
+    use alsrac_aig::{FanoutMap, Lit, NodeId};
+    use alsrac_sim::{InfluenceScratch, OutputIndex};
+
+    /// [`FlipInfluence::compute`] with a fresh index and scratch.
+    fn influence(aig: &Aig, sim: &Simulation, fanouts: &FanoutMap, node: NodeId) -> FlipInfluence {
+        let outputs = OutputIndex::new(aig);
+        FlipInfluence::compute(
+            aig,
+            sim,
+            fanouts,
+            &outputs,
+            node,
+            &mut InfluenceScratch::new(),
+        )
+    }
 
     /// 2-bit adder and a broken variant with the MSB stuck at zero.
     fn pair() -> (Aig, Aig) {
@@ -894,7 +908,7 @@ mod tests {
         let masks = patterns.word_masks();
         let mut rng = alsrac_rt::Rng::from_seed(23);
         for node in exact_aig.iter_ands() {
-            let inf = FlipInfluence::compute(&exact_aig, &sim, &fanouts, node);
+            let inf = influence(&exact_aig, &sim, &fanouts, node);
             let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
             let applied = inf.apply(&exact_out, &change);
             let want = compare_output_words(&exact_out, &applied, &masks, patterns.num_patterns());
@@ -965,7 +979,7 @@ mod tests {
         let (base_diff, base_lanes) = base_diff_columns(&exact_out, &base, &masks);
         let mut rng = alsrac_rt::Rng::from_seed(47);
         for node in exact_aig.iter_ands() {
-            let inf = FlipInfluence::compute(&exact_aig, &sim, &fanouts, node);
+            let inf = influence(&exact_aig, &sim, &fanouts, node);
             let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
             let want = compare_output_words(
                 &exact_out,
@@ -991,7 +1005,7 @@ mod tests {
         }
         // Empty change mask: nothing dirty, base counts pass through.
         let node = exact_aig.iter_ands().next().expect("has ands");
-        let inf = FlipInfluence::compute(&exact_aig, &sim, &fanouts, node);
+        let inf = influence(&exact_aig, &sim, &fanouts, node);
         let zeros = vec![0u64; sim.num_words()];
         let got = compare_flipped_error_rate(
             &exact_out,
@@ -1014,7 +1028,7 @@ mod tests {
         let sim = Simulation::new(&exact_aig, &patterns);
         let fanouts = exact_aig.fanout_map();
         let node = exact_aig.iter_ands().next().expect("has ands");
-        let inf = FlipInfluence::compute(&exact_aig, &sim, &fanouts, node);
+        let inf = influence(&exact_aig, &sim, &fanouts, node);
         let out = sim.output_words(&exact_aig);
         let m = compare_flipped_output_words(&out, &out, &inf, &[0], &[0], 0);
         assert_eq!(m.num_patterns, 0);

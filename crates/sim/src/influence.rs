@@ -19,7 +19,7 @@
 //! locally costs a handful of word ops instead of a full-TFO sweep, and the
 //! arena makes the hot loop allocation-free after warm-up (pinned by a
 //! counting-allocator test). The per-visit word loop goes through the
-//! batched [`crate::kernel`], and [`FlipInfluence::compute_fused`] discovers
+//! batched [`crate::kernel`], and [`FlipInfluence::compute`] discovers
 //! touched outputs *during* propagation via an [`OutputIndex`] instead of
 //! re-scanning every primary output per candidate.
 
@@ -125,19 +125,7 @@ impl InfluenceScratch {
         self.dirty_epoch[node.index()] == self.epoch
     }
 
-    /// Flipped value word of a dirty node (base value otherwise).
-    #[inline]
-    pub fn node_word(&self, sim: &Simulation, node: NodeId, w: usize) -> u64 {
-        if self.is_dirty(node) {
-            self.flipped[node.index() * self.num_words + w]
-        } else {
-            sim.node_word(node, w)
-        }
-    }
-
-    /// The full flipped row of a dirty node (base row otherwise): the
-    /// slice form of [`node_word`](InfluenceScratch::node_word), resolving
-    /// the dirty branch once per node instead of once per word.
+    /// The full flipped row of a dirty node (base row otherwise).
     #[inline]
     pub fn node_words<'a>(&'a self, sim: &'a Simulation, node: NodeId) -> &'a [u64] {
         if self.is_dirty(node) {
@@ -151,7 +139,7 @@ impl InfluenceScratch {
     /// Propagates a flip of `node` through its fanout, event-driven.
     ///
     /// After the call, [`is_dirty`](InfluenceScratch::is_dirty) and
-    /// [`node_word`](InfluenceScratch::node_word) describe the flipped
+    /// [`node_words`](InfluenceScratch::node_words) describe the flipped
     /// circuit state. The hot loop performs no allocations once the arena
     /// and frontier heap have warmed up to the graph's size.
     ///
@@ -169,7 +157,7 @@ impl InfluenceScratch {
 
     /// [`propagate`](InfluenceScratch::propagate) with a callback invoked
     /// once per node that turns dirty (the root included), in propagation
-    /// order. This is what lets [`FlipInfluence::compute_fused`] discover
+    /// order. This is what lets [`FlipInfluence::compute`] discover
     /// touched outputs during the walk instead of in a second pass.
     fn propagate_inner(
         &mut self,
@@ -264,10 +252,10 @@ impl InfluenceScratch {
 
 /// Node → driven-primary-output index, CSR-packed.
 ///
-/// Built once per estimation session, it gives the fused influence pass an
-/// O(1) answer to "does this node drive an output, and which?" as nodes
-/// turn dirty — replacing the per-candidate scan over *all* primary
-/// outputs that [`FlipInfluence::compute_with`] performs after propagation.
+/// Built once per estimation session, it gives the influence pass an O(1)
+/// answer to "does this node drive an output, and which?" as nodes turn
+/// dirty, so no candidate pays a scan over *all* primary outputs after
+/// propagation.
 #[derive(Clone, Debug)]
 pub struct OutputIndex {
     /// CSR row offsets: node `i` drives `pos[offsets[i]..offsets[i + 1]]`.
@@ -331,75 +319,17 @@ pub struct FlipInfluence {
 }
 
 impl FlipInfluence {
-    /// Computes the influence masks of `node` with a fresh scratch.
+    /// Computes the influence masks of `node` by event-driven propagation
+    /// over `scratch`, with touched outputs discovered *during* the walk:
+    /// every node that turns dirty is checked against the [`OutputIndex`]
+    /// in O(1). An output is touched iff its driver ended the walk dirty;
+    /// rows are stored ascending by output index.
     ///
-    /// Convenience wrapper over
-    /// [`compute_with`](FlipInfluence::compute_with); batch callers should
-    /// hold one [`InfluenceScratch`] per worker and reuse it.
-    ///
+    /// Batch callers hold one [`InfluenceScratch`] per worker and reuse it.
     /// Lanes beyond the pattern buffer's valid count carry unspecified
     /// values; callers must mask with the buffer's `word_mask` when
     /// counting.
     pub fn compute(
-        aig: &Aig,
-        sim: &Simulation,
-        fanouts: &FanoutMap,
-        node: NodeId,
-    ) -> FlipInfluence {
-        FlipInfluence::compute_with(aig, sim, fanouts, node, &mut InfluenceScratch::new())
-    }
-
-    /// Computes the influence masks of `node` by event-driven propagation
-    /// over `scratch`.
-    pub fn compute_with(
-        aig: &Aig,
-        sim: &Simulation,
-        fanouts: &FanoutMap,
-        node: NodeId,
-        scratch: &mut InfluenceScratch,
-    ) -> FlipInfluence {
-        let num_words = sim.num_words();
-        scratch.propagate(aig, sim, fanouts, node);
-        let mut touched = Vec::new();
-        let mut rows = Vec::new();
-        let mut any = vec![0u64; num_words];
-        for (po, output) in aig.outputs().iter().enumerate() {
-            let o_node = output.lit.node();
-            if !scratch.is_dirty(o_node) {
-                continue;
-            }
-            touched.push(po as u32);
-            for (w, any_w) in any.iter_mut().enumerate() {
-                // Complement on the output edge cancels in the XOR.
-                let diff = scratch.node_word(sim, o_node, w) ^ sim.node_word(o_node, w);
-                rows.push(diff);
-                *any_w |= diff;
-            }
-        }
-        if any.iter().all(|&w| w == 0) {
-            // The flip died before reaching any primary output.
-            alsrac_rt::trace::add("influence_early_exits", 1);
-        }
-        FlipInfluence {
-            node,
-            num_words,
-            num_outputs: aig.num_outputs(),
-            touched,
-            rows,
-            zeros: vec![0u64; num_words],
-            any,
-        }
-    }
-
-    /// Computes the influence masks of `node` with touched outputs
-    /// discovered *during* propagation: every node that turns dirty is
-    /// checked against the [`OutputIndex`] in O(1), so the post-propagation
-    /// scan over all primary outputs that
-    /// [`compute_with`](FlipInfluence::compute_with) performs disappears.
-    /// Masks are bit-identical to `compute_with` — same touched set (an
-    /// output is touched iff its driver ended the walk dirty), same
-    /// ascending row order, same row words (pinned by property tests).
-    pub fn compute_fused(
         aig: &Aig,
         sim: &Simulation,
         fanouts: &FanoutMap,
@@ -442,77 +372,6 @@ impl FlipInfluence {
         }
     }
 
-    /// Computes the influence masks of `node` by re-simulating its entire
-    /// TFO cone, with no early exit.
-    ///
-    /// This is the pre-event-driven algorithm, kept as the reference
-    /// baseline for `bench_sim` and the bit-identity property tests; flow
-    /// code uses [`compute_with`](FlipInfluence::compute_with).
-    pub fn compute_full(
-        aig: &Aig,
-        sim: &Simulation,
-        fanouts: &FanoutMap,
-        node: NodeId,
-    ) -> FlipInfluence {
-        let num_words = sim.num_words();
-        let cone = aig.tfo_cone(node, fanouts);
-        // Flipped values for cone members only.
-        let mut flipped: Vec<Option<Vec<u64>>> = vec![None; aig.num_nodes()];
-        flipped[node.index()] = Some(sim.node_words(node).iter().map(|&w| !w).collect());
-        for &id in cone.members() {
-            if id == node {
-                continue;
-            }
-            let Node::And { f0, f1 } = *aig.node(id) else {
-                // The TFO of an internal node contains only AND nodes above
-                // it; an input can only appear as the root itself.
-                continue;
-            };
-            let mut words = vec![0u64; num_words];
-            for w in 0..num_words {
-                let v0 = match &flipped[f0.node().index()] {
-                    Some(new) => new[w],
-                    None => sim.node_word(f0.node(), w),
-                } ^ if f0.is_complement() { u64::MAX } else { 0 };
-                let v1 = match &flipped[f1.node().index()] {
-                    Some(new) => new[w],
-                    None => sim.node_word(f1.node(), w),
-                } ^ if f1.is_complement() { u64::MAX } else { 0 };
-                words[w] = v0 & v1;
-            }
-            flipped[id.index()] = Some(words);
-        }
-        alsrac_rt::trace::add(
-            "influence_words_computed",
-            (cone.members().len() * num_words) as u64,
-        );
-
-        let mut touched = Vec::new();
-        let mut rows = Vec::new();
-        let mut any = vec![0u64; num_words];
-        for (po, output) in aig.outputs().iter().enumerate() {
-            let o_node = output.lit.node();
-            if let Some(new) = &flipped[o_node.index()] {
-                touched.push(po as u32);
-                for w in 0..num_words {
-                    // Complement on the output edge cancels in the XOR.
-                    let diff = new[w] ^ sim.node_word(o_node, w);
-                    rows.push(diff);
-                    any[w] |= diff;
-                }
-            }
-        }
-        FlipInfluence {
-            node,
-            num_words,
-            num_outputs: aig.num_outputs(),
-            touched,
-            rows,
-            zeros: vec![0u64; num_words],
-            any,
-        }
-    }
-
     /// The node these masks describe.
     pub fn node(&self) -> NodeId {
         self.node
@@ -547,7 +406,7 @@ impl FlipInfluence {
     /// Output indices with a stored row, ascending (parallel to row slots).
     ///
     /// Together with [`row`](FlipInfluence::row) this exposes the sparse
-    /// layout directly, so fused consumers can merge against it with one
+    /// layout directly, so compare passes can merge against it with one
     /// rising cursor instead of a binary search per output.
     #[inline]
     pub fn touched(&self) -> &[u32] {
@@ -640,71 +499,49 @@ mod tests {
         result
     }
 
+    /// [`FlipInfluence::compute`] with a fresh index and scratch.
+    fn fresh(aig: &Aig, sim: &Simulation, fanouts: &FanoutMap, node: NodeId) -> FlipInfluence {
+        let outputs = OutputIndex::new(aig);
+        FlipInfluence::compute(
+            aig,
+            sim,
+            fanouts,
+            &outputs,
+            node,
+            &mut InfluenceScratch::new(),
+        )
+    }
+
     #[test]
     fn influence_matches_reference_for_all_nodes() {
         let aig = sample();
         let patterns = PatternBuffer::exhaustive(4);
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
-        for id in aig.iter_nodes().skip(1) {
-            let inf = FlipInfluence::compute(&aig, &sim, &fanouts, id);
-            let want = reference_influence(&aig, &patterns, id);
-            let mask = patterns.word_mask(0);
-            for (po, want_po) in want.iter().enumerate() {
-                for (w, &want_word) in want_po.iter().enumerate().take(sim.num_words()) {
-                    assert_eq!(
-                        inf.po_mask(po)[w] & mask,
-                        want_word & mask,
-                        "node {id}, po {po}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn event_driven_matches_full_cone_for_all_nodes() {
-        let aig = sample();
-        let patterns = PatternBuffer::exhaustive(4);
-        let sim = Simulation::new(&aig, &patterns);
-        let fanouts = aig.fanout_map();
-        let mut scratch = InfluenceScratch::new();
-        for id in aig.iter_nodes().skip(1) {
-            let fast = FlipInfluence::compute_with(&aig, &sim, &fanouts, id, &mut scratch);
-            let full = FlipInfluence::compute_full(&aig, &sim, &fanouts, id);
-            let mask = patterns.word_mask(0);
-            for po in 0..aig.num_outputs() {
-                for w in 0..sim.num_words() {
-                    assert_eq!(
-                        fast.po_mask(po)[w] & mask,
-                        full.po_mask(po)[w] & mask,
-                        "node {id}, po {po}"
-                    );
-                }
-            }
-            for w in 0..sim.num_words() {
-                assert_eq!(fast.any_mask()[w] & mask, full.any_mask()[w] & mask);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_matches_separate_pass_for_all_nodes() {
-        let aig = sample();
-        let patterns = PatternBuffer::exhaustive(4);
-        let sim = Simulation::new(&aig, &patterns);
-        let fanouts = aig.fanout_map();
         let outputs = OutputIndex::new(&aig);
+        let mask = patterns.word_mask(0);
+        // One scratch for every node: state leaking from one propagation
+        // into the next would show up here.
         let mut scratch = InfluenceScratch::new();
         for id in aig.iter_nodes().skip(1) {
-            let fused =
-                FlipInfluence::compute_fused(&aig, &sim, &fanouts, &outputs, id, &mut scratch);
-            let separate = FlipInfluence::compute_with(&aig, &sim, &fanouts, id, &mut scratch);
-            assert_eq!(fused.touched(), separate.touched(), "node {id}");
-            for slot in 0..fused.touched().len() {
-                assert_eq!(fused.row(slot), separate.row(slot), "node {id} slot {slot}");
+            let inf = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, id, &mut scratch);
+            let want = reference_influence(&aig, &patterns, id);
+            for (po, want_po) in want.iter().enumerate() {
+                assert_eq!(
+                    inf.po_mask(po)[0] & mask,
+                    want_po[0] & mask,
+                    "node {id}, po {po}"
+                );
             }
-            assert_eq!(fused.any_mask(), separate.any_mask(), "node {id}");
+            // Sparse layout: one row per output whose driver ended the walk
+            // dirty, ascending by output index.
+            let reached: Vec<u32> = (0..aig.num_outputs() as u32)
+                .filter(|&po| scratch.is_dirty(aig.outputs()[po as usize].lit.node()))
+                .collect();
+            assert_eq!(inf.touched(), reached.as_slice(), "node {id}");
+            for (slot, &po) in inf.touched().iter().enumerate() {
+                assert_eq!(inf.row(slot), inf.po_mask(po as usize), "node {id}");
+            }
         }
     }
 
@@ -732,16 +569,17 @@ mod tests {
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
         let nodes: Vec<NodeId> = aig.iter_ands().collect();
+        let outputs = OutputIndex::new(&aig);
         let mut shared = InfluenceScratch::new();
         for &warm in &nodes {
-            FlipInfluence::compute_with(&aig, &sim, &fanouts, warm, &mut shared);
+            FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, warm, &mut shared);
         }
         for &id in &nodes {
-            let reused = FlipInfluence::compute_with(&aig, &sim, &fanouts, id, &mut shared);
-            let fresh = FlipInfluence::compute(&aig, &sim, &fanouts, id);
-            assert_eq!(reused.po_mask(0), fresh.po_mask(0), "node {id}");
-            assert_eq!(reused.po_mask(1), fresh.po_mask(1), "node {id}");
-            assert_eq!(reused.any_mask(), fresh.any_mask(), "node {id}");
+            let reused = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, id, &mut shared);
+            let alone = fresh(&aig, &sim, &fanouts, id);
+            assert_eq!(reused.po_mask(0), alone.po_mask(0), "node {id}");
+            assert_eq!(reused.po_mask(1), alone.po_mask(1), "node {id}");
+            assert_eq!(reused.any_mask(), alone.any_mask(), "node {id}");
         }
     }
 
@@ -752,7 +590,7 @@ mod tests {
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
         let node = aig.iter_ands().next().expect("has ands");
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, node);
+        let inf = fresh(&aig, &sim, &fanouts, node);
         for w in 0..sim.num_words() {
             let union = (0..aig.num_outputs()).fold(0, |acc, po| acc | inf.po_mask(po)[w]);
             assert_eq!(inf.any_mask()[w], union);
@@ -768,7 +606,7 @@ mod tests {
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
         let node = aig.iter_ands().nth(1).expect("has ands");
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, node);
+        let inf = fresh(&aig, &sim, &fanouts, node);
 
         // Change mask: lanes where "constant 0" differs from current value.
         let change: Vec<u64> = sim.node_words(node).to_vec();
@@ -799,7 +637,7 @@ mod tests {
         let patterns = PatternBuffer::exhaustive(2);
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, dangling.node());
+        let inf = fresh(&aig, &sim, &fanouts, dangling.node());
         assert_eq!(inf.po_mask(0)[0] & patterns.word_mask(0), 0);
     }
 
@@ -813,7 +651,7 @@ mod tests {
         let patterns = PatternBuffer::exhaustive(2);
         let sim = Simulation::new(&aig, &patterns);
         let fanouts = aig.fanout_map();
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, x.node());
+        let inf = fresh(&aig, &sim, &fanouts, x.node());
         assert_eq!(
             inf.po_mask(0)[0] & patterns.word_mask(0),
             patterns.word_mask(0)
@@ -834,13 +672,13 @@ mod tests {
         let fanouts = aig.fanout_map();
         // The dangling node reaches no output: zero stored rows, but the
         // mask accessors still answer for every output index.
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, dangling.node());
+        let inf = fresh(&aig, &sim, &fanouts, dangling.node());
         assert_eq!(inf.num_touched_outputs(), 0);
         assert_eq!(inf.num_outputs(), 2);
         assert!(inf.po_mask(0).iter().all(|&w| w == 0));
         assert!(inf.po_mask(1).iter().all(|&w| w == 0));
         // The y-driver reaches exactly one of the two outputs.
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, x.node());
+        let inf = fresh(&aig, &sim, &fanouts, x.node());
         assert_eq!(inf.num_touched_outputs(), 1);
         assert_eq!(inf.po_mask(0), inf.any_mask());
         assert!(inf.po_mask(1).iter().all(|&w| w == 0));
@@ -876,7 +714,8 @@ mod tests {
         // nodes. b only feeds dead here, so the frontier dies immediately.
         let visited = scratch.propagate(&aig, &sim, &fanouts, b.node());
         assert!(visited <= 2, "visited {visited} nodes, expected quench");
-        let inf = FlipInfluence::compute_with(&aig, &sim, &fanouts, b.node(), &mut scratch);
+        let outputs = OutputIndex::new(&aig);
+        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, b.node(), &mut scratch);
         assert_eq!(inf.any_mask()[0] & patterns.word_mask(0), 0);
     }
 }

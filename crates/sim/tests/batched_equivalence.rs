@@ -10,14 +10,15 @@
 //!    equal a per-pattern boolean re-evaluation of the graph, at pattern
 //!    counts that exercise every remainder class of the batch width
 //!    (`num_words % BATCH_WORDS` ∈ {0, 1, 2, 3}) and a partial final word.
-//! 2. **Fused ≡ separate ≡ full-cone influence.** `compute_fused`
-//!    (touched outputs discovered during propagation) stores the same
-//!    touched set, rows, and any-mask as `compute_with` (post-propagation
-//!    output scan) and `compute_full` (whole-TFO resimulation).
+//! 2. **Event-driven ≡ full-cone influence.** `FlipInfluence::compute`
+//!    (touched outputs discovered during propagation) yields the same
+//!    masks as a whole-TFO resimulation kept in test code
+//!    (`support/full_cone.rs`), and its sparse layout stores exactly the
+//!    outputs whose driver ended the walk dirty, ascending.
 //! 3. **Both hold across random LAC applies.** After random node
-//!    substitutions — the structural edits the flow performs — incremental
-//!    update, fresh batched simulation, the scalar reference, and all three
-//!    influence engines still agree on the rebuilt graph.
+//!    substitutions — the structural edits the flow performs — fresh
+//!    batched simulation, the scalar reference, and the influence oracle
+//!    still agree on the rebuilt graph.
 
 use std::collections::HashMap;
 
@@ -25,6 +26,9 @@ use alsrac_aig::{Aig, Lit, Node, NodeId};
 use alsrac_circuits::arith;
 use alsrac_rt::Rng;
 use alsrac_sim::{kernel, FlipInfluence, InfluenceScratch, OutputIndex, PatternBuffer, Simulation};
+
+#[path = "support/full_cone.rs"]
+mod full_cone;
 
 /// Pattern counts covering one partial word, exact single words, and word
 /// counts in every remainder class modulo [`kernel::BATCH_WORDS`] (so both
@@ -79,38 +83,38 @@ fn assert_simulation_matches_reference(aig: &Aig, patterns: &PatternBuffer, what
     }
 }
 
-fn assert_influence_engines_agree(aig: &Aig, patterns: &PatternBuffer, what: &str) {
+fn assert_influence_matches_full_cone(aig: &Aig, patterns: &PatternBuffer, what: &str) {
     let sim = Simulation::new(aig, patterns);
     let fanouts = aig.fanout_map();
     let outputs = OutputIndex::new(aig);
     let mut scratch = InfluenceScratch::new();
     for id in aig.iter_nodes().skip(1) {
-        let fused = FlipInfluence::compute_fused(aig, &sim, &fanouts, &outputs, id, &mut scratch);
-        let separate = FlipInfluence::compute_with(aig, &sim, &fanouts, id, &mut scratch);
-        let full = FlipInfluence::compute_full(aig, &sim, &fanouts, id);
-        // Fused vs separate: identical sparse layout, word for word (both
-        // describe the dirty set of the same event-driven propagation).
-        assert_eq!(fused.touched(), separate.touched(), "{what}: node {id}");
-        for slot in 0..fused.touched().len() {
-            assert_eq!(
-                fused.row(slot),
-                separate.row(slot),
-                "{what}: node {id}, slot {slot}"
-            );
-        }
-        assert_eq!(fused.any_mask(), separate.any_mask(), "{what}: node {id}");
-        // Vs the full-cone baseline: same masks on the valid lanes (the
-        // baseline touches every cone-reaching output even when the diff is
-        // all-zero, so compare dense masks, not the sparse layout).
-        for po in 0..aig.num_outputs() {
-            for w in 0..sim.num_words() {
+        let inf = FlipInfluence::compute(aig, &sim, &fanouts, &outputs, id, &mut scratch);
+        let full = full_cone::full_cone_influence(aig, &sim, &fanouts, id);
+        // Sparse layout: one row per output whose driver ended the walk
+        // dirty, ascending by output index.
+        let reached: Vec<u32> = (0..aig.num_outputs() as u32)
+            .filter(|&po| scratch.is_dirty(aig.outputs()[po as usize].lit.node()))
+            .collect();
+        assert_eq!(inf.touched(), reached.as_slice(), "{what}: node {id}");
+        // Dense masks on the valid lanes (the oracle keeps an all-zero row
+        // for every cone-reached output whose diff quenched, so the sparse
+        // layouts differ by design).
+        let mut any = vec![0u64; sim.num_words()];
+        for (po, full_po) in full.iter().enumerate() {
+            for (w, &full_w) in full_po.iter().enumerate() {
                 let mask = patterns.word_mask(w);
                 assert_eq!(
-                    fused.po_mask(po)[w] & mask,
-                    full.po_mask(po)[w] & mask,
+                    inf.po_mask(po)[w] & mask,
+                    full_w & mask,
                     "{what}: node {id}, po {po}, word {w}"
                 );
+                any[w] |= full_w;
             }
+        }
+        for (w, &any_w) in any.iter().enumerate() {
+            let mask = patterns.word_mask(w);
+            assert_eq!(inf.any_mask()[w] & mask, any_w & mask, "{what}: node {id}");
         }
     }
 }
@@ -135,12 +139,12 @@ fn batched_simulation_matches_scalar_reference_on_ragged_pattern_counts() {
 }
 
 #[test]
-fn fused_separate_and_full_influence_agree_on_real_circuits() {
+fn influence_matches_full_cone_on_real_circuits() {
     for (name, aig) in circuits() {
         for num_patterns in [65, 256, 300] {
             let patterns = PatternBuffer::random(aig.num_inputs(), num_patterns, 7);
             let what = format!("{name} @ {num_patterns} patterns");
-            assert_influence_engines_agree(&aig, &patterns, &what);
+            assert_influence_matches_full_cone(&aig, &patterns, &what);
         }
     }
 }
@@ -175,6 +179,6 @@ fn equivalences_hold_across_random_lac_applies() {
         let patterns = patterns_of(&aig, round);
         let what = format!("round {round}");
         assert_simulation_matches_reference(&aig, &patterns, &what);
-        assert_influence_engines_agree(&aig, &patterns, &what);
+        assert_influence_matches_full_cone(&aig, &patterns, &what);
     }
 }

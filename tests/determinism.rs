@@ -210,31 +210,63 @@ fn different_seeds_can_change_the_flow_trace() {
 }
 
 #[test]
-fn incremental_flow_is_bit_identical_to_full_resimulation() {
-    // `FlowConfig::full_resim` switches the estimation stage between the
-    // full-sweep baseline (re-simulate both circuits every iteration,
-    // full-TFO-cone influences) and the incremental engine (carried
-    // simulation with cone-local updates, event-driven scratch-arena
-    // influences). Both are exact, so the whole flow — history, accepted
-    // LACs, and the final measurement — must be bit-identical, at every
+fn flow_estimates_match_exhaustive_measurement_at_every_thread_count() {
+    // At <= 14 inputs estimation is exhaustive, so the estimate the flow
+    // recorded for its last accepted LAC is the exact error of the circuit
+    // it returns (optimize preserves function) and must equal the final
+    // exhaustive measurement bit for bit. That checks the carried
+    // simulation, its cone-local updates, the influence engine and both
+    // compare paths (ER's sparse compare, NMED's decode) against an
+    // independent resimulation, under every optimize schedule and at every
     // thread count.
-    let circuit = catalog_circuit();
-    let full_config = FlowConfig {
-        full_resim: true,
-        ..flow_config(42)
-    };
-    let incremental_config = flow_config(42);
-    assert!(!incremental_config.full_resim, "incremental is the default");
+    use alsrac_suite::core::flow::EXHAUSTIVE_ESTIMATION_LIMIT;
 
-    let reference = alsrac_rt::pool::with_threads(1, || run(&circuit, &full_config).expect("flow"));
-    assert!(
-        reference.applied > 0,
-        "flow accepted no LACs; the engine-equivalence check would be vacuous"
-    );
-    for threads in [1, 3, 7] {
-        let incremental = alsrac_rt::pool::with_threads(threads, || {
-            run(&circuit, &incremental_config).expect("flow")
-        });
-        assert_identical(&reference, &incremental);
+    for (name, metric, threshold) in [
+        ("ksa32", ErrorMetric::ErrorRate, 0.05),
+        ("rca32", ErrorMetric::Nmed, 0.03),
+    ] {
+        let circuit = iscas_and_arith(Scale::Test)
+            .into_iter()
+            .find(|b| b.paper_name == name)
+            .expect("catalog circuit")
+            .aig;
+        assert!(circuit.num_inputs() <= EXHAUSTIVE_ESTIMATION_LIMIT);
+        // After every accept, every third accept, and never.
+        for (optimize_after_apply, optimize_period) in [(true, 1), (true, 3), (false, 1)] {
+            let config = FlowConfig {
+                metric,
+                threshold,
+                max_iterations: 12,
+                optimize_after_apply,
+                optimize_period,
+                ..flow_config(42)
+            };
+            let what = format!("{name} {metric} optimize {optimize_after_apply}/{optimize_period}");
+            let reference =
+                alsrac_rt::pool::with_threads(1, || run(&circuit, &config).expect("flow"));
+            // A second accept means the last estimate was taken on a
+            // circuit the flow itself changed (through the carried
+            // simulation when no optimize pass intervened).
+            assert!(
+                reference.applied >= 2,
+                "{what}: {} accepted LACs, the check would be vacuous",
+                reference.applied
+            );
+            let last = reference.history.last().expect("applied > 0");
+            let measured = reference.measured.value(metric).expect("decodable");
+            assert_eq!(reference.measured.num_patterns, 1 << circuit.num_inputs());
+            assert_eq!(
+                last.estimated_error.to_bits(),
+                measured.to_bits(),
+                "{what}: estimated {} vs measured {measured}",
+                last.estimated_error
+            );
+            for threads in [3, 7] {
+                let parallel = alsrac_rt::pool::with_threads(threads, || {
+                    run(&circuit, &config).expect("flow")
+                });
+                assert_identical(&reference, &parallel);
+            }
+        }
     }
 }

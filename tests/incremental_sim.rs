@@ -1,7 +1,8 @@
 //! Property tests for the event-driven incremental simulation engine:
 //! the scratch-arena flip propagation and the cone-local resimulation are
 //! pure optimizations, bit-identical to full recomputation on arbitrary
-//! circuits, arbitrary LAC applications, and at every thread count.
+//! circuits, arbitrary LAC applications, and at every thread count. Batch
+//! estimates equal the error of applying each LAC directly.
 //!
 //! Runs on the `alsrac-rt` property harness (same pattern as
 //! `equivalence_props.rs`): properties generate a network *shape* and
@@ -12,7 +13,11 @@ use alsrac_suite::aig::{Aig, NodeId};
 use alsrac_suite::circuits::random_logic::{random_network, RandomNetworkConfig};
 use alsrac_suite::core::estimate::Estimator;
 use alsrac_suite::core::lac::{generate_lacs, LacConfig};
-use alsrac_suite::sim::{FlipInfluence, InfluenceScratch, PatternBuffer, Simulation};
+use alsrac_suite::metrics::{measure, ErrorMetric};
+use alsrac_suite::sim::{FlipInfluence, InfluenceScratch, OutputIndex, PatternBuffer, Simulation};
+
+#[path = "../crates/sim/tests/support/full_cone.rs"]
+mod full_cone;
 
 fn config() -> Config {
     Config::with_cases(32)
@@ -33,15 +38,19 @@ fn build(&(num_inputs, num_outputs, num_gates, seed): &(usize, usize, usize, u64
     })
 }
 
-/// Word-for-word comparison of two influence masks (per output and the
-/// any-output union). `FlipInfluence` deliberately has no `PartialEq`; the
-/// masks are its entire observable state.
-fn assert_same_influence(fast: &FlipInfluence, full: &FlipInfluence) -> Result<(), String> {
-    prop_assert_eq!(fast.num_outputs(), full.num_outputs());
-    for po in 0..full.num_outputs() {
-        prop_assert_eq!(fast.po_mask(po), full.po_mask(po));
+/// Word-for-word comparison of an influence against the oracle's dense
+/// masks (per output and the any-output union). The masks are the
+/// influence's entire observable state.
+fn assert_same_influence(fast: &FlipInfluence, full: &[Vec<u64>]) -> Result<(), String> {
+    prop_assert_eq!(fast.num_outputs(), full.len());
+    let mut any = vec![0u64; fast.any_mask().len()];
+    for (po, full_po) in full.iter().enumerate() {
+        prop_assert_eq!(fast.po_mask(po), full_po.as_slice());
+        for (a, &w) in any.iter_mut().zip(full_po) {
+            *a |= w;
+        }
     }
-    prop_assert_eq!(fast.any_mask(), full.any_mask());
+    prop_assert_eq!(fast.any_mask(), any.as_slice());
     Ok(())
 }
 
@@ -56,13 +65,15 @@ fn scratch_arena_influence_matches_full_cone_on_random_graphs() {
             let patterns = PatternBuffer::random(aig.num_inputs(), 192, cfg.3 ^ 0x9e37);
             let sim = Simulation::new(&aig, &patterns);
             let fanouts = aig.fanout_map();
+            let outputs = OutputIndex::new(&aig);
             // One scratch reused across every node: stale state leaking
             // from one propagation into the next would show up here.
             let mut scratch = InfluenceScratch::new();
             for raw in 0..aig.num_nodes() {
                 let node = NodeId::new(raw);
-                let fast = FlipInfluence::compute_with(&aig, &sim, &fanouts, node, &mut scratch);
-                let full = FlipInfluence::compute_full(&aig, &sim, &fanouts, node);
+                let fast =
+                    FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, node, &mut scratch);
+                let full = full_cone::full_cone_influence(&aig, &sim, &fanouts, node);
                 assert_same_influence(&fast, &full)?;
             }
             Ok(())
@@ -110,14 +121,13 @@ fn cone_local_update_matches_full_resimulation_on_random_lacs() {
 }
 
 #[test]
-fn estimation_engines_agree_at_every_thread_count() {
-    // The estimator's two engines — full-TFO-cone influences and the
-    // event-driven scratch arena (one scratch per pool worker) — must
-    // produce identical measurements, and the scratch engine must be
-    // invariant under the worker count (the ISSUE's bit-identical
-    // parallel contract).
+fn estimation_matches_direct_application_at_every_thread_count() {
+    // Every estimate must equal the measured error of applying the LAC and
+    // re-simulating, bit for bit, whatever the pool's worker count (one
+    // scratch per worker). ER takes the sparse rate-only compare and leaves
+    // the distance metrics unpopulated; NMED takes the full decode.
     check(
-        "full-influence == scratch-arena estimate_all at 1/3/7 threads",
+        "estimate_all == measure(lac.apply) at 1/3/7 threads",
         &Config::with_cases(16),
         &networks(),
         |cfg| {
@@ -132,20 +142,39 @@ fn estimation_engines_agree_at_every_thread_count() {
                 &fanouts,
                 &LacConfig::default(),
             );
-            if lacs.is_empty() {
-                return Ok(());
-            }
             let est_patterns = PatternBuffer::random(aig.num_inputs(), 256, cfg.3 ^ 0xa3);
-            let reference = pool::with_threads(1, || {
-                Estimator::new(&aig, &aig, &est_patterns, &fanouts)
-                    .with_full_influence()
-                    .estimate_all(&lacs)
-            });
-            for threads in [1, 3, 7] {
-                let scratch_engine = pool::with_threads(threads, || {
-                    Estimator::new(&aig, &aig, &est_patterns, &fanouts).estimate_all(&lacs)
-                });
-                prop_assert_eq!(&reference, &scratch_engine);
+            // Cyclic substitutions have no direct application to compare.
+            let direct: Vec<_> = lacs
+                .iter()
+                .map(|lac| {
+                    let applied = lac.apply(&aig).ok()?;
+                    Some(measure(&aig, &applied, &est_patterns).expect("same arity"))
+                })
+                .collect();
+            for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
+                let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, metric);
+                for threads in [1, 3, 7] {
+                    let got = pool::with_threads(threads, || estimator.estimate_all(&lacs));
+                    prop_assert_eq!(got.len(), lacs.len());
+                    for (est, want) in got.iter().zip(&direct) {
+                        let Some(want) = want else { continue };
+                        prop_assert_eq!(est.num_patterns, want.num_patterns);
+                        prop_assert_eq!(est.error_rate.to_bits(), want.error_rate.to_bits());
+                        if metric == ErrorMetric::ErrorRate {
+                            prop_assert_eq!(est.nmed, None);
+                        } else {
+                            prop_assert_eq!(
+                                est.nmed.map(f64::to_bits),
+                                want.nmed.map(f64::to_bits)
+                            );
+                            prop_assert_eq!(
+                                est.mred.map(f64::to_bits),
+                                want.mred.map(f64::to_bits)
+                            );
+                            prop_assert_eq!(est.max_error_distance, want.max_error_distance);
+                        }
+                    }
+                }
             }
             Ok(())
         },
