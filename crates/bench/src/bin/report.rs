@@ -8,11 +8,12 @@
 //! * `report <trace.jsonl> [--summary PATH]` — validate every record
 //!   against the schema, print the breakdown, write the summary JSON
 //!   (default `RUN_SUMMARY.json` next to the trace).
-//! * `report --smoke [PATH]` — run a tiny seeded ALSRAC flow with tracing
-//!   into `PATH` (or `ALSRAC_TRACE`, or a tempfile under `target/`), then
-//!   validate the trace *against the in-process `FlowResult`*: every
-//!   accepted iteration's `est_error` and the final `measured` block must
-//!   round-trip bit-for-bit. The CI smoke gate runs exactly this.
+//! * `report --smoke [PATH]` — run one tiny seeded ALSRAC, Su and Liu run
+//!   each with tracing into `PATH` (or `ALSRAC_TRACE`, or a tempfile under
+//!   `target/`), then validate each run's records *against its in-process
+//!   `FlowResult`*: every accepted iteration's `est_error`, `ands` and
+//!   `rounds` and the final `run_end` block must round-trip bit-for-bit.
+//!   The CI smoke gate runs exactly this.
 //! * `report --overhead` — micro-benchmark the disabled-trace path (an
 //!   inert span + counter per work item against the bare kernel) and fail
 //!   if the overhead exceeds 2%. The CI gate that keeps tracing free for
@@ -30,6 +31,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use alsrac::baseline::liu::{self, LiuConfig};
+use alsrac::baseline::su::{self, SuConfig};
 use alsrac::flow::{self, FlowConfig};
 use alsrac_metrics::ErrorMetric;
 use alsrac_rt::bench::{format_ns, Options as BenchOptions, Runner};
@@ -717,24 +720,50 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // A configuration that reliably accepts LACs (same shape as the flow's
-    // own `saves_area_at_loose_threshold` test) — a smoke trace with zero
-    // accepted iterations would make the bit-exactness check vacuous.
+    // One seeded run per method, in one trace. Each configuration reliably
+    // accepts changes (the shape of each method's own
+    // `saves_area_at_loose_threshold` test) — a run with zero accepted
+    // iterations would make its bit-exactness check vacuous.
     let exact = alsrac_circuits::arith::kogge_stone_adder(4);
-    let config = FlowConfig {
-        metric: ErrorMetric::ErrorRate,
-        threshold: 0.30,
-        seed: 7,
-        max_iterations: 120,
-        ..FlowConfig::default()
-    };
-    let result = match flow::run(&exact, &config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: smoke flow failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let runs = [
+        (
+            "alsrac",
+            flow::run(
+                &exact,
+                &FlowConfig {
+                    metric: ErrorMetric::ErrorRate,
+                    threshold: 0.30,
+                    seed: 7,
+                    max_iterations: 120,
+                    ..FlowConfig::default()
+                },
+            ),
+        ),
+        (
+            "su",
+            su::run(
+                &exact,
+                &SuConfig {
+                    threshold: 0.30,
+                    seed: 7,
+                    max_iterations: 200,
+                    ..SuConfig::default()
+                },
+            ),
+        ),
+        (
+            "liu",
+            liu::run(
+                &exact,
+                &LiuConfig {
+                    threshold: 0.30,
+                    seed: 7,
+                    steps: 200,
+                    ..LiuConfig::default()
+                },
+            ),
+        ),
+    ];
     trace::emit_totals();
     trace::disable();
     trace::reset();
@@ -746,69 +775,106 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let mut summary = Vec::new();
+    for (method, result) in &runs {
+        let result = match result {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error: smoke {method} run failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        match check_smoke_run(&records, &path, method, result) {
+            Ok(accepted) => summary.push(format!("{method} {accepted}")),
+            Err(msg) => {
+                eprintln!("error: smoke mismatch: {method}: {msg}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    println!(
+        "smoke OK: {path}: {} records, accepted iterations {} — \
+         all bit-exact against their FlowResults",
+        records.len(),
+        summary.join(", "),
+    );
+    ExitCode::SUCCESS
+}
 
-    // Cross-check the trace against the in-process result, bit for bit.
-    let fail = |msg: String| -> ExitCode {
-        eprintln!("error: smoke mismatch: {msg}");
-        ExitCode::FAILURE
-    };
-    let accepted: Vec<(usize, &Json)> = records
+/// Cross-checks the records of the `method` run in a smoke trace against
+/// the in-process result, bit for bit: every accepted iteration against
+/// its history entry, and `run_end` against the result. Returns the
+/// number of accepted iterations, which must be positive.
+fn check_smoke_run(
+    records: &[(usize, Json)],
+    path: &str,
+    method: &str,
+    result: &flow::FlowResult,
+) -> Result<usize, String> {
+    let field = |rec: &Json, key: &str| rec.get(key).and_then(Json::as_str).map(str::to_string);
+    let run = records
         .iter()
-        .filter(|(_, r)| {
-            r.get("type").and_then(Json::as_str) == Some("iteration")
-                && r.get("accepted").and_then(Json::as_bool) == Some(true)
+        .find(|(_, r)| {
+            field(r, "type").as_deref() == Some("run_start")
+                && field(r, "flow").as_deref() == Some(method)
         })
-        .map(|&(line, ref r)| (line, r))
+        .and_then(|(_, r)| r.get("run").and_then(Json::as_u64))
+        .ok_or_else(|| format!("no run_start record with flow {method:?}"))?;
+    let of_run = |typ: &'static str| {
+        records
+            .iter()
+            .filter(move |(_, r)| {
+                field(r, "type").as_deref() == Some(typ)
+                    && r.get("run").and_then(Json::as_u64) == Some(run)
+            })
+            .map(|(line, r)| (*line, r))
+    };
+    let accepted: Vec<(usize, &Json)> = of_run("iteration")
+        .filter(|(_, r)| r.get("accepted").and_then(Json::as_bool) == Some(true))
         .collect();
     if accepted.is_empty() {
-        return fail("no accepted iterations — the bit-exactness check would be vacuous".into());
+        return Err("no accepted iterations — the bit-exactness check would be vacuous".into());
     }
     if accepted.len() != result.history.len() {
-        return fail(format!(
+        return Err(format!(
             "{} accepted iteration records vs history of {}",
             accepted.len(),
             result.history.len()
         ));
     }
     for (&(line, rec), hist) in accepted.iter().zip(&result.history) {
-        let est = match req_f64(rec, &path, line, "est_error") {
-            Ok(v) => v,
-            Err(e) => return fail(e),
-        };
+        let est = req_f64(rec, path, line, "est_error")?;
         if est.to_bits() != hist.estimated_error.to_bits() {
-            return fail(format!(
+            return Err(format!(
                 "{path}:{line}: est_error {est:?} != history {:?} (bit-exact check)",
                 hist.estimated_error
             ));
         }
         if rec.get("ands").and_then(Json::as_u64) != Some(hist.ands as u64) {
-            return fail(format!(
+            return Err(format!(
                 "{path}:{line}: iteration ands != history ands {}",
                 hist.ands
             ));
         }
         if rec.get("rounds").and_then(Json::as_u64) != Some(hist.rounds as u64) {
-            return fail(format!(
+            return Err(format!(
                 "{path}:{line}: iteration rounds != history rounds {}",
                 hist.rounds
             ));
         }
     }
-    let run_end = records
-        .iter()
-        .find(|(_, r)| r.get("type").and_then(Json::as_str) == Some("run_end"));
-    let Some(&(line, ref run_end)) = run_end else {
-        return fail("no run_end record".to_string());
-    };
-    let Some(measured) = run_end.get("measured") else {
-        return fail(format!("{path}:{line}: run_end has no \"measured\""));
-    };
-    let er = match measured.get("error_rate").and_then(Json::as_f64) {
-        Some(v) => v,
-        None => return fail(format!("{path}:{line}: measured.error_rate missing")),
-    };
+    let (line, run_end) = of_run("run_end")
+        .next()
+        .ok_or_else(|| "no run_end record".to_string())?;
+    let measured = run_end
+        .get("measured")
+        .ok_or_else(|| format!("{path}:{line}: run_end has no \"measured\""))?;
+    let er = measured
+        .get("error_rate")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{path}:{line}: measured.error_rate missing"))?;
     if er.to_bits() != result.measured.error_rate.to_bits() {
-        return fail(format!(
+        return Err(format!(
             "{path}:{line}: measured.error_rate {er:?} != {:?} (bit-exact check)",
             result.measured.error_rate
         ));
@@ -820,42 +886,30 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
     ];
     for (key, want) in checks {
         if run_end.get(key).and_then(Json::as_u64) != Some(want) {
-            return fail(format!("{path}:{line}: run_end.{key} != {want}"));
+            return Err(format!("{path}:{line}: run_end.{key} != {want}"));
         }
     }
     if measured.get("num_patterns").and_then(Json::as_u64)
         != Some(result.measured.num_patterns as u64)
     {
-        return fail(format!("{path}:{line}: measured.num_patterns mismatch"));
+        return Err(format!("{path}:{line}: measured.num_patterns mismatch"));
     }
     for (key, want) in [
         ("nmed", result.measured.nmed),
         ("mred", result.measured.mred),
     ] {
-        let Some(got) = measured.get(key) else {
-            return fail(format!("{path}:{line}: measured.{key} missing"));
+        let got = measured
+            .get(key)
+            .ok_or_else(|| format!("{path}:{line}: measured.{key} missing"))?;
+        let same = match want {
+            Some(w) => got.as_f64().map(f64::to_bits) == Some(w.to_bits()),
+            None => got.is_null(),
         };
-        match want {
-            Some(w) => {
-                if got.as_f64().map(f64::to_bits) != Some(w.to_bits()) {
-                    return fail(format!("{path}:{line}: measured.{key} mismatch"));
-                }
-            }
-            None => {
-                if !got.is_null() {
-                    return fail(format!("{path}:{line}: measured.{key} should be null"));
-                }
-            }
+        if !same {
+            return Err(format!("{path}:{line}: measured.{key} mismatch"));
         }
     }
-    println!(
-        "smoke OK: {path}: {} records, {} accepted iterations, measured ER {} — \
-         all bit-exact against FlowResult",
-        records.len(),
-        accepted.len(),
-        result.measured.error_rate,
-    );
-    ExitCode::SUCCESS
+    Ok(accepted.len())
 }
 
 // ---------------------------------------------------------------------------

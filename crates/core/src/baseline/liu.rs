@@ -11,17 +11,14 @@
 //! seen, and certifies it at the end.
 
 use alsrac_aig::Aig;
-use alsrac_metrics::{measure_auto, ErrorMetric};
-use alsrac_rt::json::Obj;
-use alsrac_rt::{derive_indexed, derive_seed, trace, Rng, Stream};
-use alsrac_sim::{PatternBuffer, Simulation};
+use alsrac_metrics::ErrorMetric;
+use alsrac_rt::{derive_indexed, derive_seed, Rng, Stream};
+use alsrac_sim::Simulation;
 
 use crate::estimate::Estimator;
-use crate::flow::{
-    accepted_record, check_circuit, rejected_record, run_end_record, run_start_record, FlowResult,
-    IterationRecord,
-};
+use crate::flow::FlowResult;
 use crate::lac::{generate_lacs, LacConfig};
+use crate::skeleton::{invalid, Iteration, Run, Spec};
 use crate::FlowError;
 
 /// Parameters for [`run`].
@@ -71,86 +68,69 @@ impl Default for LiuConfig {
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::flow::run`].
+/// Same contract as [`crate::flow::run`], plus
+/// [`FlowError::InvalidConfig`] for zero `proposal_rounds`.
 pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> {
-    check_circuit(original, config.metric)?;
-    let mut rng = Rng::for_stream(config.seed, Stream::Proposal);
-    let est_patterns = if original.num_inputs() <= crate::flow::EXHAUSTIVE_ESTIMATION_LIMIT {
-        PatternBuffer::exhaustive(original.num_inputs())
-    } else {
-        PatternBuffer::random(
-            original.num_inputs(),
-            config.est_rounds,
-            derive_seed(config.seed, Stream::Estimation),
-        )
-    };
-
-    let run_id = trace::next_run_id();
-    let flow_span = trace::span("flow");
-    if trace::is_enabled() {
-        trace::emit(run_start_record(
-            run_id,
-            "liu",
-            original,
-            config.seed,
-            config.metric,
-            config.threshold,
-        ));
+    if config.proposal_rounds == 0 {
+        return Err(invalid("proposal_rounds", "must be positive"));
     }
-
+    let spec = Spec {
+        flow: "liu",
+        metric: config.metric,
+        threshold: config.threshold,
+        seed: config.seed,
+        est_rounds: config.est_rounds,
+        est_seed: derive_seed(config.seed, Stream::Estimation),
+        measure_rounds: config.measure_rounds,
+        measure_seed: derive_seed(config.seed, Stream::Measurement),
+        input_bias: None,
+        optimize_period: (config.optimize_period > 0).then_some(config.optimize_period),
+    };
+    spec.check(original)?;
+    let mut rng = Rng::for_stream(config.seed, Stream::Proposal);
+    let est_patterns = spec.estimation_patterns(original, None);
+    let mut run = Run::start(original, spec);
     let mut current = original.cleaned();
     let mut best = current.clone();
     let mut temperature = config.initial_temperature;
-    let mut applied = 0usize;
-    let mut history = Vec::new();
 
     for step in 0..config.steps {
-        let iter = step + 1;
-        let reject = |reason: &str, candidates: usize, phases: Obj| {
-            if trace::is_enabled() {
-                trace::emit(
-                    rejected_record(run_id, iter, reason, candidates, config.proposal_rounds)
-                        .obj("phase_ns", phases),
-                );
-            }
-        };
+        let mut it = Iteration::new(step + 1, config.proposal_rounds);
         temperature *= config.cooling;
         // Propose: random LACs from a fresh small care simulation.
-        let care_span = trace::span("care_sim");
-        let care_patterns = PatternBuffer::random(
-            current.num_inputs(),
-            config.proposal_rounds.max(1),
-            derive_indexed(config.seed, Stream::Care, step as u64),
-        );
-        let care_sim = Simulation::new(&current, &care_patterns);
-        let care_ns = care_span.finish();
-        let lac_span = trace::span("lac_gen");
-        let fanouts = current.fanout_map();
-        let pool = generate_lacs(
-            &current,
-            &care_sim,
-            &care_patterns,
-            &fanouts,
-            &LacConfig::default(),
-        );
-        let lac_ns = lac_span.finish();
-        let phases = || -> Obj { Obj::new().u64("care_sim", care_ns).u64("lac_gen", lac_ns) };
+        let (care_patterns, care_sim) = it.time("care_sim", || {
+            let seed = derive_indexed(config.seed, Stream::Care, step as u64);
+            let patterns = spec.draw(current.num_inputs(), config.proposal_rounds, seed);
+            let sim = Simulation::new(&current, &patterns);
+            (patterns, sim)
+        });
+        let (fanouts, pool) = it.time("lac_gen", || {
+            let fanouts = current.fanout_map();
+            let pool = generate_lacs(
+                &current,
+                &care_sim,
+                &care_patterns,
+                &fanouts,
+                &LacConfig::default(),
+            );
+            (fanouts, pool)
+        });
         if pool.is_empty() {
-            reject("no_candidates", 0, phases());
+            run.reject(&it, "no_candidates", 0);
             continue;
         }
         let proposal = &pool[rng.gen_range(0..pool.len())];
 
         // Constraint check by batch estimation against the original.
-        let est_span = trace::span("estimate");
-        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts, config.metric);
-        let m = estimator.estimate_all(std::slice::from_ref(proposal))[0];
-        let est_ns = est_span.finish();
+        let m = it.time("estimate", || {
+            Estimator::new(original, &current, &est_patterns, &fanouts, config.metric)
+                .estimate_all(std::slice::from_ref(proposal))[0]
+        });
         let Some(error) = m.value(config.metric) else {
             break;
         };
         if error > config.threshold {
-            reject("over_budget", pool.len(), phases().u64("estimate", est_ns));
+            run.reject(&it, "over_budget", pool.len());
             continue; // constraint violated: reject outright
         }
 
@@ -161,57 +141,24 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
             rng.gen_bool(p.clamp(0.0, 1.0))
         };
         if !accept {
-            reject(
-                "metropolis_reject",
-                pool.len(),
-                phases().u64("estimate", est_ns),
-            );
+            run.reject(&it, "metropolis_reject", pool.len());
             continue;
         }
-        let apply_span = trace::span("apply");
-        current = match proposal.apply(&current) {
-            Ok(aig) => aig,
-            Err(_) => {
-                apply_span.finish();
-                reject("cycle", pool.len(), phases().u64("estimate", est_ns));
-                continue; // cover hashed onto its own fanout: skip
-            }
+        let Ok(applied) = it.time("apply", || proposal.apply(&current)) else {
+            run.reject(&it, "cycle", pool.len());
+            continue; // cover hashed onto its own fanout: skip
         };
-        let apply_ns = apply_span.finish();
-        applied += 1;
-        let opt_span = trace::span("optimize");
-        if config.optimize_period > 0 && applied.is_multiple_of(config.optimize_period) {
-            current = alsrac_synth::optimize(&current);
-        }
-        history.push(IterationRecord {
-            estimated_error: error,
-            ands: current.num_ands(),
-            rounds: config.proposal_rounds,
+        current = applied;
+        let optimize = run.optimize_due();
+        it.time("optimize", || {
+            if optimize {
+                current = alsrac_synth::optimize(&current);
+            }
+            if current.num_ands() < best.num_ands() {
+                best = alsrac_synth::optimize(&current);
+            }
         });
-        if current.num_ands() < best.num_ands() {
-            best = alsrac_synth::optimize(&current);
-        }
-        let opt_ns = opt_span.finish();
-        if trace::is_enabled() {
-            trace::emit(
-                accepted_record(
-                    run_id,
-                    iter,
-                    pool.len(),
-                    config.proposal_rounds,
-                    proposal,
-                    error,
-                    &current,
-                )
-                .obj(
-                    "phase_ns",
-                    phases()
-                        .u64("estimate", est_ns)
-                        .u64("apply", apply_ns)
-                        .u64("optimize", opt_ns),
-                ),
-            );
-        }
+        run.accept(&it, pool.len(), proposal, error, &current);
     }
     let final_candidate = alsrac_synth::optimize(&current);
     if final_candidate.num_ands() < best.num_ands() {
@@ -219,39 +166,7 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
     }
 
     // Statistical certification of the returned design.
-    let measure_span = trace::span("measure");
-    let measured = measure_auto(
-        original,
-        &best,
-        config.measure_rounds,
-        derive_seed(config.seed, Stream::Measurement),
-    )?;
-    let measure_ns = measure_span.finish();
-    let wall_ns = flow_span.finish();
-    if trace::is_enabled() {
-        trace::emit(run_end_record(
-            run_id,
-            config.steps,
-            applied,
-            &best,
-            wall_ns,
-            measure_ns,
-            &measured,
-            None,
-            &crate::flow::FlowOutcome::Completed,
-            None,
-        ));
-    }
-    Ok(FlowResult {
-        approx: best,
-        iterations: config.steps,
-        applied,
-        measured,
-        certificate: None,
-        history,
-        outcome: crate::flow::FlowOutcome::Completed,
-        checkpoint: None,
-    })
+    run.finish(best, config.steps, None, |_| None)
 }
 
 #[cfg(test)]
@@ -328,5 +243,53 @@ mod tests {
             exact.num_ands(),
             result.approx.num_ands()
         );
+    }
+
+    #[test]
+    fn rejects_bad_config() {
+        let exact = alsrac_circuits::arith::ripple_carry_adder(2);
+        for (cfg, param) in [
+            (
+                LiuConfig {
+                    threshold: f64::NAN,
+                    ..LiuConfig::default()
+                },
+                "threshold",
+            ),
+            (
+                LiuConfig {
+                    threshold: 0.0,
+                    ..LiuConfig::default()
+                },
+                "threshold",
+            ),
+            (
+                LiuConfig {
+                    est_rounds: 0,
+                    ..LiuConfig::default()
+                },
+                "est_rounds",
+            ),
+            (
+                LiuConfig {
+                    measure_rounds: 0,
+                    ..LiuConfig::default()
+                },
+                "measure_rounds",
+            ),
+            (
+                LiuConfig {
+                    proposal_rounds: 0,
+                    ..LiuConfig::default()
+                },
+                "proposal_rounds",
+            ),
+        ] {
+            let err = run(&exact, &cfg).expect_err(param);
+            assert!(
+                matches!(err, FlowError::InvalidConfig { parameter, .. } if parameter == param),
+                "{param}: {err}"
+            );
+        }
     }
 }

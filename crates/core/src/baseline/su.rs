@@ -12,18 +12,13 @@
 //! exactly the gap the paper quantifies.
 
 use alsrac_aig::{Aig, NodeId};
-use alsrac_metrics::{measure_auto, ErrorMetric};
-use alsrac_rt::json::Obj;
-use alsrac_rt::trace;
-use alsrac_sim::PatternBuffer;
+use alsrac_metrics::ErrorMetric;
 use alsrac_truthtable::{Cube, Sop};
 
 use crate::estimate::Estimator;
-use crate::flow::{
-    accepted_record, check_circuit, rejected_record, run_end_record, run_start_record, FlowResult,
-    IterationRecord,
-};
+use crate::flow::FlowResult;
 use crate::lac::Lac;
+use crate::skeleton::{Iteration, Run, Spec};
 use crate::FlowError;
 
 /// Parameters for [`run`].
@@ -191,162 +186,69 @@ fn generate_candidates(
 ///
 /// Same contract as [`crate::flow::run`].
 pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
-    check_circuit(original, config.metric)?;
-    let est_patterns = if original.num_inputs() <= crate::flow::EXHAUSTIVE_ESTIMATION_LIMIT {
-        PatternBuffer::exhaustive(original.num_inputs())
-    } else {
-        PatternBuffer::random(
-            original.num_inputs(),
-            config.est_rounds,
-            config.seed ^ 0xE57,
-        )
+    let spec = Spec {
+        flow: "su",
+        metric: config.metric,
+        threshold: config.threshold,
+        seed: config.seed,
+        est_rounds: config.est_rounds,
+        est_seed: config.seed ^ 0xE57,
+        measure_rounds: config.measure_rounds,
+        measure_seed: config.seed ^ 0x3EA5,
+        input_bias: None,
+        optimize_period: config
+            .optimize_after_apply
+            .then_some(config.optimize_period.max(1)),
     };
-
-    let run_id = trace::next_run_id();
-    let flow_span = trace::span("flow");
-    if trace::is_enabled() {
-        trace::emit(run_start_record(
-            run_id,
-            "su",
-            original,
-            config.seed,
-            config.metric,
-            config.threshold,
-        ));
-    }
-
+    spec.check(original)?;
+    let est_patterns = spec.estimation_patterns(original, None);
+    let mut run = Run::start(original, spec);
     let mut current = original.cleaned();
-    let mut applied = 0usize;
     let mut iterations = 0usize;
-    let mut history = Vec::new();
 
     while iterations < config.max_iterations {
         iterations += 1;
-        let rounds = est_patterns.num_patterns();
-        let est_span = trace::span("estimate");
+        let mut it = Iteration::new(iterations, est_patterns.num_patterns());
         let fanouts = current.fanout_map();
-        let estimator = Estimator::new(original, &current, &est_patterns, &fanouts, config.metric);
-        let mut est_ns = est_span.finish();
-        let lac_span = trace::span("lac_gen");
-        let lacs = generate_candidates(&current, &estimator, &fanouts, config.candidates_per_node);
-        let lac_ns = lac_span.finish();
+        let estimator = it.time("estimate", || {
+            Estimator::new(original, &current, &est_patterns, &fanouts, config.metric)
+        });
+        let lacs = it.time("lac_gen", || {
+            generate_candidates(&current, &estimator, &fanouts, config.candidates_per_node)
+        });
         if lacs.is_empty() {
-            if trace::is_enabled() {
-                trace::emit(
-                    rejected_record(run_id, iterations, "no_candidates", 0, rounds).obj(
-                        "phase_ns",
-                        Obj::new().u64("estimate", est_ns).u64("lac_gen", lac_ns),
-                    ),
-                );
-            }
+            run.reject(&it, "no_candidates", 0);
             break;
         }
-        let rank_span = trace::span("estimate");
-        let best = estimator.best_candidate(&lacs);
-        est_ns += rank_span.finish();
-        let Some((best_idx, best_m)) = best else {
+        let Some((best_idx, best_m)) = it.time("estimate", || estimator.best_candidate(&lacs))
+        else {
             break;
         };
         let best_error = best_m.value(config.metric).expect("checked up front");
         if best_error > config.threshold {
-            if trace::is_enabled() {
-                trace::emit(
-                    rejected_record(run_id, iterations, "over_budget", lacs.len(), rounds).obj(
-                        "phase_ns",
-                        Obj::new().u64("estimate", est_ns).u64("lac_gen", lac_ns),
-                    ),
-                );
-            }
+            run.reject(&it, "over_budget", lacs.len());
             break;
         }
-        let apply_span = trace::span("apply");
-        current = lacs[best_idx]
-            .apply(&current)
-            .expect("substitution targets are single non-TFO signals, so no cycle");
-        let apply_ns = apply_span.finish();
-        applied += 1;
-        let opt_span = trace::span("optimize");
-        if config.optimize_after_apply && applied.is_multiple_of(config.optimize_period.max(1)) {
-            current = alsrac_synth::optimize(&current);
-        }
-        let opt_ns = opt_span.finish();
-        history.push(IterationRecord {
-            estimated_error: best_error,
-            ands: current.num_ands(),
-            rounds: est_patterns.num_patterns(),
+        let applied = it.time("apply", || {
+            lacs[best_idx]
+                .apply(&current)
+                .expect("substitution targets are single non-TFO signals, so no cycle")
         });
-        if trace::is_enabled() {
-            trace::emit(
-                accepted_record(
-                    run_id,
-                    iterations,
-                    lacs.len(),
-                    rounds,
-                    &lacs[best_idx],
-                    best_error,
-                    &current,
-                )
-                .obj(
-                    "phase_ns",
-                    Obj::new()
-                        .u64("estimate", est_ns)
-                        .u64("lac_gen", lac_ns)
-                        .u64("apply", apply_ns)
-                        .u64("optimize", opt_ns),
-                ),
-            );
-        }
+        current = it.optimize(run.optimize_due(), applied);
+        run.accept(&it, lacs.len(), &lacs[best_idx], best_error, &current);
         if current.num_ands() == 0 {
             break;
         }
     }
 
-    // Final optimize only when accepted substitutions are still
-    // unoptimized (same guard as the ALSRAC flow).
-    if config.optimize_after_apply
-        && applied > 0
-        && !applied.is_multiple_of(config.optimize_period.max(1))
-    {
-        current = alsrac_synth::optimize(&current);
-    }
-    let measure_span = trace::span("measure");
-    let measured = measure_auto(
-        original,
-        &current,
-        config.measure_rounds,
-        config.seed ^ 0x3EA5,
-    )?;
-    let measure_ns = measure_span.finish();
-    let wall_ns = flow_span.finish();
-    if trace::is_enabled() {
-        trace::emit(run_end_record(
-            run_id,
-            iterations,
-            applied,
-            &current,
-            wall_ns,
-            measure_ns,
-            &measured,
-            None,
-            &crate::flow::FlowOutcome::Completed,
-            None,
-        ));
-    }
-    Ok(FlowResult {
-        approx: current,
-        iterations,
-        applied,
-        measured,
-        certificate: None,
-        history,
-        outcome: crate::flow::FlowOutcome::Completed,
-        checkpoint: None,
-    })
+    let current = run.optimize_rest(current);
+    run.finish(current, iterations, None, |_| None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alsrac_sim::PatternBuffer;
 
     #[test]
     fn respects_error_threshold() {
@@ -422,5 +324,46 @@ mod tests {
         };
         let result = run(&exact, &config).expect("flow");
         assert!(result.measured.nmed.expect("decodable") <= 0.03 + 1e-12);
+    }
+
+    #[test]
+    fn rejects_bad_config() {
+        let exact = alsrac_circuits::arith::ripple_carry_adder(2);
+        for (cfg, param) in [
+            (
+                SuConfig {
+                    threshold: f64::NAN,
+                    ..SuConfig::default()
+                },
+                "threshold",
+            ),
+            (
+                SuConfig {
+                    threshold: 0.0,
+                    ..SuConfig::default()
+                },
+                "threshold",
+            ),
+            (
+                SuConfig {
+                    est_rounds: 0,
+                    ..SuConfig::default()
+                },
+                "est_rounds",
+            ),
+            (
+                SuConfig {
+                    measure_rounds: 0,
+                    ..SuConfig::default()
+                },
+                "measure_rounds",
+            ),
+        ] {
+            let err = run(&exact, &cfg).expect_err(param);
+            assert!(
+                matches!(err, FlowError::InvalidConfig { parameter, .. } if parameter == param),
+                "{param}: {err}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@ use alsrac_aig::{Aig, Lit, NodeId};
 use alsrac_metrics::ErrorMetric;
 use alsrac_rt::json::{Arr, Json, Obj};
 
-use crate::flow::IterationRecord;
+use crate::flow::{CareRounds, IterationRecord};
 
 /// Schema version of the checkpoint encoding.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -51,14 +51,8 @@ pub struct Checkpoint {
     pub iterations: usize,
     /// Accepted LACs so far.
     pub applied: usize,
-    /// Care-simulation rounds `N` in effect.
-    pub rounds: usize,
-    /// Consecutive empty-candidate iterations (shrink trigger).
-    pub empty_streak: usize,
-    /// Consecutive over-budget iterations (grow trigger).
-    pub over_streak: usize,
-    /// Consecutive fruitless iterations of either kind (stop trigger).
-    pub stuck_streak: usize,
+    /// The adaptive care-round state: `N` and the streaks that move it.
+    pub(crate) care: CareRounds,
     /// Per-accepted-iteration history so far.
     pub history: Vec<IterationRecord>,
     /// The circuit as of the last completed iteration.
@@ -86,10 +80,10 @@ impl Checkpoint {
             .f64("threshold", self.threshold)
             .u64("iterations", self.iterations as u64)
             .u64("applied", self.applied as u64)
-            .u64("rounds", self.rounds as u64)
-            .u64("empty_streak", self.empty_streak as u64)
-            .u64("over_streak", self.over_streak as u64)
-            .u64("stuck_streak", self.stuck_streak as u64)
+            .u64("rounds", self.care.rounds as u64)
+            .u64("empty_streak", self.care.empty_streak as u64)
+            .u64("over_streak", self.care.over_streak as u64)
+            .u64("stuck_streak", self.care.stuck_streak as u64)
             .arr("history", history)
             .obj("aig", aig_to_obj(&self.current))
             .finish()
@@ -135,9 +129,12 @@ fn parse_impl(text: &str) -> Result<Checkpoint, String> {
     if rounds == 0 {
         return Err("rounds must be positive".to_string());
     }
-    let empty_streak = field_u64(&v, "empty_streak")? as usize;
-    let over_streak = field_u64(&v, "over_streak")? as usize;
-    let stuck_streak = field_u64(&v, "stuck_streak")? as usize;
+    let care = CareRounds {
+        rounds,
+        empty_streak: field_u64(&v, "empty_streak")? as usize,
+        over_streak: field_u64(&v, "over_streak")? as usize,
+        stuck_streak: field_u64(&v, "stuck_streak")? as usize,
+    };
 
     let mut history = Vec::new();
     for (i, rec) in v
@@ -177,10 +174,7 @@ fn parse_impl(text: &str) -> Result<Checkpoint, String> {
         threshold,
         iterations,
         applied,
-        rounds,
-        empty_streak,
-        over_streak,
-        stuck_streak,
+        care,
         history,
         current,
     })
@@ -334,10 +328,12 @@ mod tests {
             threshold: 0.05,
             iterations: 17,
             applied: 2,
-            rounds: 24,
-            empty_streak: 1,
-            over_streak: 0,
-            stuck_streak: 3,
+            care: CareRounds {
+                rounds: 24,
+                empty_streak: 1,
+                over_streak: 0,
+                stuck_streak: 3,
+            },
             history: vec![
                 IterationRecord {
                     estimated_error: 0.1f64 / 3.0, // not exactly representable in decimal
@@ -377,10 +373,7 @@ mod tests {
         assert_eq!(back.threshold.to_bits(), cp.threshold.to_bits());
         assert_eq!(back.iterations, cp.iterations);
         assert_eq!(back.applied, cp.applied);
-        assert_eq!(back.rounds, cp.rounds);
-        assert_eq!(back.empty_streak, cp.empty_streak);
-        assert_eq!(back.over_streak, cp.over_streak);
-        assert_eq!(back.stuck_streak, cp.stuck_streak);
+        assert_eq!(back.care, cp.care);
         assert_eq!(back.history.len(), cp.history.len());
         for (x, y) in back.history.iter().zip(&cp.history) {
             assert_eq!(x.estimated_error.to_bits(), y.estimated_error.to_bits());

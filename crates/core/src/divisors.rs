@@ -244,15 +244,7 @@ mod tests {
             assert_eq!(windowed, plain, "node {id}");
         }
         // A truncated window shrinks the pool but stays well-formed.
-        let w = ex.extract(
-            &aig,
-            &fanouts,
-            v,
-            &WindowParams {
-                max_tfi: 3,
-                tfo_depth: 0,
-            },
-        );
+        let w = ex.extract(&aig, &fanouts, v, &WindowParams { max_tfi: 3 });
         let truncated = select_divisor_sets_with(
             &aig,
             v,
@@ -262,7 +254,9 @@ mod tests {
         );
         for set in &truncated {
             for n in set {
-                assert!(w.contains(*n) || aig.and_fanins(v).iter().any(|f| f.node() == *n));
+                assert!(
+                    w.tfi_nodes().contains(n) || aig.and_fanins(v).iter().any(|f| f.node() == *n)
+                );
             }
         }
     }

@@ -1,7 +1,9 @@
 //! The ALSRAC flow (Algorithm 3 of the paper).
 
+use std::fmt::Display;
+
 use alsrac_aig::Aig;
-use alsrac_metrics::{measure, measure_auto, CertifiedMeasurement, ErrorMetric, Measurement};
+use alsrac_metrics::{CertifiedMeasurement, ErrorMetric, Measurement};
 use alsrac_rt::budget::{Budget, Interrupt};
 use alsrac_rt::json::Obj;
 use alsrac_rt::{derive_indexed, derive_seed, trace, Stream};
@@ -10,7 +12,8 @@ use alsrac_sim::{PatternBuffer, Simulation};
 use crate::certify::{self, WceGate};
 use crate::checkpoint::Checkpoint;
 use crate::estimate::Estimator;
-use crate::lac::{generate_lacs_with, Lac, LacConfig};
+use crate::lac::{generate_lacs_with, LacConfig};
+use crate::skeleton::{invalid, Iteration, Run, Spec};
 use crate::window::WindowConfig;
 use crate::FlowError;
 
@@ -111,55 +114,109 @@ impl Default for FlowConfig {
 }
 
 impl FlowConfig {
-    fn validate(&self) -> Result<(), FlowError> {
-        if self.threshold.is_nan() || self.threshold <= 0.0 {
-            return Err(FlowError::InvalidConfig {
-                parameter: "threshold",
-                reason: "must be positive".to_string(),
-            });
+    /// The run skeleton's view of this config.
+    fn spec(&self) -> Spec<'_> {
+        Spec {
+            flow: "alsrac",
+            metric: self.metric,
+            threshold: self.threshold,
+            seed: self.seed,
+            est_rounds: self.est_rounds,
+            est_seed: derive_seed(self.seed, Stream::Estimation),
+            measure_rounds: self.measure_rounds,
+            measure_seed: derive_seed(self.seed, Stream::Measurement),
+            input_bias: self.input_bias.as_deref(),
+            optimize_period: self
+                .optimize_after_apply
+                .then_some(self.optimize_period.max(1)),
         }
+    }
+
+    /// Checks ALSRAC's own parameters, then the shared fields and the
+    /// circuit ([`Spec::check`]).
+    fn preflight(&self, original: &Aig) -> Result<(), FlowError> {
         if !(self.shrink > 0.0 && self.shrink < 1.0) {
-            return Err(FlowError::InvalidConfig {
-                parameter: "shrink",
-                reason: format!("must be in (0, 1), got {}", self.shrink),
-            });
+            return Err(invalid(
+                "shrink",
+                format!("must be in (0, 1), got {}", self.shrink),
+            ));
         }
         if self.initial_rounds == 0 {
-            return Err(FlowError::InvalidConfig {
-                parameter: "initial_rounds",
-                reason: "must be positive".to_string(),
-            });
+            return Err(invalid("initial_rounds", "must be positive"));
         }
         if self.patience == 0 {
-            return Err(FlowError::InvalidConfig {
-                parameter: "patience",
-                reason: "must be positive".to_string(),
-            });
+            return Err(invalid("patience", "must be positive"));
         }
-        // Zero-pattern estimation/measurement buffers make every comparison
-        // vacuous (0 error lanes over 0 patterns), so every candidate would
-        // silently pass the threshold check. Reject up front.
-        if self.est_rounds == 0 {
-            return Err(FlowError::InvalidConfig {
-                parameter: "est_rounds",
-                reason: "must be positive".to_string(),
-            });
+        self.spec().check(original)
+    }
+}
+
+/// Algorithm 3's adaptive care-simulation count `N` and the streaks that
+/// move it, with one method per iteration outcome. An interrupted run's
+/// [`Checkpoint`] stores it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CareRounds {
+    /// Care-simulation rounds `N` in effect.
+    pub(crate) rounds: usize,
+    /// Consecutive empty-candidate iterations (shrink trigger).
+    pub(crate) empty_streak: usize,
+    /// Consecutive over-budget iterations (grow trigger).
+    pub(crate) over_streak: usize,
+    /// Consecutive fruitless iterations of either kind (stop trigger).
+    pub(crate) stuck_streak: usize,
+}
+
+impl CareRounds {
+    fn new(config: &FlowConfig) -> CareRounds {
+        CareRounds {
+            rounds: config.initial_rounds,
+            ..CareRounds::default()
         }
-        if self.measure_rounds == 0 {
-            return Err(FlowError::InvalidConfig {
-                parameter: "measure_rounds",
-                reason: "must be positive".to_string(),
-            });
+    }
+
+    /// An iteration without candidates: the care set is too large, so `N`
+    /// shrinks by `r` after `t` of them in a row (Algorithm 3 lines 3/10).
+    /// Returns whether the run goes on.
+    fn no_candidates(&mut self, config: &FlowConfig) -> bool {
+        self.empty_streak += 1;
+        self.stuck_streak += 1;
+        if self.empty_streak >= config.patience {
+            let shrunk = ((self.rounds as f64) * config.shrink) as usize;
+            self.rounds = shrunk.clamp(1, self.rounds.saturating_sub(1).max(1));
+            self.empty_streak = 0;
         }
-        if let Some(bias) = &self.input_bias {
-            if bias.iter().any(|p| !(0.0..=1.0).contains(p)) {
-                return Err(FlowError::InvalidConfig {
-                    parameter: "input_bias",
-                    reason: "probabilities must be in [0, 1]".to_string(),
-                });
-            }
+        self.goes_on(config, self.rounds == 1)
+    }
+
+    /// An iteration whose best candidate is over budget. The literal
+    /// Algorithm 3 stops here (line 7); a fresh draw or a *larger* care set
+    /// can still hold in-budget candidates, so the flow retries and doubles
+    /// `N` after `t` in a row (deviation D1). Returns whether it goes on.
+    fn over_budget(&mut self, config: &FlowConfig) -> bool {
+        let max_rounds = config.initial_rounds * 4;
+        self.empty_streak = 0;
+        self.over_streak += 1;
+        self.stuck_streak += 1;
+        if self.over_streak >= config.patience {
+            self.rounds = (self.rounds * 2).min(max_rounds);
+            self.over_streak = 0;
         }
-        Ok(())
+        self.goes_on(config, self.rounds >= max_rounds)
+    }
+
+    /// An accepted candidate resets every streak, whatever it saved.
+    fn accepted(&mut self) {
+        self.empty_streak = 0;
+        self.over_streak = 0;
+        self.stuck_streak = 0;
+    }
+
+    /// The give-up test: `6·t` fruitless iterations in a row with `N` at
+    /// its floor or ceiling, or `20·t` anywhere (shrink/grow ping-pong
+    /// must not loop forever).
+    fn goes_on(&self, config: &FlowConfig, at_limit: bool) -> bool {
+        let limit = if at_limit { 6 } else { 20 };
+        self.stuck_streak < config.patience * limit
     }
 }
 
@@ -242,22 +299,18 @@ pub struct FlowResult {
 /// * [`FlowError::MetricUnavailable`] when a distance metric is requested
 ///   on a circuit with more than 63 outputs.
 pub fn run(original: &Aig, config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    preflight(original, config)?;
-    run_from(original, config, None, None)
+    run_shared(original, config, None)
 }
 
 /// [`run`] with a caller-provided exhaustive estimation-pattern buffer.
 ///
-/// Multi-tenant drivers (`alsrac::serve`) run many flows over the same
-/// small circuits; the exhaustive estimation buffer for an `n`-input
-/// circuit is identical for every such flow, so they build it once and
-/// share it via `Arc`. The buffer is used only when this run would build
-/// the identical buffer itself (uniform input distribution, `n ≤`
-/// [`EXHAUSTIVE_ESTIMATION_LIMIT`], matching input/pattern counts) —
-/// otherwise it is ignored and the flow draws its own patterns, so the
-/// result is bit-identical to [`run`] in every case. `shared_est` must be
-/// `PatternBuffer::exhaustive(original.num_inputs())`; passing any other
-/// buffer of the same shape violates the determinism contract.
+/// Multi-tenant drivers (`alsrac::serve`) build the exhaustive estimation
+/// buffer of a small circuit once and share it across its flows. The
+/// buffer is used only when this run would build the identical buffer
+/// itself (uniform inputs, `n ≤` [`EXHAUSTIVE_ESTIMATION_LIMIT`], matching
+/// shape), so the result is bit-identical to [`run`] in every case.
+/// `shared_est` must be `PatternBuffer::exhaustive(original.num_inputs())`;
+/// any other buffer of that shape violates the determinism contract.
 ///
 /// # Errors
 ///
@@ -267,7 +320,7 @@ pub fn run_shared(
     config: &FlowConfig,
     shared_est: Option<&PatternBuffer>,
 ) -> Result<FlowResult, FlowError> {
-    preflight(original, config)?;
+    config.preflight(original)?;
     run_from(original, config, None, shared_est)
 }
 
@@ -291,25 +344,21 @@ pub fn resume(
     config: &FlowConfig,
     checkpoint: Checkpoint,
 ) -> Result<FlowResult, FlowError> {
-    preflight(original, config)?;
+    config.preflight(original)?;
     let mismatch = |reason: String| Err(FlowError::Checkpoint { reason });
+    let differs = |what: &str, ours: &dyn Display, theirs: &dyn Display| {
+        mismatch(format!(
+            "{what} mismatch: checkpoint {ours}, config {theirs}"
+        ))
+    };
     if checkpoint.seed != config.seed {
-        return mismatch(format!(
-            "seed mismatch: checkpoint {}, config {}",
-            checkpoint.seed, config.seed
-        ));
+        return differs("seed", &checkpoint.seed, &config.seed);
     }
     if checkpoint.metric != config.metric {
-        return mismatch(format!(
-            "metric mismatch: checkpoint {}, config {}",
-            checkpoint.metric, config.metric
-        ));
+        return differs("metric", &checkpoint.metric, &config.metric);
     }
     if checkpoint.threshold.to_bits() != config.threshold.to_bits() {
-        return mismatch(format!(
-            "threshold mismatch: checkpoint {}, config {}",
-            checkpoint.threshold, config.threshold
-        ));
+        return differs("threshold", &checkpoint.threshold, &config.threshold);
     }
     if checkpoint.iterations > config.max_iterations {
         return mismatch(format!(
@@ -331,35 +380,6 @@ pub fn resume(
     run_from(original, config, Some(checkpoint), None)
 }
 
-/// Shared validation of [`run`] and [`resume`].
-fn preflight(original: &Aig, config: &FlowConfig) -> Result<(), FlowError> {
-    config.validate()?;
-    check_circuit(original, config.metric)
-}
-
-/// The circuit checks every search loop (ALSRAC, Su, Liu) runs first:
-/// [`FlowError::DegenerateCircuit`] without inputs or outputs, and
-/// [`FlowError::MetricUnavailable`] for a distance metric on more than 63
-/// outputs.
-pub(crate) fn check_circuit(original: &Aig, metric: ErrorMetric) -> Result<(), FlowError> {
-    if original.num_inputs() == 0 || original.num_outputs() == 0 {
-        return Err(FlowError::DegenerateCircuit {
-            inputs: original.num_inputs(),
-            outputs: original.num_outputs(),
-        });
-    }
-    if metric != ErrorMetric::ErrorRate && original.num_outputs() > 63 {
-        return Err(FlowError::MetricUnavailable {
-            reason: format!(
-                "{} needs integer-decodable outputs, circuit has {}",
-                metric,
-                original.num_outputs()
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// The loop body shared by [`run`] (fresh state) and [`resume`]
 /// (checkpointed state).
 fn run_from(
@@ -368,104 +388,35 @@ fn run_from(
     checkpoint: Option<Checkpoint>,
     shared_est: Option<&PatternBuffer>,
 ) -> Result<FlowResult, FlowError> {
-    // Telemetry: every record of this run is stamped with a process-unique
-    // id so concurrently running flows (pool workers in the table
-    // binaries) stay separable in the shared JSONL sink. All span/record
-    // work below is inert when no sink is installed.
-    let run_id = trace::next_run_id();
-    let flow_span = trace::span("flow");
-    if trace::is_enabled() {
-        trace::emit(run_start_record(
-            run_id,
-            "alsrac",
-            original,
-            config.seed,
-            config.metric,
-            config.threshold,
-        ));
-    }
-
-    // Fresh state or the checkpointed loop state. The carried estimation
-    // simulation is deliberately NOT part of a checkpoint: the incremental
-    // engine is exact, so rebuilding it from scratch below is
-    // bit-identical to the state the interrupted run carried.
-    let resumed_from = checkpoint.as_ref().map(|cp| cp.iterations as u64);
-    let (mut current, mut rounds, mut empty_streak, mut over_streak, mut stuck_streak);
-    let (mut applied, mut history, mut iterations);
-    match checkpoint {
+    let spec = config.spec();
+    let mut run = Run::start(original, spec);
+    // Fresh or checkpointed loop state. The carried estimation simulation
+    // is not checkpointed: the incremental engine is exact, so rebuilding
+    // it below is bit-identical to what the interrupted run carried.
+    let (mut current, mut care, mut iterations) = match checkpoint {
         Some(cp) => {
-            current = cp.current;
-            rounds = cp.rounds;
-            empty_streak = cp.empty_streak;
-            over_streak = cp.over_streak;
-            stuck_streak = cp.stuck_streak;
-            applied = cp.applied;
-            history = cp.history;
-            iterations = cp.iterations;
+            run.resumed_from = Some(cp.iterations as u64);
+            run.history = cp.history;
+            (cp.current, cp.care, cp.iterations)
         }
-        None => {
-            current = original.cleaned();
-            rounds = config.initial_rounds;
-            empty_streak = 0;
-            over_streak = 0;
-            stuck_streak = 0;
-            applied = 0;
-            history = Vec::new();
-            iterations = 0;
-        }
-    }
-    let max_rounds = config.initial_rounds * 4;
-    // Set when the budget's cancel token or deadline fires: the loop
-    // stops, the partial iteration (if any) is rolled back, and the run
-    // returns best-so-far with a checkpoint instead of an error.
+        None => (original.cleaned(), CareRounds::new(config), 0),
+    };
+    // Set when the budget's cancel token or deadline fires: the partial
+    // iteration is rolled back and the run returns best-so-far with a
+    // checkpoint instead of an error.
     let mut interrupt: Option<Interrupt> = None;
-
-    let draw = |n: usize, rounds: usize, seed: u64| -> PatternBuffer {
-        match &config.input_bias {
-            Some(bias) => PatternBuffer::biased(n, rounds, bias, seed),
-            None => PatternBuffer::random(n, rounds, seed),
-        }
-    };
-    // Exhaustive estimation is only unbiased under the uniform
-    // distribution; biased flows always sample. A shared buffer is
-    // accepted only when it matches the exhaustive buffer this run would
-    // build itself, so sharing can never change a result.
-    let exhaustive_est =
-        config.input_bias.is_none() && original.num_inputs() <= EXHAUSTIVE_ESTIMATION_LIMIT;
-    let shared_est = shared_est.filter(|p| {
-        exhaustive_est
-            && p.num_inputs() == original.num_inputs()
-            && p.num_patterns() == 1usize << original.num_inputs()
-    });
-    let owned_est;
-    let est_patterns: &PatternBuffer = match shared_est {
-        Some(shared) => shared,
-        None => {
-            owned_est = if exhaustive_est {
-                PatternBuffer::exhaustive(original.num_inputs())
-            } else {
-                draw(
-                    original.num_inputs(),
-                    config.est_rounds,
-                    derive_seed(config.seed, Stream::Estimation),
-                )
-            };
-            &owned_est
-        }
-    };
+    let est_patterns = spec.estimation_patterns(original, shared_est);
 
     // The fanout map is a pure function of `current`: build it once and
     // rebuild only after a LAC is actually applied, not on the retry paths
     // (empty candidate set / over budget) where the graph is unchanged.
     let mut fanouts = current.fanout_map();
-    // The estimation patterns are fixed for the whole run and the original
-    // circuit never changes, so its reference output words are simulated
-    // exactly once. The current circuit's estimation simulation is carried
-    // across iterations and updated cone-locally on accepted LACs; it is
-    // `None` only while an optimize pass has invalidated it (sweeping the
-    // optimized circuit eagerly instead would keep a simulation alive
-    // through the next `lac_gen`, which raises the flow's peak heap).
-    let original_est_outputs = Simulation::new(original, est_patterns).output_words(original);
+    // The original's outputs on the fixed estimation patterns are simulated
+    // once. The current circuit's estimation simulation is carried across
+    // iterations and updated cone-locally on accepts; it is `None` only
+    // after an optimize pass invalidated it (re-sweeping eagerly would keep
+    // a simulation alive through the next `lac_gen`, raising peak heap).
+    let original_est_outputs = Simulation::new(original, &est_patterns).output_words(original);
     let mut est_sim: Option<Simulation> = None;
     // WCE mode: the threshold is an absolute maximum error distance, and
     // every acceptance is gated by a SAT query instead of trusting the
@@ -481,144 +432,113 @@ fn run_from(
             break;
         }
         iterations += 1;
+        let mut it = Iteration::new(iterations, care.rounds);
         // Fresh care patterns every iteration (Algorithm 3 line 3): the
         // care simulation is always a full sweep — new patterns mean no
         // previous values to reuse.
-        let care_span = trace::span("care_sim");
-        let care_patterns = draw(
-            current.num_inputs(),
-            rounds,
-            derive_indexed(config.seed, Stream::Care, iterations as u64),
-        );
-        let care_sim = Simulation::new(&current, &care_patterns);
-        let care_ns = care_span.finish();
-        let lac_span = trace::span("lac_gen");
-        let lacs = generate_lacs_with(
-            &current,
-            &care_sim,
-            &care_patterns,
-            &fanouts,
-            &config.lac,
-            &config.window,
-        );
-        let lac_ns = lac_span.finish();
-        // Window-granular interrupt point: care simulation + windowed LAC
-        // generation dominate an iteration's wall clock, so checking right
-        // after them bounds interrupt latency without instrumenting inner
-        // loops. The half-done iteration is rolled back — its patterns are
-        // a pure function of the iteration index, so the resumed run
-        // redoes it bit-identically.
+        let (care_patterns, care_sim) = it.time("care_sim", || {
+            let seed = derive_indexed(config.seed, Stream::Care, iterations as u64);
+            let patterns = spec.draw(current.num_inputs(), care.rounds, seed);
+            let sim = Simulation::new(&current, &patterns);
+            (patterns, sim)
+        });
+        let lacs = it.time("lac_gen", || {
+            generate_lacs_with(
+                &current,
+                &care_sim,
+                &care_patterns,
+                &fanouts,
+                &config.lac,
+                &config.window,
+            )
+        });
+        // Care simulation and LAC generation own most of an iteration, so
+        // checking after them bounds interrupt latency. The half-done
+        // iteration is rolled back: its patterns are a pure function of the
+        // iteration index, so the resumed run redoes it bit-identically.
         if let Some(cause) = config.budget.interrupted() {
             iterations -= 1;
             interrupt = Some(cause);
             break;
         }
-
         if lacs.is_empty() {
-            if trace::is_enabled() {
-                trace::emit(
-                    rejected_record(run_id, iterations, "no_candidates", 0, rounds).obj(
-                        "phase_ns",
-                        Obj::new().u64("care_sim", care_ns).u64("lac_gen", lac_ns),
-                    ),
-                );
+            run.reject(&it, "no_candidates", 0);
+            if care.no_candidates(config) {
+                continue;
             }
-            // Empty candidate set: the care set is too large — retry with
-            // fresh patterns, shrinking N after `t` consecutive failures
-            // (Algorithm 3 lines 3/10).
-            empty_streak += 1;
-            stuck_streak += 1;
-            if empty_streak >= config.patience {
-                let shrunk = ((rounds as f64) * config.shrink) as usize;
-                rounds = shrunk.clamp(1, rounds.saturating_sub(1).max(1));
-                empty_streak = 0;
-            }
-            // Give up once N has hit its floor and fresh pattern draws
-            // keep coming up empty — or after a long fruitless stretch
-            // regardless (shrink/grow ping-pong must not loop forever).
-            if (rounds == 1 && stuck_streak >= config.patience * 6)
-                || stuck_streak >= config.patience * 20
-            {
-                break;
-            }
-            continue;
+            break;
         }
-        empty_streak = 0;
 
-        let est_span = trace::span("estimate");
-        // Reuse the carried estimation simulation of `current`, or sweep
-        // once after an optimize pass invalidated it.
-        let estimator = Estimator::with_state(
-            &original_est_outputs,
-            est_sim
+        let (estimator, ranked) = it.time("estimate", || {
+            // Reuse the carried estimation simulation of `current`, or
+            // sweep once after an optimize pass invalidated it.
+            let sim = est_sim
                 .take()
-                .unwrap_or_else(|| Simulation::new(&current, est_patterns)),
-            &current,
-            est_patterns,
-            &fanouts,
-            config.metric,
-        );
-        let Some(ranked) = estimator.ranked_candidates(&lacs) else {
+                .unwrap_or_else(|| Simulation::new(&current, &est_patterns));
+            let estimator = Estimator::with_state(
+                &original_est_outputs,
+                sim,
+                &current,
+                &est_patterns,
+                &fanouts,
+                config.metric,
+            );
+            let ranked = estimator.ranked_candidates(&lacs);
+            (estimator, ranked)
+        });
+        let Some(ranked) = ranked else {
             break; // metric not evaluable — cannot happen after the arity check
         };
-        let est_ns = est_span.finish();
-        let apply_span = trace::span("apply");
-        // Set when the WCE accept gate is interrupted mid-query: the
-        // solver's answer is wall-clock-nondeterministic, so it must not
-        // influence the accept decision — the iteration is rolled back
-        // below instead.
+        // Set when the WCE accept gate is interrupted mid-query: the answer
+        // is wall-clock-nondeterministic, so the iteration is rolled back.
         let mut gate_interrupt: Option<Interrupt> = None;
-        let choice = ranked
-            .iter()
-            .find_map(|&(idx, m)| {
-                // `ranked_candidates` returned Some, which it only does
-                // when the metric is evaluable on this circuit (the arity
-                // preflight guarantees it); a per-candidate None here is
-                // impossible, but skipping the candidate is strictly safer
-                // than panicking mid-flow.
-                let error = m.value(config.metric)?;
-                if error > config.threshold {
-                    return Some(None); // best remaining over budget
-                }
-                // Skip size-increasing candidates: an area-minimization flow
-                // has nothing to gain from them, and on wide datapaths they
-                // can accumulate into net growth.
-                if lacs[idx].est_gain() < 0 {
-                    return None;
-                }
-                // Skip the rare candidate whose materialized cover hashes onto
-                // its own fanout (would create a cycle).
-                let (aig, delta) = lacs[idx].apply_with_delta(&current, &fanouts).ok()?;
-                // The SAT accept gate of the WCE-constrained mode: a
-                // sampled max can miss the worst-case input, so a
-                // candidate only passes if `distance > bound` is UNSAT.
-                if let Some(bound) = wce_bound {
-                    match certify::wce_gate(original, &aig, bound, &config.budget) {
-                        WceGate::Within => {}
-                        WceGate::Exceeds => {
-                            trace::add("cert_candidate_rejects", 1);
-                            return None; // certified over budget: try the next
-                        }
-                        // A deterministic SAT cap cut the proof short:
-                        // degrade to the sampled-measurement path. The
-                        // sampled `error` already passed the threshold
-                        // check above, so accept on it — same decision on
-                        // every machine, just without the SAT guarantee
-                        // (the final certificate records the degradation).
-                        WceGate::Degraded => {}
-                        // Nondeterministic cut (cancel/deadline): stop
-                        // scanning without letting the answer steer the
-                        // accept decision.
-                        WceGate::Interrupted => {
-                            gate_interrupt = config.budget.interrupted();
-                            return Some(None);
+        let choice = it.time("apply", || {
+            ranked
+                .iter()
+                .find_map(|&(idx, m)| {
+                    // Never None once `ranked_candidates` returned Some;
+                    // skipping is still safer than panicking mid-flow.
+                    let error = m.value(config.metric)?;
+                    if error > config.threshold {
+                        return Some(None); // best remaining over budget
+                    }
+                    // Skip size-increasing candidates: an area-minimization
+                    // flow has nothing to gain from them, and on wide
+                    // datapaths they can accumulate into net growth.
+                    if lacs[idx].est_gain() < 0 {
+                        return None;
+                    }
+                    // Skip the rare candidate whose materialized cover
+                    // hashes onto its own fanout (would create a cycle).
+                    let (aig, delta) = lacs[idx].apply_with_delta(&current, &fanouts).ok()?;
+                    // The SAT accept gate of the WCE-constrained mode: a
+                    // sampled max can miss the worst-case input, so a
+                    // candidate only passes if `distance > bound` is UNSAT.
+                    if let Some(bound) = wce_bound {
+                        match certify::wce_gate(original, &aig, bound, &config.budget) {
+                            WceGate::Within => {}
+                            WceGate::Exceeds => {
+                                trace::add("cert_candidate_rejects", 1);
+                                return None; // certified over budget: try the next
+                            }
+                            // A deterministic SAT cap cut the proof short:
+                            // accept on the sampled `error`, which passed the
+                            // threshold above — the same decision on every
+                            // machine; the final certificate records it.
+                            WceGate::Degraded => {}
+                            // Nondeterministic cut (cancel/deadline): stop
+                            // scanning without letting the answer steer the
+                            // accept decision.
+                            WceGate::Interrupted => {
+                                gate_interrupt = config.budget.interrupted();
+                                return Some(None);
+                            }
                         }
                     }
-                }
-                Some(Some((idx, error, aig, delta)))
-            })
-            .flatten();
-        let apply_ns = apply_span.finish();
+                    Some(Some((idx, error, aig, delta)))
+                })
+                .flatten()
+        });
         if let Some(cause) = gate_interrupt {
             // Same rollback as the post-lac-gen interrupt point: the
             // resumed run redoes this iteration from its own patterns.
@@ -630,288 +550,73 @@ fn run_from(
             // Nothing applied: `current` is unchanged, so its estimation
             // simulation is still valid for the next iteration.
             est_sim = Some(estimator.into_simulation());
-            if trace::is_enabled() {
-                trace::emit(
-                    rejected_record(run_id, iterations, "over_budget", lacs.len(), rounds).obj(
-                        "phase_ns",
-                        Obj::new()
-                            .u64("care_sim", care_ns)
-                            .u64("lac_gen", lac_ns)
-                            .u64("estimate", est_ns)
-                            .u64("apply", apply_ns),
-                    ),
-                );
+            run.reject(&it, "over_budget", lacs.len());
+            if care.over_budget(config) {
+                continue;
             }
-            // The literal Algorithm 3 breaks here (line 7). On wide-input
-            // circuits the first feasible candidates can be poor while a
-            // different pattern draw — or a *larger* care set — still has
-            // in-budget candidates, so we retry instead, growing N after
-            // `t` consecutive over-budget rounds (deviation D1, DESIGN.md)
-            // and stopping only after sustained failure.
-            over_streak += 1;
-            stuck_streak += 1;
-            if over_streak >= config.patience {
-                rounds = (rounds * 2).min(max_rounds);
-                over_streak = 0;
-            }
-            // Give up once N has hit its ceiling and candidates are still
-            // over budget — or after a long fruitless stretch regardless.
-            if (rounds >= max_rounds && stuck_streak >= config.patience * 6)
-                || stuck_streak >= config.patience * 20
-            {
-                break;
-            }
-            continue;
+            break;
         };
-        over_streak = 0;
-        stuck_streak = 0;
-        applied += 1;
-        let optimized_now =
-            config.optimize_after_apply && applied.is_multiple_of(config.optimize_period.max(1));
-        // Cone-local resimulation: only nodes in the substitution's TFO are
-        // re-evaluated; everything else is copied from the carried
-        // simulation. Skipped when an optimize pass follows: the optimizer
-        // restructures the graph arbitrarily, so the next iteration could
-        // not reuse the result. (The estimator borrows `current` until
-        // consumed.)
-        let sim_update_span = trace::span("sim_update");
-        est_sim = (!optimized_now).then(|| {
-            estimator
-                .into_simulation()
-                .update(&applied_aig, &delta, est_patterns)
+        care.accepted();
+        let optimized_now = run.optimize_due();
+        // Cone-local resimulation of the substitution's TFO. Skipped when an
+        // optimize pass follows, which restructures the graph arbitrarily.
+        est_sim = it.time("sim_update", || {
+            (!optimized_now).then(|| {
+                estimator
+                    .into_simulation()
+                    .update(&applied_aig, &delta, &est_patterns)
+            })
         });
-        let sim_update_ns = sim_update_span.finish();
-        current = applied_aig;
-        let opt_span = trace::span("optimize");
-        if optimized_now {
-            current = alsrac_synth::optimize(&current);
-        }
-        let opt_ns = opt_span.finish();
+        current = it.optimize(optimized_now, applied_aig);
         fanouts = current.fanout_map();
-        history.push(IterationRecord {
-            estimated_error: best_error,
-            ands: current.num_ands(),
-            rounds,
-        });
-        if trace::is_enabled() {
-            // `est_error` is the same f64 as the history entry above, so the
-            // JSONL value round-trips bit-for-bit against `FlowResult`.
-            trace::emit(
-                accepted_record(
-                    run_id,
-                    iterations,
-                    lacs.len(),
-                    rounds,
-                    &lacs[best_idx],
-                    best_error,
-                    &current,
-                )
-                .obj(
-                    "phase_ns",
-                    Obj::new()
-                        .u64("care_sim", care_ns)
-                        .u64("lac_gen", lac_ns)
-                        .u64("estimate", est_ns)
-                        .u64("apply", apply_ns)
-                        .u64("sim_update", sim_update_ns)
-                        .u64("optimize", opt_ns),
-                ),
-            );
-        }
+        run.accept(&it, lacs.len(), &lacs[best_idx], best_error, &current);
     }
 
     // On interruption, snapshot the loop state *before* any further
     // transformation: the checkpoint must be exactly what the next loop
     // iteration would have seen.
-    let checkpoint_out = interrupt.as_ref().map(|_| {
+    let interrupted = interrupt.map(|cause| {
         trace::add("flow_interrupts", 1);
         trace::add("checkpoints_written", 1);
-        Checkpoint {
+        let checkpoint = Checkpoint {
             seed: config.seed,
             metric: config.metric,
             threshold: config.threshold,
             iterations,
-            applied,
-            rounds,
-            empty_streak,
-            over_streak,
-            stuck_streak,
-            history: history.clone(),
+            applied: run.history.len(),
+            care,
+            history: run.history.clone(),
             current: current.clone(),
-        }
+        };
+        (cause.to_string(), checkpoint)
     });
-
-    // Final optimize only when some accepted LACs are still unoptimized:
-    // an untouched circuit (applied == 0) or a loop that ended exactly on
-    // an optimize_period boundary has nothing left to clean up. Skipped on
-    // interruption — hand back promptly; the resumed run optimizes at its
-    // own natural end.
-    if interrupt.is_none()
-        && config.optimize_after_apply
-        && applied > 0
-        && !applied.is_multiple_of(config.optimize_period.max(1))
-    {
-        current = alsrac_synth::optimize(&current);
+    // An interrupted run hands back promptly; the resumed run optimizes
+    // at its own natural end.
+    let completed = interrupted.is_none();
+    if completed {
+        current = run.optimize_rest(current);
     }
-    let measure_span = trace::span("measure");
-    let measure_seed = derive_seed(config.seed, Stream::Measurement);
-    let measured = match &config.input_bias {
-        Some(bias) => {
-            let patterns = PatternBuffer::biased(
-                original.num_inputs(),
-                config.measure_rounds,
-                bias,
-                measure_seed,
-            );
-            measure(original, &current, &patterns)?
-        }
-        None => measure_auto(original, &current, config.measure_rounds, measure_seed)?,
-    };
-    let measure_ns = measure_span.finish();
     // The certificate replaces trust in sampling: exact WCE for the
     // constrained mode, (possibly (ε, δ)-approximate) exact error rate on
-    // request. NMED/MRED have no counting-based certificate. Interrupted
-    // runs skip certification entirely — the budget that fired would cut
-    // every query short anyway — and runs whose SAT caps starve the proof
-    // get a `Degraded` certificate whose value degrades to the sampled
-    // measurement.
-    let certificate = if interrupt.is_some() {
-        None
-    } else {
+    // request; NMED/MRED have none. Interrupted runs skip it: the budget
+    // that fired would cut every query short anyway.
+    run.finish(current, iterations, interrupted, |approx| {
         match config.metric {
+            _ if !completed => None,
             ErrorMetric::Wce => Some(certify::certify_wce_budgeted(
                 original,
-                &current,
+                approx,
                 &config.budget,
             )),
             ErrorMetric::ErrorRate if config.certify => Some(certify::certify_error_rate_budgeted(
                 original,
-                &current,
+                approx,
                 derive_seed(config.seed, Stream::Hashing),
                 &config.budget,
             )),
             _ => None,
         }
-    };
-    let certificate = certificate.map(|mut cert| {
-        if !cert.status.is_certified() {
-            if let Some(sampled) = measured.value(config.metric) {
-                cert.value = sampled;
-            }
-        }
-        cert
-    });
-    let outcome = match &interrupt {
-        Some(cause) => FlowOutcome::Interrupted {
-            reason: cause.to_string(),
-        },
-        None => FlowOutcome::Completed,
-    };
-    let wall_ns = flow_span.finish();
-    if trace::is_enabled() {
-        trace::emit(run_end_record(
-            run_id,
-            iterations,
-            applied,
-            &current,
-            wall_ns,
-            measure_ns,
-            &measured,
-            certificate.as_ref(),
-            &outcome,
-            resumed_from,
-        ));
-    }
-    Ok(FlowResult {
-        approx: current,
-        iterations,
-        applied,
-        measured,
-        certificate,
-        history,
-        outcome,
-        checkpoint: checkpoint_out,
     })
-}
-
-/// The `run_start` telemetry record: run identity plus the exact circuit
-/// and constraint the flow starts from. Shared with the baseline flows so
-/// every JSONL sink speaks one schema (DESIGN.md "Telemetry").
-pub(crate) fn run_start_record(
-    run: u64,
-    flow: &str,
-    original: &Aig,
-    seed: u64,
-    metric: ErrorMetric,
-    threshold: f64,
-) -> Obj {
-    Obj::new()
-        .str("type", "run_start")
-        .u64("run", run)
-        .str("flow", flow)
-        .str("circuit", original.name())
-        .u64("seed", seed)
-        .str("metric", &metric.to_string())
-        .f64("threshold", threshold)
-        .u64("inputs", original.num_inputs() as u64)
-        .u64("outputs", original.num_outputs() as u64)
-        .u64("ands", original.num_ands() as u64)
-        .u64("depth", u64::from(original.depth()))
-}
-
-/// The `run_end` telemetry record. The `measured` sub-object carries the
-/// same f64s the caller gets back in [`FlowResult::measured`], so the JSONL
-/// values round-trip bit-for-bit against the in-process result; the
-/// optional `certified` sub-object does the same for
-/// [`FlowResult::certificate`]. Interrupted runs additionally carry
-/// `outcome: "interrupted"` and an `interrupt_reason`; resumed runs carry
-/// `resumed_from` (the checkpoint's iteration count).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_end_record(
-    run: u64,
-    iterations: usize,
-    applied: usize,
-    current: &Aig,
-    wall_ns: u64,
-    measure_ns: u64,
-    measured: &Measurement,
-    certificate: Option<&CertifiedMeasurement>,
-    outcome: &FlowOutcome,
-    resumed_from: Option<u64>,
-) -> Obj {
-    let mut record = Obj::new()
-        .str("type", "run_end")
-        .u64("run", run)
-        .u64("iterations", iterations as u64)
-        .u64("applied", applied as u64)
-        .u64("ands", current.num_ands() as u64)
-        .u64("depth", u64::from(current.depth()))
-        .u64("wall_ns", wall_ns)
-        .obj("phase_ns", Obj::new().u64("measure", measure_ns))
-        .obj(
-            "measured",
-            Obj::new()
-                .u64("num_patterns", measured.num_patterns as u64)
-                .f64("error_rate", measured.error_rate)
-                .opt_f64("nmed", measured.nmed)
-                .opt_f64("mred", measured.mred)
-                .opt_u64("max_error_distance", measured.max_error_distance),
-        );
-    match outcome {
-        FlowOutcome::Completed => record = record.str("outcome", "completed"),
-        FlowOutcome::Interrupted { reason } => {
-            record = record
-                .str("outcome", "interrupted")
-                .str("interrupt_reason", reason);
-        }
-    }
-    if let Some(at) = resumed_from {
-        record = record.u64("resumed_from", at);
-    }
-    if let Some(cert) = certificate {
-        record = record.obj("certified", certified_record(cert));
-    }
-    record
 }
 
 /// The flat JSON form of a certificate, shared between the `run_end`
@@ -935,56 +640,10 @@ pub fn certified_record(cert: &CertifiedMeasurement) -> Obj {
     }
 }
 
-/// Common fields of a rejected-iteration telemetry record; the caller
-/// attaches the `phase_ns` object for the phases that actually ran. Shared
-/// with the baseline flows so every JSONL sink speaks one schema.
-pub(crate) fn rejected_record(
-    run: u64,
-    iter: usize,
-    reason: &str,
-    candidates: usize,
-    rounds: usize,
-) -> Obj {
-    Obj::new()
-        .str("type", "iteration")
-        .u64("run", run)
-        .u64("iter", iter as u64)
-        .bool("accepted", false)
-        .str("reason", reason)
-        .u64("candidates", candidates as u64)
-        .u64("rounds", rounds as u64)
-}
-
-/// Common fields of an accepted-iteration telemetry record: the committed
-/// LAC, its estimated error, and the circuit after apply (and optimize,
-/// when one ran). Like [`rejected_record`], the caller attaches
-/// `phase_ns`; shared with the baseline flows.
-pub(crate) fn accepted_record(
-    run: u64,
-    iter: usize,
-    candidates: usize,
-    rounds: usize,
-    lac: &Lac,
-    est_error: f64,
-    current: &Aig,
-) -> Obj {
-    Obj::new()
-        .str("type", "iteration")
-        .u64("run", run)
-        .u64("iter", iter as u64)
-        .bool("accepted", true)
-        .u64("candidates", candidates as u64)
-        .u64("rounds", rounds as u64)
-        .str("lac", &lac.kind())
-        .f64("est_error", est_error)
-        .i64("gain", lac.est_gain() as i64)
-        .u64("ands", current.num_ands() as u64)
-        .u64("depth", u64::from(current.depth()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alsrac_metrics::measure;
 
     #[test]
     fn respects_error_rate_threshold() {
@@ -1249,5 +908,105 @@ mod tests {
         };
         let err = run(&aig, &config).expect_err("too wide");
         assert!(matches!(err, FlowError::MetricUnavailable { .. }));
+    }
+
+    /// `t = 2`, `N₀ = 4` (so the ceiling is 16) and `r = 0.5`.
+    fn care_config() -> FlowConfig {
+        FlowConfig {
+            initial_rounds: 4,
+            patience: 2,
+            shrink: 0.5,
+            ..FlowConfig::default()
+        }
+    }
+
+    #[test]
+    fn empty_iterations_shrink_the_care_rounds_after_patience() {
+        let config = FlowConfig {
+            initial_rounds: 32,
+            patience: 3,
+            shrink: 0.9,
+            ..FlowConfig::default()
+        };
+        let mut care = CareRounds::new(&config);
+        assert!(care.no_candidates(&config));
+        assert!(care.no_candidates(&config));
+        assert_eq!(care.rounds, 32);
+        assert!(care.no_candidates(&config));
+        assert_eq!((care.rounds, care.empty_streak), (28, 0), "⌊32 · 0.9⌋");
+        // ⌊N · r⌋ is clamped to [1, N − 1].
+        for (from, shrink, to) in [(10, 0.99, 9), (2, 0.3, 1), (1, 0.9, 1)] {
+            let config = FlowConfig {
+                patience: 1,
+                shrink,
+                ..FlowConfig::default()
+            };
+            let mut care = CareRounds {
+                rounds: from,
+                ..CareRounds::default()
+            };
+            care.no_candidates(&config);
+            assert_eq!(care.rounds, to, "{from} · {shrink}");
+        }
+    }
+
+    #[test]
+    fn over_budget_iterations_double_the_care_rounds_up_to_four_times_the_start() {
+        let config = FlowConfig {
+            initial_rounds: 32,
+            patience: 3,
+            ..FlowConfig::default()
+        };
+        let mut care = CareRounds::new(&config);
+        let rounds: Vec<usize> = (0..9)
+            .map(|_| {
+                assert!(care.over_budget(&config));
+                care.rounds
+            })
+            .collect();
+        assert_eq!(rounds, [32, 32, 64, 64, 64, 128, 128, 128, 128]);
+        let mut care = CareRounds {
+            rounds: 100,
+            ..CareRounds::default()
+        };
+        (0..3).for_each(|_| assert!(care.over_budget(&config)));
+        assert_eq!(care.rounds, 128);
+    }
+
+    #[test]
+    fn runs_give_up_after_six_patience_at_a_limit_or_twenty_anywhere() {
+        let config = care_config();
+        // Floor: N shrinks 4 → 2 → 1; 6·t fruitless iterations in all.
+        let mut care = CareRounds::new(&config);
+        let floor = (1..).find(|_| !care.no_candidates(&config));
+        assert_eq!((floor, care.rounds), (Some(12), 1));
+        // Ceiling: N grows 4 → 8 → 16.
+        let mut care = CareRounds::new(&config);
+        let ceiling = (1..).find(|_| !care.over_budget(&config));
+        assert_eq!((ceiling, care.rounds), (Some(12), 16));
+        // Anywhere: N ping-pongs between 4 and 2, never at a limit.
+        let mut care = CareRounds::new(&config);
+        let anywhere = (1..).find(|i| match i % 4 {
+            1 | 2 => !care.no_candidates(&config),
+            _ => !care.over_budget(&config),
+        });
+        assert_eq!((anywhere, care.rounds), (Some(40), 4));
+    }
+
+    #[test]
+    fn an_accept_resets_the_streaks_whatever_it_saved() {
+        // `accepted` is told nothing about the AND count, so a zero-gain
+        // accept (deviation D2) keeps a stuck run going like any other.
+        let config = care_config();
+        let mut care = CareRounds::new(&config);
+        (0..11).for_each(|_| assert!(care.over_budget(&config)));
+        care.accepted();
+        let reset = CareRounds {
+            rounds: 16,
+            ..CareRounds::default()
+        };
+        assert_eq!(care, reset);
+        (0..11).for_each(|_| assert!(care.over_budget(&config)));
+        assert!(!care.over_budget(&config));
     }
 }

@@ -31,6 +31,10 @@
 //! * [`flow`] — the complete ALSRAC loop (Algorithm 3) with dynamic
 //!   simulation-round control, budget-aware interruption, and
 //!   checkpoint/resume;
+//! * `skeleton` (crate-private) — the run skeleton the ALSRAC, Su and Liu
+//!   loops share: config and circuit checks, estimation patterns, the
+//!   trace records and history, the optimize cadence, and the final
+//!   measurement that assembles the [`flow::FlowResult`];
 //! * [`checkpoint`] — the serialized loop state an interrupted run leaves
 //!   behind and a resumed run restarts from, bit-identically;
 //! * [`serve`] — the multi-tenant service mode: a JSONL job protocol and
@@ -78,5 +82,6 @@ pub mod serve;
 pub mod window;
 
 mod error;
+mod skeleton;
 
 pub use error::FlowError;

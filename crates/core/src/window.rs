@@ -3,9 +3,9 @@
 //!
 //! Windowing bounds the per-pivot work of LAC generation: instead of
 //! walking the pivot's whole transitive fanin for divisor candidates, a
-//! [`alsrac_aig::Window`] of at most [`WindowConfig::max_tfi`] nodes is
-//! extracted and the divisor pool is drawn from it. On circuits whose TFI
-//! cones fit inside the bound the pool — and therefore the whole flow — is
+//! TFI walk bounded by [`WindowConfig::max_tfi`] nodes
+//! ([`alsrac_aig::Window`]) collects the divisor pool. On circuits whose
+//! TFI cones fit inside the bound the pool — and therefore the whole flow — is
 //! bit-identical to the unwindowed path; on larger circuits the bound is
 //! what keeps LAC generation near-linear.
 //!
@@ -36,12 +36,10 @@ pub struct WindowConfig {
     /// Master switch. `false` reproduces the pre-windowing code path
     /// exactly (whole-TFI divisor pools, no signature pre-screen).
     pub enabled: bool,
-    /// Maximum TFI-side window size in nodes (`0` = unbounded). Bounds at
-    /// or above a pivot's TFI size leave the divisor pool unchanged.
+    /// Collected-node count at which the TFI walk stops expanding (`0` =
+    /// unbounded). Bounds at or above a pivot's TFI size leave the divisor
+    /// pool unchanged.
     pub max_tfi: usize,
-    /// Fanout levels included above the pivot. Divisor selection only uses
-    /// the TFI side, so the flow default is 0.
-    pub tfo_depth: u32,
 }
 
 impl Default for WindowConfig {
@@ -49,7 +47,6 @@ impl Default for WindowConfig {
         WindowConfig {
             enabled: true,
             max_tfi: 1000,
-            tfo_depth: 0,
         }
     }
 }
@@ -68,7 +65,6 @@ impl WindowConfig {
     pub fn params(&self) -> WindowParams {
         WindowParams {
             max_tfi: self.max_tfi,
-            tfo_depth: self.tfo_depth,
         }
     }
 }
@@ -183,6 +179,5 @@ mod tests {
         assert!(!config.enabled);
         let params = WindowConfig::default().params();
         assert_eq!(params.max_tfi, 1000);
-        assert_eq!(params.tfo_depth, 0);
     }
 }

@@ -37,7 +37,7 @@ fn lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The two bundled circuits the CI fault-smoke gate runs on.
+/// The two bundled circuits the suite sweeps.
 fn circuits() -> Vec<(&'static str, Aig)> {
     vec![
         ("rca3", arith::ripple_carry_adder(3)),

@@ -1,20 +1,17 @@
 //! Property tests for the windowed resubstitution path.
 //!
-//! Three families, matching the windowing contract (DESIGN.md):
+//! Two families, matching the windowing contract (DESIGN.md):
 //!
-//! 1. **Splice round-trip** — extracting any window, materializing it with
-//!    `from_window`, and splicing it back unchanged must be a functional
-//!    no-op for every pivot, window bound, and TFO depth.
-//! 2. **Signature classes** — two nodes share a signature class (up to the
+//! 1. **Signature classes** — two nodes share a signature class (up to the
 //!    tracked complement flag) exactly when their simulation words agree
 //!    (up to complement) on every valid pattern bit.
-//! 3. **Flow bit-identity** — the windowed flow equals the whole-circuit
+//! 2. **Flow bit-identity** — the windowed flow equals the whole-circuit
 //!    flow bit for bit on every bundled Test-scale circuit, at worker
 //!    counts 1, 3, and 7.
 
 use alsrac::flow::{run, FlowConfig, FlowResult};
 use alsrac::window::WindowConfig;
-use alsrac_aig::{Aig, WindowExtractor, WindowParams};
+use alsrac_aig::Aig;
 use alsrac_circuits::catalog::{iscas_and_arith, Scale};
 use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
 use alsrac_metrics::ErrorMetric;
@@ -29,62 +26,6 @@ fn random_circuit(seed: u64, num_gates: usize) -> Aig {
         locality: 16,
         seed,
     })
-}
-
-/// The outputs of `a` and `b` agree on every pattern in `patterns`.
-fn outputs_agree(a: &Aig, b: &Aig, patterns: &PatternBuffer) {
-    assert_eq!(a.num_outputs(), b.num_outputs());
-    let sim_a = Simulation::new(a, patterns);
-    let sim_b = Simulation::new(b, patterns);
-    let masks = patterns.word_masks();
-    for po in 0..a.num_outputs() {
-        for (w, &mask) in masks.iter().enumerate() {
-            assert_eq!(
-                sim_a.output_word(a, po, w) & mask,
-                sim_b.output_word(b, po, w) & mask,
-                "output {po} word {w} diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn splice_round_trip_is_a_functional_no_op() {
-    let params = [
-        WindowParams::default(),
-        WindowParams {
-            max_tfi: 6,
-            tfo_depth: 0,
-        },
-        WindowParams {
-            max_tfi: 10,
-            tfo_depth: 2,
-        },
-    ];
-    for seed in 1..=5u64 {
-        let aig = random_circuit(seed, 80);
-        let patterns = PatternBuffer::random(aig.num_inputs(), 256, seed ^ 0xA5);
-        let fanouts = aig.fanout_map();
-        let mut extractor = WindowExtractor::new();
-        for p in &params {
-            for pivot in aig.iter_ands() {
-                let window = extractor.extract(&aig, &fanouts, pivot, p);
-                let sub = aig.from_window(&window);
-                let (spliced, _) = aig
-                    .splice_window(&window, &sub)
-                    .expect("identity splice cannot cycle");
-                outputs_agree(&aig, &spliced, &patterns);
-                // An unmodified splice must not grow the graph: strashing
-                // maps every materialized node back onto the original.
-                assert!(
-                    spliced.num_ands() <= aig.num_ands(),
-                    "seed {seed} pivot {pivot}: splice grew {} -> {}",
-                    aig.num_ands(),
-                    spliced.num_ands()
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -14,13 +14,16 @@
 #   fmt     cargo fmt --check
 #   clippy  cargo clippy with warnings denied
 #   build   release build of the whole workspace (shared by every gate)
-#   test    test suite at the default thread pool, then pinned to
-#           ALSRAC_THREADS=1 (serial) and ALSRAC_THREADS=3 (odd worker
-#           count, so non-divisible work splits are exercised)
-#   smoke   telemetry gate: a seeded flow run under ALSRAC_TRACE must
-#           produce schema-valid JSONL that matches the flow's returned
-#           stats bit for bit, and the disabled-trace overhead on a hot
-#           loop must stay within 2% (see `report --smoke|--overhead`)
+#   test    the whole workspace's tests (every crate's unit, integration
+#           and doc tests, the fault-injection suite included) at the
+#           default thread pool, then pinned to ALSRAC_THREADS=1 (serial)
+#           and ALSRAC_THREADS=3 (odd worker count, so non-divisible work
+#           splits are exercised)
+#   smoke   telemetry gate: one seeded ALSRAC, Su and Liu run under
+#           ALSRAC_TRACE must produce schema-valid JSONL that matches each
+#           run's returned stats bit for bit, and the disabled-trace
+#           overhead on a hot loop must stay within 2% (see
+#           `report --smoke|--overhead`)
 #   alsbench
 #           the repository benchmark (`alsbench/`, its own cargo
 #           workspace) must build against the current library API and pass
@@ -39,14 +42,6 @@
 #           certified bound; the artifact is validated by `report --cert`
 #           and must be bit-identical between ALSRAC_THREADS=1 and 3 apart
 #           from the recorded "threads" field
-#   fault-smoke
-#           robustness gate: the fault-injection property suite sweeps
-#           seeded cancel faults over two bundled circuits and asserts
-#           every interrupted run checkpoints and resumes bit-identically
-#           to the uninterrupted run, SAT starvation degrades certificates
-#           instead of hanging, and a failing trace sink changes nothing;
-#           run at ALSRAC_THREADS=1 and 3 (the suite additionally pins
-#           1/3/7 workers in-process)
 #   serve-smoke
 #           daemon gate: `bench_serve --smoke` runs three concurrent jobs
 #           through an in-process daemon at ALSRAC_THREADS=1 and 3 and
@@ -140,17 +135,17 @@ run_build() {
 }
 
 run_test() {
-    echo "==> cargo test -q --offline (default thread pool)"
-    cargo test -q --offline
+    echo "==> cargo test -q --offline --workspace (default thread pool)"
+    cargo test -q --offline --workspace
 
     # The pool promises thread count is invisible to results: the whole
     # suite must also pass with the pool pinned serial and pinned to an
     # odd worker count via the env knob.
-    echo "==> cargo test -q --offline (ALSRAC_THREADS=1)"
-    ALSRAC_THREADS=1 cargo test -q --offline
+    echo "==> cargo test -q --offline --workspace (ALSRAC_THREADS=1)"
+    ALSRAC_THREADS=1 cargo test -q --offline --workspace
 
-    echo "==> cargo test -q --offline (ALSRAC_THREADS=3)"
-    ALSRAC_THREADS=3 cargo test -q --offline
+    echo "==> cargo test -q --offline --workspace (ALSRAC_THREADS=3)"
+    ALSRAC_THREADS=3 cargo test -q --offline --workspace
 }
 
 run_smoke() {
@@ -213,16 +208,6 @@ run_cert_smoke() {
     echo "cert-smoke gate passed."
 }
 
-run_fault_smoke() {
-    echo "==> fault-injection gate (checkpoint/resume bit-identity)"
-    # The suite arms process-global fault plans, so it runs in its own
-    # test binary; both pinned pool sizes must reproduce the same bits
-    # (the suite also pins 1/3/7 workers in-process via with_threads).
-    ALSRAC_THREADS=1 cargo test -q --offline -p alsrac --test fault_injection
-    ALSRAC_THREADS=3 cargo test -q --offline -p alsrac --test fault_injection
-    echo "fault-smoke gate passed."
-}
-
 run_serve_smoke() {
     ensure_release_build
 
@@ -281,7 +266,6 @@ smoke) run_step smoke run_smoke ;;
 alsbench) run_step alsbench run_alsbench ;;
 window-smoke) run_step window-smoke run_window_smoke ;;
 cert-smoke) run_step cert-smoke run_cert_smoke ;;
-fault-smoke) run_step fault-smoke run_fault_smoke ;;
 serve-smoke) run_step serve-smoke run_serve_smoke ;;
 all)
     run_step fmt run_fmt
@@ -292,11 +276,10 @@ all)
     run_step alsbench run_alsbench
     run_step window-smoke run_window_smoke
     run_step cert-smoke run_cert_smoke
-    run_step fault-smoke run_fault_smoke
     run_step serve-smoke run_serve_smoke
     ;;
 *)
-    echo "unknown step '$step' (expected fmt|clippy|build|test|smoke|alsbench|window-smoke|cert-smoke|fault-smoke|serve-smoke|all)" >&2
+    echo "unknown step '$step' (expected fmt|clippy|build|test|smoke|alsbench|window-smoke|cert-smoke|serve-smoke|all)" >&2
     exit 2
     ;;
 esac
