@@ -21,6 +21,7 @@
 //! The smoke also writes its (small) artifact so `report --serve` gets
 //! exercised on a fresh file in CI, not just on the committed one.
 
+use std::io::{BufReader, PipeWriter, Write};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,8 +29,8 @@ use std::time::{Duration, Instant};
 use alsrac::checkpoint::Checkpoint;
 use alsrac::flow::{self, FlowConfig};
 use alsrac::serve::{
-    self, request_pipe, wait_for_record, Catalog, CircuitSource, LineCollector, Request,
-    RequestPipe, ServeOptions, ServeSummary, SubmitRequest,
+    self, wait_for_record, Catalog, CircuitSource, LineCollector, Request, ServeSummary,
+    SubmitRequest,
 };
 use alsrac_aig::Aig;
 use alsrac_circuits::catalog::{self, Scale};
@@ -70,32 +71,45 @@ fn resolve(source: &CircuitSource) -> Aig {
     resolver()(source).expect("bundled circuit resolves")
 }
 
-/// An in-process daemon session: requests go in through `pipe`, every
-/// output line lands in `out`.
+/// An in-process daemon session: request lines go in through the
+/// `requests` pipe, every output line lands in `out`.
 struct Session {
-    pipe: RequestPipe,
+    requests: PipeWriter,
     out: LineCollector,
     handle: JoinHandle<ServeSummary>,
 }
 
 fn start_session(workers: usize) -> Session {
     let catalog = Arc::new(Catalog::new(resolver()));
-    let (pipe, reader) = request_pipe();
+    let (reader, requests) = std::io::pipe().expect("request pipe");
     let out = LineCollector::new();
     let sink = out.clone();
     let handle = std::thread::spawn(move || {
-        serve::serve(reader, sink, catalog, &ServeOptions { workers }, None)
+        serve::serve(BufReader::new(reader), sink, catalog, workers, None)
     });
-    Session { pipe, out, handle }
+    Session {
+        requests,
+        out,
+        handle,
+    }
 }
 
 impl Session {
+    /// Sends one raw request line.
+    fn send_line(&self, line: &str) {
+        writeln!(&self.requests, "{line}").expect("send request");
+    }
+
+    fn request(&self, request: &Request) {
+        self.send_line(&request.to_json());
+    }
+
     /// Sends `shutdown` (drain), closes the request stream, and returns
     /// the summary along with the collected output (the collector is
     /// shared, so this is every line the session wrote).
     fn shut_down(self) -> (ServeSummary, LineCollector) {
-        self.pipe.request(&Request::Shutdown { cancel: false });
-        drop(self.pipe);
+        self.request(&Request::Shutdown { cancel: false });
+        drop(self.requests);
         (self.handle.join().expect("serve thread"), self.out)
     }
 }
@@ -205,10 +219,10 @@ fn run_smoke(path: &str) {
     // Job ids are assigned in submission order: 1, 2, 3. The malformed
     // line goes in as line 2 and must be rejected by line number without
     // disturbing the jobs around it.
-    session.pipe.request(&Request::Submit(jobs[0].clone()));
-    session.pipe.send_line("{\"op\":");
-    session.pipe.request(&Request::Submit(jobs[1].clone()));
-    session.pipe.request(&Request::Submit(jobs[2].clone()));
+    session.request(&Request::Submit(jobs[0].clone()));
+    session.send_line("{\"op\":");
+    session.request(&Request::Submit(jobs[1].clone()));
+    session.request(&Request::Submit(jobs[2].clone()));
     let (summary, out) = session.shut_down();
     let wall_ns = started.elapsed().as_nanos() as u64;
 
@@ -288,13 +302,13 @@ fn run_cancel_smoke() {
     let spec = large_job(9);
     let session = start_session(1);
     let watch = session.out.watch();
-    session.pipe.request(&Request::Submit(spec.clone()));
+    session.request(&Request::Submit(spec.clone()));
     // The first wal32 iteration takes seconds; the cancel lands well
     // before the flow's next budget check.
     expect_record(&watch, "run_start of the cancel target", |r| {
         record_type(r) == "run_start" && job_id(r) == Some(1)
     });
-    session.pipe.request(&Request::Cancel { job_id: 1 });
+    session.request(&Request::Cancel { job_id: 1 });
     let done = expect_record(&watch, "terminal record of the cancelled job", |r| {
         record_type(r) == "job_done" && job_id(r) == Some(1)
     });
@@ -350,7 +364,7 @@ fn run_saturation(path: &str) {
     let session = start_session(workers);
     let started = Instant::now();
     for job in &jobs {
-        session.pipe.request(&Request::Submit(job.clone()));
+        session.request(&Request::Submit(job.clone()));
     }
     let (summary, out) = session.shut_down();
     let wall_ns = started.elapsed().as_nanos() as u64;

@@ -3,7 +3,7 @@
 //! per-phase time breakdown and error-trajectory summary, plus a compact
 //! `RUN_SUMMARY.json` for downstream tooling.
 //!
-//! Three modes:
+//! Five modes:
 //!
 //! * `report <trace.jsonl> [--summary PATH]` — validate every record
 //!   against the schema, print the breakdown, write the summary JSON
@@ -117,14 +117,11 @@ const KNOWN_COUNTERS: &[&str] = &[
     "flow_interrupts",
     "checkpoints_written",
     "faults_injected",
-    "serve_jobs_submitted",
-    "serve_jobs_completed",
-    "serve_jobs_interrupted",
-    "serve_jobs_cancelled",
-    "serve_jobs_failed",
-    "serve_lines_rejected",
     "serve_cache_hits",
 ];
+
+/// The metric names of `run_start` records and certificates.
+const METRICS: &[&str] = &["ER", "NMED", "MRED", "WCE"];
 
 /// The record types a trace may contain, with their required fields (see
 /// DESIGN.md "Telemetry" for the authoritative description).
@@ -147,6 +144,13 @@ fn validate_record(rec: &Json) -> Result<(), String> {
         rec.get(key)
             .and_then(Json::as_f64)
             .ok_or(format!("{typ}: missing or non-number {key:?}"))
+    };
+    let need_one_of = |key: &str, allowed: &[&str]| -> Result<&str, String> {
+        let value = need_str(key)?;
+        match allowed.contains(&value) {
+            true => Ok(value),
+            false => Err(format!("{typ}: unknown {key} {value:?}")),
+        }
     };
     let need_phase_ns = || -> Result<(), String> {
         let phases = rec
@@ -173,7 +177,7 @@ fn validate_record(rec: &Json) -> Result<(), String> {
     match typ {
         "process" => {
             need_str("binary")?;
-            need_str("scale")?;
+            need_one_of("scale", &["test", "paper"])?;
             need_u64("seeds")?;
             need_u64("threads")?;
             rec.get("full")
@@ -183,10 +187,10 @@ fn validate_record(rec: &Json) -> Result<(), String> {
         "run_start" => {
             optional_job_id()?;
             need_u64("run")?;
-            need_str("flow")?;
+            need_one_of("flow", &["alsrac", "su", "liu"])?;
             need_str("circuit")?;
             need_u64("seed")?;
-            need_str("metric")?;
+            need_one_of("metric", METRICS)?;
             need_f64("threshold")?;
             for key in ["inputs", "outputs", "ands", "depth"] {
                 need_u64(key)?;
@@ -212,7 +216,8 @@ fn validate_record(rec: &Json) -> Result<(), String> {
                     .and_then(Json::as_f64)
                     .ok_or("iteration: missing number \"gain\"")?;
             } else {
-                need_str("reason")?;
+                let reasons = ["no_candidates", "over_budget", "metropolis_reject", "cycle"];
+                need_one_of("reason", &reasons)?;
             }
         }
         "run_end" => {
@@ -302,6 +307,15 @@ fn validate_record(rec: &Json) -> Result<(), String> {
                 .ok_or("response: missing bool \"ok\"")?;
             if !ok {
                 need_str("error")?;
+            } else {
+                // Only submit and cancel are acknowledged; both name a job.
+                let op = need_one_of("op", &["submit", "cancel"])?;
+                if need_u64("job_id")? == 0 {
+                    return Err("response: \"job_id\" must be positive".to_string());
+                }
+                if op == "cancel" {
+                    need_one_of("state", &["cancelled", "cancelling", "done"])?;
+                }
             }
         }
         "status" => {
@@ -348,10 +362,10 @@ fn validate_record(rec: &Json) -> Result<(), String> {
             need_str("message")?;
         }
         "shutdown" => {
-            match need_str("reason")? {
-                "shutdown_request" | "input_closed" | "stop_requested" => {}
-                other => return Err(format!("shutdown: unknown reason {other:?}")),
-            }
+            need_one_of(
+                "reason",
+                &["shutdown_request", "input_closed", "stop_requested"],
+            )?;
             for key in [
                 "submitted",
                 "completed",
@@ -377,7 +391,7 @@ fn validate_certified(cert: &BTreeMap<String, Json>) -> Result<(), String> {
     let metric = get("metric")
         .and_then(Json::as_str)
         .ok_or("metric missing or not a string")?;
-    if !["ER", "NMED", "MRED", "WCE"].contains(&metric) {
+    if !METRICS.contains(&metric) {
         return Err(format!("metric {metric:?} unknown"));
     }
     let value = get("value")
@@ -540,7 +554,10 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
                         let ns = v.as_u64().ok_or_else(|| {
                             format!("{path}:{line}: phase_ns.{name} is not an integer")
                         })?;
-                        *phase_ns.entry(name.clone()).or_insert(0) += ns;
+                        let sum = phase_ns.entry(name.clone()).or_insert(0);
+                        *sum = sum.checked_add(ns).ok_or_else(|| {
+                            format!("{path}:{line}: phase_ns.{name} total overflows u64")
+                        })?;
                     }
                 }
             }
@@ -575,7 +592,10 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
                         let count = v.as_u64().ok_or_else(|| {
                             format!("{path}:{line}: counter {name} is not an integer")
                         })?;
-                        *counters.entry(name.clone()).or_insert(0) += count;
+                        let sum = counters.entry(name.clone()).or_insert(0);
+                        *sum = sum.checked_add(count).ok_or_else(|| {
+                            format!("{path}:{line}: counter {name} total overflows u64")
+                        })?;
                     }
                 }
             }
@@ -585,10 +605,11 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
 
     println!("{}: {} records, {} runs", path, records.len(), runs.len());
     println!("\nper-phase time (summed over per-iteration phase_ns):");
-    let total: u64 = phase_ns.values().sum();
+    // Shares only: an f64 total cannot overflow where a u64 one could.
+    let total: f64 = phase_ns.values().map(|&ns| ns as f64).sum();
     for (name, &ns) in &phase_ns {
-        let share = if total > 0 {
-            100.0 * ns as f64 / total as f64
+        let share = if total > 0.0 {
+            100.0 * ns as f64 / total
         } else {
             0.0
         };
@@ -1136,7 +1157,11 @@ fn try_serve_check(path: &str) -> Result<(), String> {
         return Err("an artifact with zero jobs is vacuous".to_string());
     }
     let completed = int("completed")?;
-    let settled = completed + int("interrupted")? + int("cancelled")? + int("failed")?;
+    let outcomes = ["completed", "interrupted", "cancelled", "failed"];
+    let settled = outcomes.iter().try_fold(0u64, |sum, key| {
+        sum.checked_add(int(key)?)
+            .ok_or(format!("outcome totals overflow u64 at {key:?}"))
+    })?;
     if settled != jobs {
         return Err(format!(
             "outcome totals sum to {settled}, but {jobs} jobs were submitted"
@@ -1236,7 +1261,9 @@ fn try_serve_check(path: &str) -> Result<(), String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| at(format!("missing integer {key:?}")))
         };
-        let job_latency = get("queue_ns")? + get("run_ns")?;
+        let job_latency = get("queue_ns")?
+            .checked_add(get("run_ns")?)
+            .ok_or_else(|| at("queue_ns + run_ns overflows u64".into()))?;
         if job_latency > max {
             return Err(at(format!(
                 "end-to-end latency {job_latency} exceeds the reported max {max}"
@@ -1400,6 +1427,37 @@ mod tests {
         assert!(load(&t.0).is_err());
     }
 
+    #[test]
+    fn overflowing_phase_totals_name_the_line() {
+        let rec = r#"{"type":"iteration","run":1,"iter":1,"accepted":false,
+"reason":"no_candidates","candidates":0,"rounds":64,"phase_ns":{"care_sim":18000000000000000000}}"#
+            .replace('\n', "");
+        let t = TempTrace::write("overflow", &format!("{rec}\n{rec}\n"));
+        let summary = TempTrace::write("overflow_summary", "");
+        let err = try_analyze(&t.0, &summary.0).expect_err("a wrapped total must fail");
+        assert!(err.contains(":2:"), "no line number: {err}");
+        assert!(err.contains("care_sim"), "wrong diagnostic: {err}");
+    }
+
+    #[test]
+    fn flow_record_enumerations_are_checked() {
+        let start = r#"{"type":"run_start","run":1,"flow":"alsrac","circuit":"c","seed":1,
+"metric":"ER","threshold":0.1,"inputs":2,"outputs":1,"ands":3,"depth":2}"#;
+        let reject = r#"{"type":"iteration","run":1,"iter":1,"accepted":false,
+"reason":"cycle","candidates":2,"rounds":64,"phase_ns":{}}"#;
+        for rec in [start, reject] {
+            validate_record(&Json::parse(rec).unwrap()).expect("valid record");
+        }
+        for (rec, expect) in [
+            (start.replace("\"alsrac\"", "\"exact\""), "exact"),
+            (start.replace("\"ER\"", "\"er\""), "\"er\""),
+            (reject.replace("\"cycle\"", "\"bored\""), "bored"),
+        ] {
+            let err = validate_record(&Json::parse(&rec).unwrap()).expect_err("unknown value");
+            assert!(err.contains(expect), "wrong diagnostic for {rec}: {err}");
+        }
+    }
+
     fn cert_artifact(certified_value: f64) -> String {
         format!(
             r#"{{"benchmark":"cert","threads":1,"seed":1,
@@ -1541,6 +1599,22 @@ mod tests {
     }
 
     #[test]
+    fn serve_artifacts_with_overflowing_sums_fail() {
+        let t = TempTrace::write(
+            "serve_overflow",
+            &serve_artifact(&[("\"queue_ns\":1000", "\"queue_ns\":18446744073709551615")]),
+        );
+        let err = try_serve_check(&t.0).expect_err("a wrapped latency must fail");
+        assert!(err.contains("jobs_detail[0]"), "wrong diagnostic: {err}");
+        let t = TempTrace::write(
+            "serve_overflow_totals",
+            &serve_artifact(&[("\"failed\":0", "\"failed\":18446744073709551615")]),
+        );
+        let err = try_serve_check(&t.0).expect_err("wrapped totals must fail");
+        assert!(err.contains("\"failed\""), "wrong diagnostic: {err}");
+    }
+
+    #[test]
     fn serve_artifacts_with_fabricated_throughput_fail() {
         let t = TempTrace::write(
             "serve_rate",
@@ -1591,10 +1665,99 @@ mod tests {
 "interrupted":0,"cancelled":0,"failed":0,"rejected_lines":0}"#,
                 "crash",
             ),
+            (
+                r#"{"type":"response","op":"frobnicate","ok":true}"#,
+                "frobnicate",
+            ),
+            (r#"{"type":"response","op":"submit","ok":true}"#, "job_id"),
+            (
+                r#"{"type":"response","op":"cancel","ok":true,"job_id":2,"state":"gone"}"#,
+                "gone",
+            ),
+            (
+                r#"{"type":"process","binary":"table4","scale":"huge","seeds":1,"full":false,
+"threads":1}"#,
+                "huge",
+            ),
         ] {
             let err = validate_record(&Json::parse(rec).unwrap())
                 .expect_err("schema violation must fail");
             assert!(err.contains(expect), "wrong diagnostic for {rec}: {err}");
+        }
+    }
+
+    /// Every `Response` variant the daemon writes is a valid record.
+    #[test]
+    fn every_response_variant_validates() {
+        use alsrac::serve::{CancelState, JobDone, JobOutcome, Response, SessionTotals};
+        let job = |job_id, outcome, checkpoint: Option<&str>, cache_hit| {
+            Response::JobDone(JobDone {
+                job_id,
+                outcome,
+                queue_ns: 1_000,
+                run_ns: 2_000,
+                queue_depth: 4,
+                iterations: 12,
+                applied: 7,
+                ands: 33,
+                checkpoint: checkpoint.map(str::to_string),
+                cache_hit,
+            })
+        };
+        let cancel = |job_id, state| Response::CancelAck { job_id, state };
+        let responses = [
+            Response::Submitted { job_id: 1 },
+            cancel(2, CancelState::Cancelled),
+            cancel(3, CancelState::Cancelling),
+            cancel(4, CancelState::AlreadyDone),
+            Response::Rejected {
+                op: "cancel".to_string(),
+                error: "unknown job id 9".to_string(),
+            },
+            Response::Status {
+                queued: 5,
+                running: 2,
+                done: 11,
+            },
+            job(6, JobOutcome::Completed, None, false),
+            job(10, JobOutcome::Completed, None, true),
+            job(
+                7,
+                JobOutcome::Interrupted {
+                    reason: "cancelled".to_string(),
+                },
+                Some("{\"version\": 1}"),
+                false,
+            ),
+            job(8, JobOutcome::Cancelled, None, false),
+            job(
+                9,
+                JobOutcome::Failed {
+                    error: "unknown circuit \"nope\"".to_string(),
+                },
+                None,
+                false,
+            ),
+            Response::LineError {
+                line: 4,
+                message: "unknown key \"bogus\"".to_string(),
+            },
+            Response::Shutdown {
+                reason: "input_closed".to_string(),
+                totals: SessionTotals {
+                    submitted: 9,
+                    completed: 5,
+                    interrupted: 1,
+                    cancelled: 2,
+                    failed: 1,
+                    rejected_lines: 3,
+                },
+            },
+        ];
+        for response in responses {
+            let line = response.to_json();
+            validate_record(&Json::parse(&line).unwrap())
+                .unwrap_or_else(|e| panic!("{line} must validate: {e}"));
         }
     }
 

@@ -88,7 +88,7 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
     };
     spec.check(original)?;
     let mut rng = Rng::for_stream(config.seed, Stream::Proposal);
-    let est_patterns = spec.estimation_patterns(original, None);
+    let est_patterns = spec.estimation_patterns(original);
     let mut run = Run::start(original, spec);
     let mut current = original.cleaned();
     let mut best = current.clone();

@@ -201,7 +201,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
             .then_some(config.optimize_period.max(1)),
     };
     spec.check(original)?;
-    let est_patterns = spec.estimation_patterns(original, None);
+    let est_patterns = spec.estimation_patterns(original);
     let mut run = Run::start(original, spec);
     let mut current = original.cleaned();
     let mut iterations = 0usize;

@@ -7,7 +7,7 @@ use alsrac_metrics::{CertifiedMeasurement, ErrorMetric, Measurement};
 use alsrac_rt::budget::{Budget, Interrupt};
 use alsrac_rt::json::Obj;
 use alsrac_rt::{derive_indexed, derive_seed, trace, Stream};
-use alsrac_sim::{PatternBuffer, Simulation};
+use alsrac_sim::Simulation;
 
 use crate::certify::{self, WceGate};
 use crate::checkpoint::Checkpoint;
@@ -299,29 +299,8 @@ pub struct FlowResult {
 /// * [`FlowError::MetricUnavailable`] when a distance metric is requested
 ///   on a circuit with more than 63 outputs.
 pub fn run(original: &Aig, config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    run_shared(original, config, None)
-}
-
-/// [`run`] with a caller-provided exhaustive estimation-pattern buffer.
-///
-/// Multi-tenant drivers (`alsrac::serve`) build the exhaustive estimation
-/// buffer of a small circuit once and share it across its flows. The
-/// buffer is used only when this run would build the identical buffer
-/// itself (uniform inputs, `n ≤` [`EXHAUSTIVE_ESTIMATION_LIMIT`], matching
-/// shape), so the result is bit-identical to [`run`] in every case.
-/// `shared_est` must be `PatternBuffer::exhaustive(original.num_inputs())`;
-/// any other buffer of that shape violates the determinism contract.
-///
-/// # Errors
-///
-/// Exactly [`run`]'s errors.
-pub fn run_shared(
-    original: &Aig,
-    config: &FlowConfig,
-    shared_est: Option<&PatternBuffer>,
-) -> Result<FlowResult, FlowError> {
     config.preflight(original)?;
-    run_from(original, config, None, shared_est)
+    run_from(original, config, None)
 }
 
 /// Continues an interrupted run from its [`Checkpoint`].
@@ -377,7 +356,7 @@ pub fn resume(
             original.num_outputs()
         ));
     }
-    run_from(original, config, Some(checkpoint), None)
+    run_from(original, config, Some(checkpoint))
 }
 
 /// The loop body shared by [`run`] (fresh state) and [`resume`]
@@ -386,7 +365,6 @@ fn run_from(
     original: &Aig,
     config: &FlowConfig,
     checkpoint: Option<Checkpoint>,
-    shared_est: Option<&PatternBuffer>,
 ) -> Result<FlowResult, FlowError> {
     let spec = config.spec();
     let mut run = Run::start(original, spec);
@@ -405,7 +383,7 @@ fn run_from(
     // iteration is rolled back and the run returns best-so-far with a
     // checkpoint instead of an error.
     let mut interrupt: Option<Interrupt> = None;
-    let est_patterns = spec.estimation_patterns(original, shared_est);
+    let est_patterns = spec.estimation_patterns(original);
 
     // The fanout map is a pure function of `current`: build it once and
     // rebuild only after a LAC is actually applied, not on the retry paths
@@ -644,6 +622,7 @@ pub fn certified_record(cert: &CertifiedMeasurement) -> Obj {
 mod tests {
     use super::*;
     use alsrac_metrics::measure;
+    use alsrac_sim::PatternBuffer;
 
     #[test]
     fn respects_error_rate_threshold() {

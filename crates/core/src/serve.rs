@@ -14,12 +14,10 @@
 //! # Determinism contract
 //!
 //! A job's result is bit-identical to a direct [`flow::run`] of the same
-//! `(circuit, config)`: job randomness is a pure function of
-//! `(seed, stream, iteration)`, each flow runs single-threaded inside its
-//! worker, and shared estimation patterns are only substituted when they
-//! equal the buffer the flow would build itself (see
-//! [`flow::run_shared`]). Worker count and submission interleaving affect
-//! only scheduling order, never any job's payload.
+//! `(circuit, config)`, because a job *is* that call: job randomness is a
+//! pure function of `(seed, stream, iteration)` and each flow runs
+//! single-threaded inside its worker. Worker count and submission
+//! interleaving affect only scheduling order, never any job's payload.
 //!
 //! # Job lifecycle
 //!
@@ -42,7 +40,7 @@
 //! [`Checkpoint`]: crate::checkpoint::Checkpoint
 
 use std::collections::{BTreeMap, BinaryHeap};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,9 +49,8 @@ use alsrac_metrics::ErrorMetric;
 use alsrac_rt::budget::{Budget, CancelToken};
 use alsrac_rt::json::{Json, Obj};
 use alsrac_rt::{faults, pool, trace};
-use alsrac_sim::PatternBuffer;
 
-use crate::flow::{self, FlowConfig, FlowOutcome, EXHAUSTIVE_ESTIMATION_LIMIT};
+use crate::flow::{self, FlowConfig, FlowOutcome};
 
 /// Where a job's circuit comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,13 +87,11 @@ impl CircuitSource {
 /// parsers).
 pub type Resolver = dyn Fn(&CircuitSource) -> Result<Aig, String> + Send + Sync;
 
-/// Shared immutable data reused across jobs: resolved circuits (keyed by
-/// name and scale) and exhaustive estimation-pattern buffers (keyed by
-/// input count), both behind `Arc` so concurrent jobs share one copy.
+/// Resolved circuits reused across jobs, keyed by name and scale, behind
+/// `Arc` so concurrent jobs share one copy.
 pub struct Catalog {
     resolver: Box<Resolver>,
     circuits: Mutex<BTreeMap<(String, String), Arc<Aig>>>,
-    patterns: Mutex<BTreeMap<usize, Arc<PatternBuffer>>>,
 }
 
 impl Catalog {
@@ -105,7 +100,6 @@ impl Catalog {
         Catalog {
             resolver,
             circuits: Mutex::new(BTreeMap::new()),
-            patterns: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -128,19 +122,6 @@ impl Catalog {
         let aig = Arc::new((self.resolver)(source)?);
         let mut cache = self.circuits.lock().expect("catalog");
         Ok(Arc::clone(cache.entry(key).or_insert(aig)))
-    }
-
-    /// The shared exhaustive estimation buffer for `num_inputs`-input
-    /// circuits, or `None` when the flow would sample instead
-    /// (`num_inputs > `[`EXHAUSTIVE_ESTIMATION_LIMIT`]).
-    pub fn estimation_patterns(&self, num_inputs: usize) -> Option<Arc<PatternBuffer>> {
-        if num_inputs > EXHAUSTIVE_ESTIMATION_LIMIT {
-            return None;
-        }
-        let mut cache = self.patterns.lock().expect("catalog");
-        Some(Arc::clone(cache.entry(num_inputs).or_insert_with(|| {
-            Arc::new(PatternBuffer::exhaustive(num_inputs))
-        })))
     }
 }
 
@@ -522,15 +503,6 @@ impl CancelState {
             CancelState::AlreadyDone => "done",
         }
     }
-
-    fn from_wire(name: &str) -> Result<CancelState, String> {
-        match name {
-            "cancelled" => Ok(CancelState::Cancelled),
-            "cancelling" => Ok(CancelState::Cancelling),
-            "done" => Ok(CancelState::AlreadyDone),
-            other => Err(format!("unknown cancel state {other:?}")),
-        }
-    }
 }
 
 /// How a finished job ended.
@@ -744,107 +716,6 @@ impl Response {
     pub fn to_json(&self) -> String {
         self.to_record().finish()
     }
-
-    /// Parses a wire line back into a response (clients and the protocol
-    /// round-trip tests).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first schema violation.
-    pub fn parse(line: &str) -> Result<Response, String> {
-        let json = Json::parse(line)?;
-        let map = json
-            .as_obj()
-            .ok_or_else(|| "response must be a JSON object".to_string())?;
-        let require_u64 =
-            |key: &str| field_u64(map, key)?.ok_or_else(|| format!("missing {key:?}"));
-        let require_str =
-            |key: &str| field_str(map, key)?.ok_or_else(|| format!("missing {key:?}"));
-        match require_str("type")? {
-            "response" => {
-                let op = require_str("op")?;
-                let ok = field_bool(map, "ok")?.ok_or_else(|| "missing \"ok\"".to_string())?;
-                if !ok {
-                    return Ok(Response::Rejected {
-                        op: op.to_string(),
-                        error: require_str("error")?.to_string(),
-                    });
-                }
-                match op {
-                    "submit" => Ok(Response::Submitted {
-                        job_id: require_u64("job_id")?,
-                    }),
-                    "cancel" => Ok(Response::CancelAck {
-                        job_id: require_u64("job_id")?,
-                        state: CancelState::from_wire(require_str("state")?)?,
-                    }),
-                    other => Err(format!("unknown response op {other:?}")),
-                }
-            }
-            "status" => Ok(Response::Status {
-                queued: require_u64("queued")?,
-                running: require_u64("running")?,
-                done: require_u64("done")?,
-            }),
-            "job_done" => {
-                let outcome = match require_str("outcome")? {
-                    "completed" => JobOutcome::Completed,
-                    "interrupted" => JobOutcome::Interrupted {
-                        reason: require_str("interrupt_reason")?.to_string(),
-                    },
-                    "cancelled" => JobOutcome::Cancelled,
-                    "failed" => JobOutcome::Failed {
-                        error: require_str("error")?.to_string(),
-                    },
-                    other => return Err(format!("unknown job outcome {other:?}")),
-                };
-                Ok(Response::JobDone(JobDone {
-                    job_id: require_u64("job_id")?,
-                    outcome,
-                    queue_ns: require_u64("queue_ns")?,
-                    run_ns: require_u64("run_ns")?,
-                    queue_depth: require_u64("queue_depth")?,
-                    iterations: require_u64("iterations")?,
-                    applied: require_u64("applied")?,
-                    ands: require_u64("ands")?,
-                    checkpoint: field_str(map, "checkpoint")?.map(str::to_string),
-                    cache_hit: field_bool(map, "cache_hit")?.unwrap_or(false),
-                }))
-            }
-            "error" => Ok(Response::LineError {
-                line: require_u64("line")?,
-                message: require_str("message")?.to_string(),
-            }),
-            "shutdown" => Ok(Response::Shutdown {
-                reason: require_str("reason")?.to_string(),
-                totals: SessionTotals {
-                    submitted: require_u64("submitted")?,
-                    completed: require_u64("completed")?,
-                    interrupted: require_u64("interrupted")?,
-                    cancelled: require_u64("cancelled")?,
-                    failed: require_u64("failed")?,
-                    rejected_lines: require_u64("rejected_lines")?,
-                },
-            }),
-            other => Err(format!("unknown record type {other:?}")),
-        }
-    }
-}
-
-/// Daemon tuning.
-#[derive(Clone, Debug)]
-pub struct ServeOptions {
-    /// Concurrent job workers (each runs one flow inline). Defaults to
-    /// the pool's effective thread count.
-    pub workers: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            workers: pool::current_threads(),
-        }
-    }
 }
 
 /// Why [`serve`] returned.
@@ -966,8 +837,6 @@ struct State {
     queue: BinaryHeap<QueueEntry>,
     meta: BTreeMap<u64, JobMeta>,
     running: BTreeMap<u64, CancelToken>,
-    queued: u64,
-    done: u64,
     totals: SessionTotals,
     /// Terminal records of *completed* jobs, keyed by
     /// `(circuit identity, canonical config)`: a repeat submit replays the
@@ -977,6 +846,19 @@ struct State {
     cache: BTreeMap<String, JobDone>,
     /// No more jobs will arrive; workers exit once the queue is empty.
     stopping: bool,
+}
+
+impl State {
+    /// Jobs finished, whatever their outcome.
+    fn done(&self) -> u64 {
+        let t = &self.totals;
+        t.completed + t.interrupted + t.cancelled + t.failed
+    }
+
+    /// Jobs accepted but neither running nor done.
+    fn queued(&self) -> u64 {
+        self.totals.submitted - self.running.len() as u64 - self.done()
+    }
 }
 
 struct Shared {
@@ -997,19 +879,19 @@ struct Shared {
 ///
 /// # Panics
 ///
-/// Panics if `options.workers == 0`.
+/// Panics if `workers == 0`.
 pub fn serve<R, W>(
     reader: R,
     writer: W,
     catalog: Arc<Catalog>,
-    options: &ServeOptions,
+    workers: usize,
     stop: Option<CancelToken>,
 ) -> ServeSummary
 where
     R: BufRead + Send + 'static,
     W: Write + Send + 'static,
 {
-    assert!(options.workers > 0, "worker count must be positive");
+    assert!(workers > 0, "worker count must be positive");
     let output = Arc::new(Output {
         writer: Mutex::new(writer),
     });
@@ -1047,7 +929,7 @@ where
     };
 
     let reason = std::thread::scope(|scope| {
-        for _ in 0..options.workers {
+        for _ in 0..workers {
             scope.spawn(|| worker_loop(&shared, catalog.as_ref(), output.as_ref()));
         }
         let (mut reason, cancel_mode) =
@@ -1060,7 +942,7 @@ where
             // (SIGINT while the queue empties).
             let mut state = shared.state.lock().expect("serve state");
             loop {
-                if state.queued == 0 && state.running.is_empty() {
+                if state.done() == state.totals.submitted {
                     break;
                 }
                 if stop.as_ref().is_some_and(CancelToken::is_tripped) {
@@ -1117,7 +999,6 @@ fn dispatch_loop<W: Write>(
                 let mut state = shared.state.lock().expect("serve state");
                 state.totals.rejected_lines += 1;
                 drop(state);
-                trace::add("serve_lines_rejected", 1);
                 output.respond(&Response::LineError {
                     line: line_no,
                     message,
@@ -1141,10 +1022,8 @@ fn dispatch_loop<W: Write>(
                         job_id,
                         spec,
                     });
-                    state.queued += 1;
                     job_id
                 };
-                trace::add("serve_jobs_submitted", 1);
                 shared.ready.notify_one();
                 output.respond(&Response::Submitted { job_id });
             }
@@ -1173,8 +1052,6 @@ fn dispatch_loop<W: Write>(
                             Some(meta) => {
                                 meta.cancelled_in_queue = true;
                                 dequeued_ns = Some(elapsed_ns(meta.enqueued));
-                                state.queued -= 1;
-                                state.done += 1;
                                 state.totals.cancelled += 1;
                                 Response::CancelAck {
                                     job_id,
@@ -1190,7 +1067,6 @@ fn dispatch_loop<W: Write>(
                 };
                 output.respond(&response);
                 if let Some(queue_ns) = dequeued_ns {
-                    trace::add("serve_jobs_cancelled", 1);
                     output.respond(&Response::JobDone(cancelled_job(job_id, queue_ns)));
                 }
             }
@@ -1198,9 +1074,9 @@ fn dispatch_loop<W: Write>(
                 let response = {
                     let state = shared.state.lock().expect("serve state");
                     Response::Status {
-                        queued: state.queued,
+                        queued: state.queued(),
                         running: state.running.len() as u64,
-                        done: state.done,
+                        done: state.done(),
                     }
                 };
                 output.respond(&response);
@@ -1286,8 +1162,6 @@ fn begin_shutdown<W: Write>(shared: &Shared, output: &Output<W>, cancel_mode: bo
                 }
                 meta.cancelled_in_queue = true;
                 let queue_ns = elapsed_ns(meta.enqueued);
-                state.queued -= 1;
-                state.done += 1;
                 state.totals.cancelled += 1;
                 cancelled.push((entry.job_id, queue_ns));
             }
@@ -1298,7 +1172,6 @@ fn begin_shutdown<W: Write>(shared: &Shared, output: &Output<W>, cancel_mode: bo
     }
     shared.ready.notify_all();
     for (job_id, queue_ns) in cancelled {
-        trace::add("serve_jobs_cancelled", 1);
         output.respond(&Response::JobDone(cancelled_job(job_id, queue_ns)));
     }
 }
@@ -1318,10 +1191,9 @@ fn worker_loop<W: Write>(shared: &Shared, catalog: &Catalog, output: &Output<W>)
                         continue;
                     }
                     let enqueued = meta.enqueued;
-                    state.queued -= 1;
                     let token = CancelToken::new();
                     state.running.insert(entry.job_id, token.clone());
-                    break Some((entry, enqueued, state.queued, token));
+                    break Some((entry, enqueued, state.queued(), token));
                 }
                 if state.stopping {
                     break None;
@@ -1368,19 +1240,12 @@ fn worker_loop<W: Write>(shared: &Shared, catalog: &Catalog, output: &Output<W>)
             state.running.remove(&job_id);
             let meta = state.meta.get_mut(&job_id).expect("job meta");
             meta.finished = true;
-            state.done += 1;
             match &done.outcome {
                 JobOutcome::Completed => state.totals.completed += 1,
                 JobOutcome::Interrupted { .. } => state.totals.interrupted += 1,
                 JobOutcome::Cancelled => state.totals.cancelled += 1,
                 JobOutcome::Failed { .. } => state.totals.failed += 1,
             }
-        }
-        match &done.outcome {
-            JobOutcome::Completed => trace::add("serve_jobs_completed", 1),
-            JobOutcome::Interrupted { .. } => trace::add("serve_jobs_interrupted", 1),
-            JobOutcome::Cancelled => trace::add("serve_jobs_cancelled", 1),
-            JobOutcome::Failed { .. } => trace::add("serve_jobs_failed", 1),
         }
         output.respond(&Response::JobDone(done));
         shared.idle.notify_all();
@@ -1407,12 +1272,7 @@ fn execute_job(
         let aig = catalog.circuit(&entry.spec.source)?;
         let mut config = entry.spec.flow_config();
         config.budget = entry.spec.budget(token.clone());
-        let shared_est = if config.input_bias.is_none() {
-            catalog.estimation_patterns(aig.num_inputs())
-        } else {
-            None
-        };
-        flow::run_shared(&aig, &config, shared_est.as_deref()).map_err(|e| e.to_string())
+        flow::run(&aig, &config).map_err(|e| e.to_string())
     }))
     .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(panic.as_ref()))));
     faults::set_cancel_token(None);
@@ -1464,78 +1324,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 // ---------------------------------------------------------------------
-// In-process client plumbing: a channel-backed request pipe and a
-// line-splitting collector, so tests and `bench_serve` can drive a
-// session and observe its stream live without any OS pipes.
-
-/// The sending half of an in-process request pipe; dropping it is EOF.
-pub struct RequestPipe {
-    tx: mpsc::Sender<String>,
-}
-
-impl RequestPipe {
-    /// Sends one raw request line (malformed-line tests use this).
-    pub fn send_line(&self, line: &str) {
-        let _ = self.tx.send(line.to_string());
-    }
-
-    /// Sends a request.
-    pub fn request(&self, request: &Request) {
-        self.send_line(&request.to_json());
-    }
-}
-
-/// The reading half of an in-process request pipe ([`BufRead`] for
-/// [`serve`]).
-pub struct PipeReader {
-    rx: mpsc::Receiver<String>,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-/// Creates an in-process request pipe.
-pub fn request_pipe() -> (RequestPipe, PipeReader) {
-    let (tx, rx) = mpsc::channel();
-    (
-        RequestPipe { tx },
-        PipeReader {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
-        },
-    )
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(out.len());
-        out[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for PipeReader {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos == self.buf.len() {
-            match self.rx.recv() {
-                Ok(line) => {
-                    self.buf.clear();
-                    self.buf.extend_from_slice(line.as_bytes());
-                    self.buf.push(b'\n');
-                    self.pos = 0;
-                }
-                Err(_) => return Ok(&[]), // senders gone: EOF
-            }
-        }
-        Ok(&self.buf[self.pos..])
-    }
-
-    fn consume(&mut self, amount: usize) {
-        self.pos = (self.pos + amount).min(self.buf.len());
-    }
-}
+// In-process client plumbing: a line-splitting collector, so tests and
+// `bench_serve` can observe a session's stream live.
 
 /// A `Write` that splits the daemon's output into lines, keeps them all,
 /// and forwards each to any registered watcher as it completes. Clones
@@ -1672,107 +1462,6 @@ mod tests {
     }
 
     #[test]
-    fn every_response_variant_round_trips() {
-        let responses = vec![
-            Response::Submitted { job_id: 1 },
-            Response::CancelAck {
-                job_id: 2,
-                state: CancelState::Cancelled,
-            },
-            Response::CancelAck {
-                job_id: 3,
-                state: CancelState::Cancelling,
-            },
-            Response::CancelAck {
-                job_id: 4,
-                state: CancelState::AlreadyDone,
-            },
-            Response::Rejected {
-                op: "cancel".to_string(),
-                error: "unknown job id 9".to_string(),
-            },
-            Response::Status {
-                queued: 5,
-                running: 2,
-                done: 11,
-            },
-            Response::JobDone(JobDone {
-                job_id: 6,
-                outcome: JobOutcome::Completed,
-                queue_ns: 1_000,
-                run_ns: 2_000,
-                queue_depth: 4,
-                iterations: 12,
-                applied: 7,
-                ands: 33,
-                checkpoint: None,
-                cache_hit: false,
-            }),
-            Response::JobDone(JobDone {
-                job_id: 10,
-                outcome: JobOutcome::Completed,
-                queue_ns: 500,
-                run_ns: 0,
-                queue_depth: 1,
-                iterations: 12,
-                applied: 7,
-                ands: 33,
-                checkpoint: None,
-                cache_hit: true,
-            }),
-            Response::JobDone(JobDone {
-                job_id: 7,
-                outcome: JobOutcome::Interrupted {
-                    reason: "cancelled".to_string(),
-                },
-                queue_ns: 10,
-                run_ns: 20,
-                queue_depth: 0,
-                iterations: 3,
-                applied: 1,
-                ands: 40,
-                checkpoint: Some("{\"version\": 1}".to_string()),
-                cache_hit: false,
-            }),
-            Response::JobDone(cancelled_job(8, 55)),
-            Response::JobDone(JobDone {
-                job_id: 9,
-                outcome: JobOutcome::Failed {
-                    error: "unknown circuit \"nope\"".to_string(),
-                },
-                queue_ns: 1,
-                run_ns: 2,
-                queue_depth: 0,
-                iterations: 0,
-                applied: 0,
-                ands: 0,
-                checkpoint: None,
-                cache_hit: false,
-            }),
-            Response::LineError {
-                line: 4,
-                message: "unknown key \"bogus\"".to_string(),
-            },
-            Response::Shutdown {
-                reason: "input_closed".to_string(),
-                totals: SessionTotals {
-                    submitted: 9,
-                    completed: 5,
-                    interrupted: 1,
-                    cancelled: 2,
-                    failed: 1,
-                    rejected_lines: 3,
-                },
-            },
-        ];
-        for response in responses {
-            let line = response.to_json();
-            let back = Response::parse(&line).expect("round trip parses");
-            assert_eq!(back, response, "wire line: {line}");
-        }
-    }
-
-    #[test]
     fn submit_defaults_match_flow_config_defaults() {
         let Request::Submit(spec) =
             Request::parse(r#"{"op":"submit","circuit":"rca32"}"#).expect("minimal submit parses")
@@ -1872,17 +1561,5 @@ mod tests {
             "second"
         );
         assert_eq!(collector.lines(), vec!["first", "second"]);
-    }
-
-    #[test]
-    fn request_pipe_delivers_lines_and_eof_on_drop() {
-        let (tx, mut reader) = request_pipe();
-        tx.request(&Request::Status);
-        drop(tx);
-        let mut first = String::new();
-        reader.read_line(&mut first).expect("read line");
-        assert_eq!(first, "{\"op\":\"status\"}\n");
-        let mut rest = String::new();
-        assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
     }
 }

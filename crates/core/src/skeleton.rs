@@ -6,8 +6,6 @@
 //! optimize cadence, and the final measurement. Each loop keeps only how it
 //! proposes changes, which it accepts, and when it stops.
 
-use std::borrow::Cow;
-
 use alsrac_aig::Aig;
 use alsrac_metrics::{measure, measure_auto, CertifiedMeasurement, ErrorMetric};
 use alsrac_rt::json::Obj;
@@ -96,21 +94,13 @@ impl Spec<'_> {
 
     /// The estimation patterns: exhaustive at up to
     /// [`EXHAUSTIVE_ESTIMATION_LIMIT`] uniform inputs, otherwise
-    /// `est_rounds` samples. `shared` replaces the exhaustive buffer only
-    /// when it has its shape, so sharing never changes a result.
-    pub(crate) fn estimation_patterns<'b>(
-        &self,
-        original: &Aig,
-        shared: Option<&'b PatternBuffer>,
-    ) -> Cow<'b, PatternBuffer> {
+    /// `est_rounds` samples.
+    pub(crate) fn estimation_patterns(&self, original: &Aig) -> PatternBuffer {
         let n = original.num_inputs();
         if self.input_bias.is_some() || n > EXHAUSTIVE_ESTIMATION_LIMIT {
-            return Cow::Owned(self.draw(n, self.est_rounds, self.est_seed));
+            return self.draw(n, self.est_rounds, self.est_seed);
         }
-        match shared.filter(|p| p.num_inputs() == n && p.num_patterns() == 1usize << n) {
-            Some(shared) => Cow::Borrowed(shared),
-            None => Cow::Owned(PatternBuffer::exhaustive(n)),
-        }
+        PatternBuffer::exhaustive(n)
     }
 }
 

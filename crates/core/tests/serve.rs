@@ -4,10 +4,10 @@
 //!
 //! 1. **Worker-count determinism.** The same job mix, submitted with the
 //!    same interleaving, produces per-job `run_end` records identical at
-//!    1, 3, and 7 workers once the legitimately volatile fields (run
-//!    ids, wall-clock timings) are stripped: every job runs its flow
-//!    single-threaded from its own seed, so scheduling cannot leak into
-//!    results.
+//!    1, 3, and 7 workers, and to a direct `flow::run` of each job, once
+//!    the legitimately volatile fields (run ids, wall-clock timings) are
+//!    stripped: every job runs its flow single-threaded from its own
+//!    seed, so scheduling cannot leak into results.
 //! 2. **Fault-cancelled jobs checkpoint and resume bit-identically.** A
 //!    seeded cancel fault fired inside a daemon job interrupts it; the
 //!    checkpoint from its terminal record resumes — via the public
@@ -22,6 +22,7 @@
 //! The daemon owns the process-global trace sink and the fault plan is
 //! process-global too, so every test holds [`lock`] for its duration.
 
+use std::io::{BufReader, PipeWriter, Write};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -29,14 +30,15 @@ use std::time::Duration;
 use alsrac::checkpoint::Checkpoint;
 use alsrac::flow;
 use alsrac::serve::{
-    self, request_pipe, wait_for_record, Catalog, CircuitSource, LineCollector, Request,
-    RequestPipe, ServeOptions, ServeSummary, SubmitRequest,
+    self, wait_for_record, Catalog, CircuitSource, LineCollector, Request, ServeSummary,
+    SubmitRequest,
 };
 use alsrac_aig::Aig;
 use alsrac_circuits::{aiger, arith};
 use alsrac_metrics::ErrorMetric;
 use alsrac_rt::faults::{self, FaultAction, FaultPlan};
 use alsrac_rt::json::Json;
+use alsrac_rt::trace;
 
 /// Serializes tests: the trace sink and the fault plan are process-global.
 fn lock() -> MutexGuard<'static, ()> {
@@ -67,30 +69,40 @@ fn resolve(source: &CircuitSource) -> Aig {
 }
 
 struct Session {
-    pipe: RequestPipe,
+    requests: PipeWriter,
     out: LineCollector,
     handle: JoinHandle<ServeSummary>,
 }
 
 fn start(workers: usize) -> Session {
     let catalog = Arc::new(Catalog::new(resolver()));
-    let (pipe, reader) = request_pipe();
+    let (reader, requests) = std::io::pipe().expect("request pipe");
     let out = LineCollector::new();
     let sink = out.clone();
     let handle = std::thread::spawn(move || {
-        serve::serve(reader, sink, catalog, &ServeOptions { workers }, None)
+        serve::serve(BufReader::new(reader), sink, catalog, workers, None)
     });
-    Session { pipe, out, handle }
+    Session {
+        requests,
+        out,
+        handle,
+    }
 }
 
 impl Session {
-    fn submit(&self, spec: &SubmitRequest) {
-        self.pipe.request(&Request::Submit(spec.clone()));
+    fn request(&self, request: &Request) {
+        writeln!(&self.requests, "{}", request.to_json()).expect("send request");
     }
 
+    fn submit(&self, spec: &SubmitRequest) {
+        self.request(&Request::Submit(spec.clone()));
+    }
+
+    /// Sends a drain `shutdown`, closes the request stream (EOF) and
+    /// returns the summary with every record the session wrote.
     fn shut_down(self) -> (ServeSummary, Vec<Json>) {
-        self.pipe.request(&Request::Shutdown { cancel: false });
-        drop(self.pipe);
+        self.request(&Request::Shutdown { cancel: false });
+        drop(self.requests);
         let summary = self.handle.join().expect("serve thread");
         let records = self
             .out
@@ -185,10 +197,37 @@ fn run_mix(workers: usize) -> Vec<Json> {
         .collect()
 }
 
+/// The stripped `run_end` of a direct `flow::run` of `spec`, traced into
+/// a collector while no session owns the trace sink.
+fn direct_run_end(spec: &SubmitRequest) -> Json {
+    let out = LineCollector::new();
+    trace::reset();
+    trace::enable_writer(Box::new(out.clone()));
+    flow::run(&resolve(&spec.source), &spec.flow_config()).expect("direct run");
+    trace::flush();
+    trace::disable();
+    let records: Vec<Json> = out
+        .lines()
+        .iter()
+        .map(|l| Json::parse(l).expect("valid JSON"))
+        .filter(|r| record_type(r) == "run_end")
+        .collect();
+    assert_eq!(records.len(), 1, "a direct run emits one run_end");
+    stripped(&records[0])
+}
+
 #[test]
 fn same_job_mix_is_bit_identical_at_1_3_and_7_workers() {
     let _guard = lock();
     let reference = run_mix(1);
+    for (i, spec) in job_mix().iter().enumerate() {
+        assert_eq!(
+            reference[i],
+            direct_run_end(spec),
+            "job {}: daemon run_end differs from a direct flow::run",
+            i + 1
+        );
+    }
     for workers in [3, 7] {
         assert_eq!(
             run_mix(workers),

@@ -33,7 +33,8 @@
 #           windowed-resubstitution gate: `bench_window --smoke` runs the
 #           flow on every bundled Test-scale circuit with windowing on and
 #           off and asserts the results bit-identical with live window
-#           counters; also runs the scale-circuit generator self-checks
+#           counters (the scale-circuit generator self-checks run in the
+#           `test` step)
 #   cert-smoke
 #           certification gate: `bench_cert --smoke` certifies the exact
 #           error rate of every bundled circuit's optimized output (the
@@ -41,12 +42,14 @@
 #           sample within the Wilson bound) and the WCE-constrained flow's
 #           certified bound; the artifact is validated by `report --cert`
 #           and must be bit-identical between ALSRAC_THREADS=1 and 3 apart
-#           from the recorded "threads" field
+#           from the recorded "threads" field; `report --cert` also
+#           validates the committed BENCH_cert.json
 #   serve-smoke
 #           daemon gate: `bench_serve --smoke` runs three concurrent jobs
 #           through an in-process daemon at ALSRAC_THREADS=1 and 3 and
 #           asserts every streamed run_end bit-identical to a direct
-#           `flow::run` at the same seed, a malformed request line yields
+#           `flow::run` at the same seed (the workspace tests check the
+#           same on another job mix), a malformed request line yields
 #           a structured error naming its line number without killing the
 #           daemon, and cancelling an in-flight job yields an interrupted
 #           record whose checkpoint `flow::resume` completes from; then a
@@ -169,9 +172,6 @@ run_alsbench() {
 run_window_smoke() {
     ensure_release_build
 
-    echo "==> scale-circuit generator self-checks"
-    cargo test -q --offline -p alsrac-circuits -- multiply_accumulate scale_suite
-
     echo "==> windowed resubstitution gate (bit-exact + live counters)"
     window_json="$(tmpfile alsrac_bench_window_XXXXXX.json)"
     # bench_window --smoke asserts: flow output bit-identical between the
@@ -205,6 +205,9 @@ run_cert_smoke() {
         echo "cert-smoke: artifact differs between 1 and 3 threads" >&2
         exit 1
     fi
+
+    echo "==> committed certification artifact still validates"
+    target/release/report --cert BENCH_cert.json
     echo "cert-smoke gate passed."
 }
 

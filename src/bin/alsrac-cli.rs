@@ -34,11 +34,12 @@ use alsrac_suite::circuits::{aiger, blif, catalog};
 use alsrac_suite::core::baseline::{liu, su};
 use alsrac_suite::core::checkpoint::Checkpoint;
 use alsrac_suite::core::flow::{self, run, FlowConfig, FlowOutcome};
-use alsrac_suite::core::serve::{self, CircuitSource, ExitReason, ServeOptions};
+use alsrac_suite::core::serve::{self, CircuitSource, ExitReason};
 use alsrac_suite::map::cell::{map_cells, Library};
 use alsrac_suite::map::lut::map_luts;
 use alsrac_suite::metrics::{CertStatus, ErrorMetric};
 use alsrac_suite::rt::budget::{Budget, CancelToken};
+use alsrac_suite::rt::pool;
 
 struct Args {
     input: Option<String>,
@@ -293,19 +294,13 @@ fn serve_resolver() -> Box<serve::Resolver> {
 fn run_serve(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
     let stop = install_sigint_handler();
     let catalog = Arc::new(serve::Catalog::new(serve_resolver()));
-    let mut options = ServeOptions::default();
-    if let Some(n) = args.workers {
-        options.workers = n;
-    }
+    let workers = args.workers.unwrap_or_else(pool::current_threads);
     let reason = match &args.socket {
-        Some(path) => serve_socket(path, &catalog, &options, &stop)?,
+        Some(path) => serve_socket(path, &catalog, workers, &stop)?,
         None => {
-            eprintln!(
-                "alsrac-cli: serving JSONL on stdin/stdout ({} workers)",
-                options.workers
-            );
+            eprintln!("alsrac-cli: serving JSONL on stdin/stdout ({workers} workers)");
             let reader = std::io::BufReader::new(std::io::stdin());
-            serve::serve(reader, std::io::stdout(), catalog, &options, Some(stop)).reason
+            serve::serve(reader, std::io::stdout(), catalog, workers, Some(stop)).reason
         }
     };
     Ok(match reason {
@@ -321,7 +316,7 @@ fn run_serve(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
 fn serve_socket(
     path: &str,
     catalog: &Arc<serve::Catalog>,
-    options: &ServeOptions,
+    workers: usize,
     stop: &CancelToken,
 ) -> Result<ExitReason, Box<dyn Error>> {
     use std::os::unix::net::UnixListener;
@@ -334,10 +329,7 @@ fn serve_socket(
         UnixListener::bind(path).map_err(|e| format!("cannot bind socket {path}: {e}"))?;
     // Non-blocking accept so SIGINT is noticed between connections too.
     listener.set_nonblocking(true)?;
-    eprintln!(
-        "alsrac-cli: serving JSONL on {path} ({} workers)",
-        options.workers
-    );
+    eprintln!("alsrac-cli: serving JSONL on {path} ({workers} workers)");
     let reason = loop {
         if stop.is_tripped() {
             break ExitReason::StopRequested;
@@ -351,7 +343,7 @@ fn serve_socket(
                     reader,
                     writer,
                     Arc::clone(catalog),
-                    options,
+                    workers,
                     Some(stop.clone()),
                 );
                 match summary.reason {
