@@ -12,8 +12,9 @@
 //!   each with tracing into `PATH` (or `ALSRAC_TRACE`, or a tempfile under
 //!   `target/`), then validate each run's records *against its in-process
 //!   `FlowResult`*: every accepted iteration's `est_error`, `ands` and
-//!   `rounds` and the final `run_end` block must round-trip bit-for-bit.
-//!   The CI smoke gate runs exactly this.
+//!   `rounds` and the final `run_end` block must round-trip bit-for-bit,
+//!   and the ALSRAC run's `synth_recipes_computed` counter must be
+//!   positive. The CI smoke gate runs exactly this.
 //! * `report --overhead` — micro-benchmark the disabled-trace path (an
 //!   inert span + counter per work item against the bare kernel) and fail
 //!   if the overhead exceeds 2%. The CI gate that keeps tracing free for
@@ -118,6 +119,7 @@ const KNOWN_COUNTERS: &[&str] = &[
     "checkpoints_written",
     "faults_injected",
     "serve_cache_hits",
+    "synth_recipes_computed",
 ];
 
 /// The metric names of `run_start` records and certificates.
@@ -746,20 +748,27 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
     // `saves_area_at_loose_threshold` test) — a run with zero accepted
     // iterations would make its bit-exactness check vacuous.
     let exact = alsrac_circuits::arith::kogge_stone_adder(4);
+    let alsrac = flow::run(
+        &exact,
+        &FlowConfig {
+            metric: ErrorMetric::ErrorRate,
+            threshold: 0.30,
+            seed: 7,
+            max_iterations: 120,
+            ..FlowConfig::default()
+        },
+    );
+    // The ALSRAC run optimizes after every accepted change, so its
+    // optimizer must have derived recipes: zero means the run's optimize
+    // calls bypass it (the liveness check `window-smoke` makes for
+    // `window_extracted`).
+    let recipes = trace::snapshot()
+        .1
+        .into_iter()
+        .find(|(name, _)| name == "synth_recipes_computed")
+        .map_or(0, |(_, value)| value);
     let runs = [
-        (
-            "alsrac",
-            flow::run(
-                &exact,
-                &FlowConfig {
-                    metric: ErrorMetric::ErrorRate,
-                    threshold: 0.30,
-                    seed: 7,
-                    max_iterations: 120,
-                    ..FlowConfig::default()
-                },
-            ),
-        ),
+        ("alsrac", alsrac),
         (
             "su",
             su::run(
@@ -813,9 +822,14 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
             }
         }
     }
+    if recipes == 0 {
+        eprintln!("error: smoke alsrac run: synth_recipes_computed is 0");
+        return ExitCode::FAILURE;
+    }
     println!(
         "smoke OK: {path}: {} records, accepted iterations {} — \
-         all bit-exact against their FlowResults",
+         all bit-exact against their FlowResults; alsrac computed {recipes} \
+         optimizer recipes",
         records.len(),
         summary.join(", "),
     );
@@ -1388,6 +1402,23 @@ mod tests {
     }
 
     const TOTALS: &str = r#"{"type":"totals","spans":{},"counters":{}}"#;
+
+    #[test]
+    fn design_doc_lists_exactly_the_known_counters() {
+        let design = include_str!("../../../../DESIGN.md");
+        let start = design
+            .find("Counter names currently emitted:")
+            .expect("DESIGN.md has the counter list");
+        let end = start
+            + design[start..]
+                .find("The list is closed")
+                .expect("the counter list ends with \"The list is closed\"");
+        let mut documented: Vec<&str> = design[start..end].split('`').skip(1).step_by(2).collect();
+        let mut known = KNOWN_COUNTERS.to_vec();
+        documented.sort_unstable();
+        known.sort_unstable();
+        assert_eq!(documented, known, "DESIGN.md and KNOWN_COUNTERS disagree");
+    }
 
     #[test]
     fn truncated_json_is_reported_with_its_line_number() {

@@ -152,15 +152,15 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
         let optimize = run.optimize_due();
         it.time("optimize", || {
             if optimize {
-                current = alsrac_synth::optimize(&current);
+                current = run.optimize(&current);
             }
             if current.num_ands() < best.num_ands() {
-                best = alsrac_synth::optimize(&current);
+                best = run.optimize(&current);
             }
         });
         run.accept(&it, pool.len(), proposal, error, &current);
     }
-    let final_candidate = alsrac_synth::optimize(&current);
+    let final_candidate = run.optimize(&current);
     if final_candidate.num_ands() < best.num_ands() {
         best = final_candidate;
     }

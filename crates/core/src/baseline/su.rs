@@ -234,7 +234,8 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
                 .apply(&current)
                 .expect("substitution targets are single non-TFO signals, so no cycle")
         });
-        current = it.optimize(run.optimize_due(), applied);
+        let due = run.optimize_due();
+        current = it.optimize(&mut run, due, applied);
         run.accept(&it, lacs.len(), &lacs[best_idx], best_error, &current);
         if current.num_ands() == 0 {
             break;

@@ -545,7 +545,7 @@ fn run_from(
                     .update(&applied_aig, &delta, &est_patterns)
             })
         });
-        current = it.optimize(optimized_now, applied_aig);
+        current = it.optimize(&mut run, optimized_now, applied_aig);
         fanouts = current.fanout_map();
         run.accept(&it, lacs.len(), &lacs[best_idx], best_error, &current);
     }

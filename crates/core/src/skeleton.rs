@@ -11,6 +11,7 @@ use alsrac_metrics::{measure, measure_auto, CertifiedMeasurement, ErrorMetric};
 use alsrac_rt::json::Obj;
 use alsrac_rt::trace;
 use alsrac_sim::PatternBuffer;
+use alsrac_synth::Optimizer;
 
 use crate::checkpoint::Checkpoint;
 use crate::flow::{
@@ -143,10 +144,11 @@ impl Iteration {
         out
     }
 
-    /// `aig`, optimized when `due`, in an `optimize` span either way.
-    pub(crate) fn optimize(&mut self, due: bool, aig: Aig) -> Aig {
+    /// `aig`, optimized by `run` when `due`, in an `optimize` span either
+    /// way.
+    pub(crate) fn optimize(&mut self, run: &mut Run, due: bool, aig: Aig) -> Aig {
         self.time("optimize", || match due {
-            true => alsrac_synth::optimize(&aig),
+            true => run.optimize(&aig),
             false => aig,
         })
     }
@@ -167,13 +169,16 @@ impl Iteration {
     }
 }
 
-/// One search run: its trace identity, its `flow` span, and the accepted
-/// changes so far.
+/// One search run: its trace identity, its `flow` span, its optimizer,
+/// and the accepted changes so far.
 pub(crate) struct Run<'a> {
     original: &'a Aig,
     spec: Spec<'a>,
     id: u64,
     span: trace::Span,
+    /// Every optimize call of the run shares its recipe cache; it is
+    /// dropped with the run and never checkpointed.
+    optimizer: Optimizer,
     /// Accepted changes; a resumed run starts from its checkpoint's.
     pub(crate) history: Vec<IterationRecord>,
     /// The checkpoint iteration a resumed run continues from.
@@ -207,6 +212,7 @@ impl<'a> Run<'a> {
             spec,
             id,
             span,
+            optimizer: Optimizer::new(),
             history: Vec::new(),
             resumed_from: None,
         }
@@ -220,13 +226,23 @@ impl<'a> Run<'a> {
             .is_some_and(|period| next.is_multiple_of(period))
     }
 
+    /// `sweep; resyn2` on `aig` with the run's recipe cache; the recipes
+    /// this call derived go to the `synth_recipes_computed` counter.
+    pub(crate) fn optimize(&mut self, aig: &Aig) -> Aig {
+        let before = self.optimizer.recipes_computed();
+        let optimized = self.optimizer.optimize(aig);
+        let computed = self.optimizer.recipes_computed() - before;
+        trace::add("synth_recipes_computed", computed as u64);
+        optimized
+    }
+
     /// The final clean-up: optimizes `current` when accepted changes are
     /// still unoptimized.
-    pub(crate) fn optimize_rest(&self, current: Aig) -> Aig {
+    pub(crate) fn optimize_rest(&mut self, current: Aig) -> Aig {
         let applied = self.history.len();
         match self.spec.optimize_period {
             Some(period) if applied > 0 && !applied.is_multiple_of(period) => {
-                alsrac_synth::optimize(&current)
+                self.optimize(&current)
             }
             _ => current,
         }

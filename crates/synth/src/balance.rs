@@ -20,6 +20,8 @@ pub fn balance(aig: &Aig) -> Aig {
     for (pos, &input) in aig.inputs().iter().enumerate() {
         map[input.index()] = Some(out.add_input(aig.input_name(pos).to_string()));
     }
+    // Logic level of every node of `out`, grown as nodes are appended.
+    let mut levels = vec![0u32; out.num_nodes()];
 
     // Process AND nodes in topological order; node ids are already
     // topological.
@@ -46,17 +48,13 @@ pub fn balance(aig: &Aig) -> Aig {
         // Map leaves into the new graph. The heap is keyed by an upper
         // bound on each term's level (exact for fresh nodes; constant folds
         // and strash hits can only be shallower).
-        let levels = out.levels();
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = leaves
             .iter()
             .map(|&l| {
                 let mapped = map[l.node().index()]
                     .expect("leaf processed before (topological order)")
                     .complement_if(l.is_complement());
-                Reverse((
-                    levels.get(mapped.node().index()).copied().unwrap_or(0),
-                    mapped.raw(),
-                ))
+                Reverse((levels[mapped.node().index()], mapped.raw()))
             })
             .collect();
         // Huffman-style: repeatedly combine the two shallowest terms.
@@ -64,6 +62,10 @@ pub fn balance(aig: &Aig) -> Aig {
             let Reverse((la, a_raw)) = heap.pop().expect("len > 1");
             let Reverse((lb, b_raw)) = heap.pop().expect("len > 1");
             let combined = out.and(Lit::from_raw(a_raw), Lit::from_raw(b_raw));
+            if levels.len() < out.num_nodes() {
+                let [f0, f1] = out.and_fanins(combined.node());
+                levels.push(1 + levels[f0.node().index()].max(levels[f1.node().index()]));
+            }
             heap.push(Reverse((la.max(lb) + 1, combined.raw())));
         }
         let root = heap
@@ -83,6 +85,7 @@ pub fn balance(aig: &Aig) -> Aig {
             mapped.complement_if(output.lit.is_complement()),
         );
     }
+    debug_assert_eq!(levels, out.levels(), "incremental levels drifted");
     out.cleaned()
 }
 

@@ -19,6 +19,12 @@
 //!   ABC's `resyn2`, plus [`optimize`], the `sweep; resyn2` combination the
 //!   ALSRAC flow calls.
 //!
+//! `rewrite` and `refactor` derive each replacement from a truth table; the
+//! derivation (ISOP, minimization, factored cost) is memoized in a recipe
+//! cache shared by both. The free functions start from an empty cache; an
+//! [`Optimizer`] keeps one across calls, so a flow run that holds one
+//! memoizes its recipes per run. Either way the output is the same.
+//!
 //! Every pass is *exact*: the optimized graph is functionally equivalent to
 //! its input (property-tested in this crate against exhaustive
 //! simulation).
@@ -41,11 +47,13 @@
 #![warn(missing_docs)]
 
 mod balance;
+mod optimizer;
 mod refactor;
 mod rewrite;
 mod scripts;
 
 pub use balance::balance;
+pub use optimizer::Optimizer;
 pub use refactor::{refactor, RefactorConfig};
 pub use rewrite::{rewrite, RewriteConfig};
 pub use scripts::{optimize, resyn2_lite, sweep};

@@ -1,0 +1,150 @@
+//! The optimizer object: `sweep; resyn2` passes that share one recipe
+//! cache for as long as the optimizer lives.
+//!
+//! `rewrite` and `refactor` both turn a cone's truth table into a
+//! replacement: the cheaper of the minimized covers of `f` and `!f`,
+//! priced by [`factored_aig_cost`]. That derivation is a pure function of
+//! the truth table, and the same small functions recur in every pass of
+//! every call, so an [`Optimizer`] memoizes it. Results are identical to a
+//! fresh cache; only the time differs.
+
+use std::collections::HashMap;
+
+use alsrac_aig::Aig;
+use alsrac_truthtable::{factored_aig_cost, isop, minimize, Sop, Tt};
+
+use crate::{balance, sweep, RefactorConfig, RewriteConfig};
+
+/// A replacement recipe for one truth table: the chosen cover, its
+/// standalone node cost, and its polarity.
+pub(crate) struct Recipe {
+    pub(crate) cover: Sop,
+    pub(crate) cost: u32,
+    pub(crate) complemented: bool,
+}
+
+impl Recipe {
+    /// The cheaper of `isop(f)` / `isop(!f)` as a factored cover (ties go
+    /// to `f`).
+    fn of(tt: &Tt) -> Recipe {
+        let n = tt.nvars();
+        let pos = minimize(&isop(tt, tt), tt, &Tt::zero(n));
+        let neg_tt = tt.not();
+        let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
+        let pos_cost = factored_aig_cost(&pos, n);
+        let neg_cost = factored_aig_cost(&neg, n);
+        let (cover, complemented, cost) = if neg_cost < pos_cost {
+            (neg, true, neg_cost)
+        } else {
+            (pos, false, pos_cost)
+        };
+        Recipe {
+            cover,
+            cost: u32::try_from(cost).expect("a cover of at most 16 variables has < 2^32 ANDs"),
+            complemented,
+        }
+    }
+}
+
+/// A truth table as a cache key. Tables of at most 6 variables (every
+/// rewrite cut) are one word, so looking them up allocates nothing; wider
+/// ones are boxed so that every key, and so every cache slot, stays small.
+#[derive(PartialEq, Eq, Hash)]
+enum Key {
+    /// Variable count and the table's (tail-masked) word.
+    Word(u8, u64),
+    Wide(Box<Tt>),
+}
+
+/// `sweep; resyn2` with one recipe cache shared by every [`rewrite`] and
+/// [`refactor`] pass it runs.
+///
+/// Hold one optimizer for a sequence of related calls (one flow run) and
+/// the recipes derived in one call are reused by the next. Every method
+/// returns exactly what the free function of the same name returns.
+///
+/// [`rewrite`]: Optimizer::rewrite
+/// [`refactor`]: Optimizer::refactor
+///
+/// ```
+/// use alsrac_circuits::{aiger::write_ascii, arith};
+/// use alsrac_synth::{optimize, Optimizer};
+///
+/// let aig = arith::carry_lookahead_adder(6);
+/// let mut optimizer = Optimizer::new();
+/// let once = optimizer.optimize(&aig);
+/// let computed = optimizer.recipes_computed();
+/// // The second call reuses the first call's recipes.
+/// let twice = optimizer.optimize(&once);
+/// assert!(optimizer.recipes_computed() >= computed);
+/// // Node for node what a fresh cache gives.
+/// assert_eq!(write_ascii(&once), write_ascii(&optimize(&aig)));
+/// assert_eq!(write_ascii(&twice), write_ascii(&optimize(&once)));
+/// ```
+#[derive(Default)]
+pub struct Optimizer {
+    recipes: HashMap<Key, Recipe>,
+}
+
+impl Optimizer {
+    /// An optimizer with an empty recipe cache.
+    pub fn new() -> Optimizer {
+        Optimizer::default()
+    }
+
+    /// Recipes derived so far: the cache misses over this optimizer's
+    /// lifetime (every miss adds one entry).
+    pub fn recipes_computed(&self) -> usize {
+        self.recipes.len()
+    }
+
+    /// The recipe of `tt`.
+    pub(crate) fn recipe(&mut self, tt: &Tt) -> &Recipe {
+        let key = match tt.nvars() {
+            n @ 0..=6 => Key::Word(n as u8, tt.to_bits()),
+            _ => Key::Wide(Box::new(tt.clone())),
+        };
+        self.recipes.entry(key).or_insert_with(|| Recipe::of(tt))
+    }
+
+    /// The recipe of the `nvars`-variable table whose word is `bits`
+    /// (tail-masked, as [`Tt::to_bits`] returns it).
+    pub(crate) fn word_recipe(&mut self, nvars: usize, bits: u64) -> &Recipe {
+        self.recipes
+            .entry(Key::Word(nvars as u8, bits))
+            .or_insert_with(|| Recipe::of(&Tt::from_bits(nvars, bits)))
+    }
+
+    /// The `resyn2`-like script: alternating balance / rewrite / refactor
+    /// rounds, with zero-gain variants in the later rounds, mirroring
+    /// ABC's `resyn2` (`b; rw; rf; b; rw; rwz; b; rfz; rwz; b`).
+    pub fn resyn2_lite(&mut self, aig: &Aig) -> Aig {
+        let rw = RewriteConfig::default();
+        let rwz = RewriteConfig {
+            zero_gain: true,
+            ..RewriteConfig::default()
+        };
+        let rf = RefactorConfig::default();
+        let rfz = RefactorConfig {
+            zero_gain: true,
+            ..RefactorConfig::default()
+        };
+
+        let mut g = balance(aig);
+        g = self.rewrite(&g, &rw);
+        g = self.refactor(&g, &rf);
+        g = balance(&g);
+        g = self.rewrite(&g, &rw);
+        g = self.rewrite(&g, &rwz);
+        g = balance(&g);
+        g = self.refactor(&g, &rfz);
+        g = self.rewrite(&g, &rwz);
+        balance(&g)
+    }
+
+    /// The combination ALSRAC runs after each accepted change:
+    /// `sweep; resyn2` (Algorithm 3, line 9).
+    pub fn optimize(&mut self, aig: &Aig) -> Aig {
+        self.resyn2_lite(&sweep(aig))
+    }
+}

@@ -4,12 +4,15 @@
 //! structures: for each node whose maximum fanout-free cone (MFFC) is big
 //! enough, the whole cone is collapsed to a truth table over its leaves and
 //! re-synthesized as a minimized factored form, substituted when smaller
-//! (ABC's `refactor`).
+//! (ABC's `refactor`). Recipes come from the [`Optimizer`]'s cache, shared
+//! with `rewrite`.
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Lit, Node, NodeId};
-use alsrac_truthtable::{cone_tt, factored_aig_cost, isop, minimize, sop_to_aig, Tt};
+use alsrac_aig::{Aig, Lit, MffcScratch, Node, NodeId};
+use alsrac_truthtable::{cone_tt, sop_to_aig, Sop};
+
+use crate::Optimizer;
 
 /// Options for [`refactor`].
 #[derive(Clone, Debug)]
@@ -32,85 +35,87 @@ impl Default for RefactorConfig {
     }
 }
 
-/// One refactoring pass. Returns the refactored (and swept) graph; the
-/// result is functionally equivalent to the input.
+/// One refactoring pass with a fresh recipe cache. Returns the refactored
+/// (and swept) graph; the result is functionally equivalent to the input.
+/// Same as [`Optimizer::refactor`].
 pub fn refactor(aig: &Aig, config: &RefactorConfig) -> Aig {
-    let mut work = aig.clone();
-    let fanouts = work.fanout_map();
-    // Decisions are collected first and materialized after the scan, so the
-    // fanout map and MFFC queries always see the unmodified graph.
-    let mut pending: Vec<(NodeId, alsrac_truthtable::Sop, bool, Vec<NodeId>)> = Vec::new();
-    let mut claimed = vec![false; work.num_nodes()];
+    Optimizer::new().refactor(aig, config)
+}
 
-    // Visit large nodes first (reverse topological order) so enclosing
-    // cones get priority over their sub-cones.
-    let and_nodes: Vec<NodeId> = work.iter_ands().collect();
-    for &id in and_nodes.iter().rev() {
-        if claimed[id.index()] {
-            continue;
-        }
-        let mffc = work.mffc(id, &fanouts);
-        if mffc.len() < config.min_cone || mffc.iter().any(|n| claimed[n.index()]) {
-            continue;
-        }
-        // Leaves: fanins of MFFC members that are not themselves members.
-        let mut in_mffc = vec![false; work.num_nodes()];
-        for &n in &mffc {
-            in_mffc[n.index()] = true;
-        }
-        let mut leaves: Vec<NodeId> = Vec::new();
-        for &n in &mffc {
-            if let Node::And { f0, f1 } = *work.node(n) {
-                for fanin in [f0.node(), f1.node()] {
-                    if !in_mffc[fanin.index()] && fanin != NodeId::CONST && !leaves.contains(&fanin)
-                    {
-                        leaves.push(fanin);
+impl Optimizer {
+    /// One refactoring pass, reusing this optimizer's recipes. Returns the
+    /// refactored (and swept) graph; the result is functionally equivalent
+    /// to the input.
+    pub fn refactor(&mut self, aig: &Aig, config: &RefactorConfig) -> Aig {
+        let mut work = aig.clone();
+        let fanouts = work.fanout_map();
+        // Decisions are collected first and materialized after the scan, so
+        // the fanout map and MFFC queries always see the unmodified graph.
+        let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
+        let mut claimed = vec![false; work.num_nodes()];
+        let mut scratch = MffcScratch::new();
+        // `in_mffc[i] == stamp`: node `i` is in the MFFC of the node with
+        // that stamp.
+        let mut in_mffc = vec![0u32; work.num_nodes()];
+
+        // Visit large nodes first (reverse topological order) so enclosing
+        // cones get priority over their sub-cones.
+        for (stamp, id) in (1u32..).zip(work.iter_ands().rev()) {
+            if claimed[id.index()] {
+                continue;
+            }
+            let mffc = work.mffc_with(id, &fanouts, &mut scratch);
+            if mffc.len() < config.min_cone || mffc.iter().any(|n| claimed[n.index()]) {
+                continue;
+            }
+            // Leaves: fanins of MFFC members that are not themselves members.
+            for &n in &mffc {
+                in_mffc[n.index()] = stamp;
+            }
+            let mut leaves: Vec<NodeId> = Vec::new();
+            for &n in &mffc {
+                if let Node::And { f0, f1 } = *work.node(n) {
+                    for fanin in [f0.node(), f1.node()] {
+                        if in_mffc[fanin.index()] != stamp
+                            && fanin != NodeId::CONST
+                            && !leaves.contains(&fanin)
+                        {
+                            leaves.push(fanin);
+                        }
                     }
                 }
             }
-        }
-        if leaves.len() > config.max_leaves || leaves.is_empty() {
-            continue;
-        }
-        leaves.sort_unstable();
-        let Some(tt) = cone_tt(&work, id.lit(), &leaves) else {
-            continue;
-        };
-        let n = tt.nvars();
-        let pos = minimize(&isop(&tt, &tt), &tt, &Tt::zero(n));
-        let neg_tt = tt.not();
-        let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
-        let (cover, complemented, cost) = {
-            let pc = factored_aig_cost(&pos, n);
-            let nc = factored_aig_cost(&neg, n);
-            if nc < pc {
-                (neg, true, nc)
-            } else {
-                (pos, false, pc)
+            if leaves.len() > config.max_leaves || leaves.is_empty() {
+                continue;
             }
-        };
-        let gain = mffc.len() as isize - cost as isize;
-        if gain > 0 || (config.zero_gain && gain == 0) {
-            for &n in &mffc {
-                claimed[n.index()] = true;
+            leaves.sort_unstable();
+            let Some(tt) = cone_tt(&work, id.lit(), &leaves) else {
+                continue;
+            };
+            let recipe = self.recipe(&tt);
+            let gain = mffc.len() as isize - recipe.cost as isize;
+            if gain > 0 || (config.zero_gain && gain == 0) {
+                for &n in &mffc {
+                    claimed[n.index()] = true;
+                }
+                pending.push((id, recipe.cover.clone(), recipe.complemented, leaves));
             }
-            pending.push((id, cover, complemented, leaves));
         }
-    }
 
-    if pending.is_empty() {
-        return work.cleaned();
-    }
-    let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-    for (id, cover, complemented, leaves) in pending {
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| l.lit()).collect();
-        let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
-        if new_lit.node() != id {
-            substitutions.insert(id, new_lit);
+        if pending.is_empty() {
+            return work.cleaned();
         }
+        let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
+        for (id, cover, complemented, leaves) in pending {
+            let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| l.lit()).collect();
+            let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
+            if new_lit.node() != id {
+                substitutions.insert(id, new_lit);
+            }
+        }
+        work.rebuilt_with_substitutions(&substitutions)
+            .expect("refactor substitutions reference strict TFI cones")
     }
-    work.rebuilt_with_substitutions(&substitutions)
-        .expect("refactor substitutions reference strict TFI cones")
 }
 
 #[cfg(test)]

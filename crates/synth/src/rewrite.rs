@@ -3,20 +3,29 @@
 //! For every AND node, enumerate its 4-feasible cuts, derive each cut's
 //! truth table, re-synthesize the function as a minimized factored form,
 //! and substitute when the replacement is smaller than the logic it frees
-//! (the node's MFFC restricted to the cut cone). Replacement structures are
-//! memoized per truth table, playing the role of ABC's precomputed NPN
-//! library.
+//! (the node's MFFC restricted to the cut cone). Replacement recipes are
+//! memoized per truth table by the [`Optimizer`] running the pass — across
+//! every pass of a run when the run holds one optimizer — and shared with
+//! `refactor`, playing the role of ABC's precomputed NPN library.
+//!
+//! A cut is evaluated in one walk of its cone over a scratch that lives for
+//! the pass ([`CutScratch`]): the truth table is one `u64` per cone node,
+//! and the cut-local MFFC falls out of one reverse-topological sweep.
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Lit, NodeId};
-use alsrac_truthtable::{cone_tt, factored_aig_cost, isop, minimize, sop_to_aig, Sop, Tt};
+use alsrac_aig::{Aig, FanoutMap, Lit, Node, NodeId};
+use alsrac_truthtable::{sop_to_aig, Sop};
+
+use crate::Optimizer;
+
+/// Cut size, as in ABC's `rewrite`. The word-level cut evaluation covers
+/// at most 6 leaves.
+const CUT_SIZE: usize = 4;
 
 /// Options for [`rewrite`].
 #[derive(Clone, Debug)]
 pub struct RewriteConfig {
-    /// Cut size (ABC uses 4).
-    pub cut_size: usize,
     /// Cuts kept per node during enumeration.
     pub max_cuts: usize,
     /// Accept replacements with zero gain (ABC's `rewrite -z`); useful for
@@ -27,174 +36,336 @@ pub struct RewriteConfig {
 impl Default for RewriteConfig {
     fn default() -> RewriteConfig {
         RewriteConfig {
-            cut_size: 4,
             max_cuts: 8,
             zero_gain: false,
         }
     }
 }
 
-/// A memoized replacement recipe: the chosen cover and polarity for a truth
-/// table, plus its standalone node cost.
-struct Recipe {
-    cover: Sop,
-    complemented: bool,
-    cost: usize,
-}
-
-/// Synthesizes (and memoizes) the cheaper of `isop(f)` / `isop(!f)` as a
-/// factored cover.
-fn recipe_for<'c>(cache: &'c mut HashMap<Tt, Recipe>, tt: &Tt) -> &'c Recipe {
-    if !cache.contains_key(tt) {
-        let n = tt.nvars();
-        let pos = minimize(&isop(tt, tt), tt, &Tt::zero(n));
-        let neg_tt = tt.not();
-        let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
-        let pos_cost = factored_aig_cost(&pos, n);
-        let neg_cost = factored_aig_cost(&neg, n);
-        let recipe = if neg_cost < pos_cost {
-            Recipe {
-                cover: neg,
-                complemented: true,
-                cost: neg_cost,
-            }
-        } else {
-            Recipe {
-                cover: pos,
-                complemented: false,
-                cost: pos_cost,
-            }
-        };
-        cache.insert(tt.clone(), recipe);
-    }
-    cache.get(tt).expect("just inserted")
-}
-
-/// One rewriting pass over the graph. Returns the rewritten (and swept)
-/// graph; the result is functionally equivalent to the input.
+/// One rewriting pass over the graph with a fresh recipe cache. Returns
+/// the rewritten (and swept) graph; the result is functionally equivalent
+/// to the input. Same as [`Optimizer::rewrite`].
 pub fn rewrite(aig: &Aig, config: &RewriteConfig) -> Aig {
-    let mut work = aig.clone();
-    let cut_sets = work.enumerate_cuts(config.cut_size, config.max_cuts);
-    let fanouts = work.fanout_map();
-    let mut cache: HashMap<Tt, Recipe> = HashMap::new();
-    // Decisions are collected first and materialized after the scan, so
-    // cut/fanout/MFFC queries always see the unmodified graph.
-    let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
-    // Nodes already freed by an accepted substitution this pass: their
-    // savings must not be double-counted by enclosing cones.
-    let mut claimed = vec![false; work.num_nodes()];
+    Optimizer::new().rewrite(aig, config)
+}
 
-    let and_nodes: Vec<NodeId> = work.iter_ands().collect();
-    for &id in &and_nodes {
-        if claimed[id.index()] {
-            continue;
-        }
-        let mut best: Option<(isize, Vec<NodeId>, bool, Sop)> = None;
-        for cut in cut_sets[id.index()].nontrivial() {
-            if cut.len() < 2 {
+impl Optimizer {
+    /// One rewriting pass over the graph, reusing this optimizer's recipes.
+    /// Returns the rewritten (and swept) graph; the result is functionally
+    /// equivalent to the input.
+    pub fn rewrite(&mut self, aig: &Aig, config: &RewriteConfig) -> Aig {
+        let mut work = aig.clone();
+        let cut_sets = work.enumerate_cuts(CUT_SIZE, config.max_cuts);
+        let fanouts = work.fanout_map();
+        let mut scratch = CutScratch::new(&work);
+        // Decisions are collected first and materialized after the scan, so
+        // cut/fanout/MFFC queries always see the unmodified graph.
+        let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
+        // Nodes already freed by an accepted substitution this pass: their
+        // savings must not be double-counted by enclosing cones.
+        let mut claimed = vec![false; work.num_nodes()];
+        let mut best_mffc: Vec<NodeId> = Vec::new();
+
+        for id in work.iter_ands() {
+            if claimed[id.index()] {
                 continue;
             }
-            let Some(tt) = cone_tt(&work, id.lit(), cut.leaves()) else {
-                continue;
-            };
-            // Savings: interior nodes of the cone that are referenced only
-            // from inside it (the cut-local MFFC), none already claimed.
-            let Some(interior) = work.cone_interior(id, cut.leaves()) else {
-                continue;
-            };
-            let mffc = cut_local_mffc(&work, id, &interior, &fanouts);
-            if mffc.iter().any(|n| claimed[n.index()]) {
-                continue;
+            let mut best: Option<(isize, &[NodeId], u64)> = None;
+            for cut in cut_sets[id.index()].nontrivial() {
+                if cut.len() < 2 {
+                    continue;
+                }
+                let Some(bits) = scratch.evaluate(&work, &fanouts, id, cut.leaves()) else {
+                    continue;
+                };
+                // Savings: interior nodes of the cone that are referenced
+                // only from inside it (the cut-local MFFC), none already
+                // claimed.
+                if scratch.mffc.iter().any(|n| claimed[n.index()]) {
+                    continue;
+                }
+                let saved = scratch.mffc.len() as isize;
+                let gain = saved - self.word_recipe(cut.len(), bits).cost as isize;
+                let acceptable = gain > 0 || (config.zero_gain && gain == 0);
+                if acceptable && best.is_none_or(|(g, ..)| gain > g) {
+                    best = Some((gain, cut.leaves(), bits));
+                    best_mffc.clone_from(&scratch.mffc);
+                }
             }
-            let saved = mffc.len() as isize;
-            let recipe = recipe_for(&mut cache, &tt);
-            let gain = saved - recipe.cost as isize;
-            let acceptable = gain > 0 || (config.zero_gain && gain == 0);
-            if acceptable && best.as_ref().is_none_or(|(g, ..)| gain > *g) {
-                best = Some((
-                    gain,
-                    cut.leaves().to_vec(),
-                    recipe.complemented,
+            if let Some((_gain, leaves, bits)) = best {
+                // Claim the freed nodes so overlapping cones don't recount
+                // them.
+                for n in &best_mffc {
+                    claimed[n.index()] = true;
+                }
+                let recipe = self.word_recipe(leaves.len(), bits);
+                pending.push((
+                    id,
                     recipe.cover.clone(),
+                    recipe.complemented,
+                    leaves.to_vec(),
                 ));
             }
         }
-        if let Some((_gain, leaves, complemented, cover)) = best {
-            // Claim the freed nodes so overlapping cones don't recount them.
-            let interior = work
-                .cone_interior(id, &leaves)
-                .expect("cut validated above");
-            for n in cut_local_mffc(&work, id, &interior, &fanouts) {
-                claimed[n.index()] = true;
-            }
-            pending.push((id, cover, complemented, leaves));
-        }
-    }
 
-    if pending.is_empty() {
-        return work.cleaned();
-    }
-    let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-    for (id, cover, complemented, leaves) in pending {
-        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| n.lit()).collect();
-        let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
-        if new_lit.node() != id {
-            substitutions.insert(id, new_lit);
+        if pending.is_empty() {
+            return work.cleaned();
         }
+        let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
+        for (id, cover, complemented, leaves) in pending {
+            let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| n.lit()).collect();
+            let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
+            if new_lit.node() != id {
+                substitutions.insert(id, new_lit);
+            }
+        }
+        work.rebuilt_with_substitutions(&substitutions)
+            .expect("rewrite substitutions reference strict TFI cones")
     }
-    work.rebuilt_with_substitutions(&substitutions)
-        .expect("rewrite substitutions reference strict TFI cones")
 }
 
-/// The nodes of `interior` (a cone of `root`) that become dangling when the
-/// root is replaced: every reference to them comes from inside the cone.
-fn cut_local_mffc(
-    aig: &Aig,
-    root: NodeId,
-    interior: &[NodeId],
-    fanouts: &alsrac_aig::FanoutMap,
-) -> Vec<NodeId> {
-    let mut in_cone = vec![false; aig.num_nodes()];
-    for &n in interior {
-        in_cone[n.index()] = true;
-    }
-    // Iterate to a fixed point: a node is freed if it is the root or all of
-    // its fanouts are freed cone members (and it drives no output).
-    let mut freed = vec![false; aig.num_nodes()];
-    freed[root.index()] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &n in interior.iter().rev() {
-            if freed[n.index()] || n == root {
-                continue;
-            }
-            let all_consumers_freed = fanouts.fanouts(n).iter().all(|f| freed[f.index()])
-                && fanouts.ref_count(n)
-                    == fanouts
-                        .fanouts(n)
-                        .iter()
-                        .map(|f| {
-                            let [f0, f1] = aig.and_fanins(*f);
-                            (f0.node() == n) as u32 + (f1.node() == n) as u32
-                        })
-                        .sum::<u32>();
-            if all_consumers_freed {
-                freed[n.index()] = true;
-                changed = true;
-            }
+/// The truth tables of the variables of a cut, one word each.
+const VAR_WORDS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+const _: () = assert!(CUT_SIZE <= VAR_WORDS.len(), "cuts must fit one word");
+
+/// Scratch for evaluating the cuts of one pass without allocating:
+/// epoch-stamped per-node marks (the [`alsrac_aig::MffcScratch`] idiom),
+/// so each cut costs time proportional to its cone, not the graph.
+struct CutScratch {
+    /// `cone[i] == epoch`: node `i` is a leaf or interior node of the cut
+    /// being evaluated.
+    cone: Vec<u32>,
+    /// `freed[i] == epoch`: node `i` dangles once the root is replaced.
+    freed: Vec<u32>,
+    epoch: u32,
+    /// The truth-table word of each node of the current cone.
+    words: Vec<u64>,
+    /// Whether each node drives a primary output, which keeps it alive.
+    drives_output: Vec<bool>,
+    stack: Vec<NodeId>,
+    /// The current cone's interior AND nodes, ascending.
+    interior: Vec<NodeId>,
+    /// The current cut's MFFC: the interior nodes that dangle once the
+    /// root is replaced, ascending.
+    mffc: Vec<NodeId>,
+}
+
+impl CutScratch {
+    fn new(aig: &Aig) -> CutScratch {
+        let n = aig.num_nodes();
+        let mut drives_output = vec![false; n];
+        for output in aig.outputs() {
+            drives_output[output.lit.node().index()] = true;
+        }
+        CutScratch {
+            cone: vec![0; n],
+            freed: vec![0; n],
+            epoch: 0,
+            words: vec![0; n],
+            drives_output,
+            stack: Vec::new(),
+            interior: Vec::new(),
+            mffc: Vec::new(),
         }
     }
-    interior
-        .iter()
-        .copied()
-        .filter(|n| freed[n.index()])
-        .collect()
+
+    /// Evaluates the cut `leaves` (at most 6) of `root`: returns the cut's
+    /// truth table as one tail-masked word (leaf `i` is variable `i`) and
+    /// leaves the cut-local MFFC in `self.mffc`. `None` when `leaves` is
+    /// not a cut of `root` (the cone reaches an input or the constant that
+    /// is not a leaf).
+    fn evaluate(
+        &mut self,
+        aig: &Aig,
+        fanouts: &FanoutMap,
+        root: NodeId,
+        leaves: &[NodeId],
+    ) -> Option<u64> {
+        if self.epoch == u32::MAX {
+            self.cone.fill(0);
+            self.freed.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        for (&leaf, &word) in leaves.iter().zip(&VAR_WORDS) {
+            self.cone[leaf.index()] = epoch;
+            self.words[leaf.index()] = word;
+        }
+        self.interior.clear();
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(id) = self.stack.pop() {
+            if std::mem::replace(&mut self.cone[id.index()], epoch) == epoch {
+                continue;
+            }
+            let Node::And { f0, f1 } = *aig.node(id) else {
+                return None;
+            };
+            self.interior.push(id);
+            self.stack.push(f0.node());
+            self.stack.push(f1.node());
+        }
+        self.interior.sort_unstable();
+
+        let word = |words: &[u64], lit: Lit| {
+            words[lit.node().index()] ^ 0u64.wrapping_sub(lit.is_complement() as u64)
+        };
+        for &id in &self.interior {
+            let [f0, f1] = aig.and_fanins(id);
+            self.words[id.index()] = word(&self.words, f0) & word(&self.words, f1);
+        }
+
+        // Fanouts come after their fanins, so one reverse-topological sweep
+        // decides every interior node after all of its consumers.
+        self.mffc.clear();
+        for &n in self.interior.iter().rev() {
+            let is_freed = n == root
+                || (!self.drives_output[n.index()]
+                    && fanouts
+                        .fanouts(n)
+                        .iter()
+                        .all(|f| self.freed[f.index()] == epoch));
+            if is_freed {
+                self.freed[n.index()] = epoch;
+                self.mffc.push(n);
+            }
+        }
+        self.mffc.reverse();
+
+        let tail = match leaves.len() {
+            n @ 0..=5 => (1u64 << (1 << n)) - 1,
+            _ => u64::MAX,
+        };
+        Some(self.words[root.index()] & tail)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alsrac_circuits::catalog::{self, Scale};
+    use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
+    use alsrac_truthtable::{cone_tt, Tt};
+
+    /// The per-cut evaluation [`CutScratch`] replaced, kept as its oracle:
+    /// the truth table by `cone_tt`, the interior by `cone_interior`, and
+    /// the cut-local MFFC by [`cut_local_mffc`]'s fixed point.
+    fn oracle(
+        aig: &Aig,
+        fanouts: &FanoutMap,
+        root: NodeId,
+        leaves: &[NodeId],
+    ) -> Option<(Tt, Vec<NodeId>)> {
+        let tt = cone_tt(aig, root.lit(), leaves)?;
+        let interior = aig.cone_interior(root, leaves)?;
+        Some((tt, cut_local_mffc(aig, root, &interior, fanouts)))
+    }
+
+    /// The nodes of `interior` (a cone of `root`) that become dangling when
+    /// the root is replaced: every reference to them comes from inside the
+    /// cone.
+    fn cut_local_mffc(
+        aig: &Aig,
+        root: NodeId,
+        interior: &[NodeId],
+        fanouts: &FanoutMap,
+    ) -> Vec<NodeId> {
+        // Iterate to a fixed point: a node is freed if it is the root or all
+        // of its fanouts are freed cone members (and it drives no output).
+        let mut freed = vec![false; aig.num_nodes()];
+        freed[root.index()] = true;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &n in interior.iter().rev() {
+                if freed[n.index()] || n == root {
+                    continue;
+                }
+                let all_consumers_freed = fanouts.fanouts(n).iter().all(|f| freed[f.index()])
+                    && fanouts.ref_count(n)
+                        == fanouts
+                            .fanouts(n)
+                            .iter()
+                            .map(|f| {
+                                let [f0, f1] = aig.and_fanins(*f);
+                                (f0.node() == n) as u32 + (f1.node() == n) as u32
+                            })
+                            .sum::<u32>();
+                if all_consumers_freed {
+                    freed[n.index()] = true;
+                    changed = true;
+                }
+            }
+        }
+        interior
+            .iter()
+            .copied()
+            .filter(|n| freed[n.index()])
+            .collect()
+    }
+
+    /// Every enumerated cut of every AND node, and each cut with one leaf
+    /// dropped (usually not a cut, which exercises the rejection), gives
+    /// the oracle's truth table or rejection and its MFFC node list. One
+    /// scratch serves the whole graph, as in a pass.
+    fn assert_cut_evaluation_matches_oracle(aig: &Aig) {
+        let fanouts = aig.fanout_map();
+        let cut_sets = aig.enumerate_cuts(CUT_SIZE, RewriteConfig::default().max_cuts);
+        let mut scratch = CutScratch::new(aig);
+        let mut evaluated = 0;
+        for id in aig.iter_ands() {
+            for cut in cut_sets[id.index()].nontrivial() {
+                for dropped in std::iter::once(None).chain((0..cut.len()).map(Some)) {
+                    let leaves: Vec<NodeId> = (0..cut.len())
+                        .filter(|&i| Some(i) != dropped)
+                        .map(|i| cut.leaves()[i])
+                        .collect();
+                    let fast = scratch
+                        .evaluate(aig, &fanouts, id, &leaves)
+                        .map(|bits| (Tt::from_bits(leaves.len(), bits), scratch.mffc.clone()));
+                    let slow = oracle(aig, &fanouts, id, &leaves);
+                    evaluated += usize::from(slow.is_some());
+                    assert_eq!(fast, slow, "{}: node {id}, leaves {leaves:?}", aig.name());
+                }
+            }
+        }
+        assert!(aig.num_ands() == 0 || evaluated > 0, "{}", aig.name());
+    }
+
+    #[test]
+    fn cut_evaluation_matches_oracle_on_random_networks() {
+        for (seed, (num_inputs, num_gates)) in (0..).zip([(4, 12), (6, 40), (8, 90), (10, 160)]) {
+            for offset in 0..3 {
+                let aig = random_network(&RandomNetworkConfig {
+                    num_inputs,
+                    num_outputs: 3,
+                    num_gates,
+                    locality: 16,
+                    seed: seed * 10 + offset,
+                });
+                assert_cut_evaluation_matches_oracle(&aig);
+            }
+        }
+    }
+
+    #[test]
+    fn cut_evaluation_matches_oracle_on_the_test_catalog() {
+        for bench in catalog::iscas_and_arith(Scale::Test)
+            .into_iter()
+            .chain(catalog::epfl_control(Scale::Test))
+            .chain(catalog::epfl_arith(Scale::Test))
+        {
+            assert_cut_evaluation_matches_oracle(&bench.aig);
+        }
+    }
 
     fn assert_equivalent(a: &Aig, b: &Aig) {
         let n = a.num_inputs();

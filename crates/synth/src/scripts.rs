@@ -2,7 +2,7 @@
 
 use alsrac_aig::Aig;
 
-use crate::{balance, refactor, rewrite, RefactorConfig, RewriteConfig};
+use crate::Optimizer;
 
 /// Structural sweep: constant propagation, re-hashing, dangling-node
 /// removal. This is [`Aig::cleaned`], re-exported under ABC's name.
@@ -10,37 +10,19 @@ pub fn sweep(aig: &Aig) -> Aig {
     aig.cleaned()
 }
 
-/// The `resyn2`-like script: alternating balance / rewrite / refactor
-/// rounds, with zero-gain variants in the later rounds, mirroring ABC's
-/// `resyn2` (`b; rw; rf; b; rw; rwz; b; rfz; rwz; b`).
+/// The `resyn2`-like script with a fresh recipe cache: alternating balance
+/// / rewrite / refactor rounds, with zero-gain variants in the later
+/// rounds, mirroring ABC's `resyn2` (`b; rw; rf; b; rw; rwz; b; rfz; rwz;
+/// b`). Same as [`Optimizer::resyn2_lite`].
 pub fn resyn2_lite(aig: &Aig) -> Aig {
-    let rw = RewriteConfig::default();
-    let rwz = RewriteConfig {
-        zero_gain: true,
-        ..RewriteConfig::default()
-    };
-    let rf = RefactorConfig::default();
-    let rfz = RefactorConfig {
-        zero_gain: true,
-        ..RefactorConfig::default()
-    };
-
-    let mut g = balance(aig);
-    g = rewrite(&g, &rw);
-    g = refactor(&g, &rf);
-    g = balance(&g);
-    g = rewrite(&g, &rw);
-    g = rewrite(&g, &rwz);
-    g = balance(&g);
-    g = refactor(&g, &rfz);
-    g = rewrite(&g, &rwz);
-    balance(&g)
+    Optimizer::new().resyn2_lite(aig)
 }
 
-/// The combination ALSRAC runs after each accepted change:
-/// `sweep; resyn2` (Algorithm 3, line 9).
+/// The combination ALSRAC runs after each accepted change, `sweep; resyn2`
+/// (Algorithm 3, line 9), with a fresh recipe cache. Same as
+/// [`Optimizer::optimize`].
 pub fn optimize(aig: &Aig) -> Aig {
-    resyn2_lite(&sweep(aig))
+    Optimizer::new().optimize(aig)
 }
 
 #[cfg(test)]

@@ -7,13 +7,15 @@
 //! inside the property, so failures shrink toward smaller circuits.
 
 use alsrac_rt::{check, prop_assert, prop_assert_eq, u64s, usizes, Config, Gen};
-use alsrac_suite::aig::Aig;
+use alsrac_suite::aig::{Aig, Lit, Node};
 use alsrac_suite::circuits::{
     blif,
+    catalog::{self, Scale},
     random_logic::{random_network, RandomNetworkConfig},
 };
 use alsrac_suite::map::cell::{evaluate_mapping as eval_cells, map_cells, Library};
 use alsrac_suite::map::lut::{evaluate_mapping as eval_luts, map_luts};
+use alsrac_suite::sat::cec::{self, CecResult};
 use alsrac_suite::synth;
 use alsrac_suite::truthtable::{isop, minimize, sop_to_aig, Tt};
 
@@ -63,6 +65,67 @@ fn optimize_preserves_function() {
             Ok(())
         },
     );
+}
+
+/// An AIG node for node: its nodes, input names and outputs.
+fn structure(aig: &Aig) -> (Vec<Node>, Vec<&str>, Vec<(&str, Lit)>) {
+    let nodes = aig.iter_nodes().map(|id| *aig.node(id)).collect();
+    let inputs = (0..aig.num_inputs()).map(|i| aig.input_name(i)).collect();
+    let outputs = aig.outputs().iter().map(|o| (&*o.name, o.lit)).collect();
+    (nodes, inputs, outputs)
+}
+
+/// One optimizer reused over every Test-scale catalog circuit and then
+/// over its optimized output, so later calls hit recipes derived by earlier
+/// ones: each result is node for node what a fresh `optimize` returns, and
+/// SAT proves it equivalent to its input. The paper-scale circuits of the
+/// benchmark workloads are proved equivalent too.
+#[test]
+fn shared_recipe_cache_is_pure_and_optimize_is_exact() {
+    let mut optimizer = synth::Optimizer::new();
+    let test_scale = catalog::iscas_and_arith(Scale::Test)
+        .into_iter()
+        .chain(catalog::epfl_control(Scale::Test))
+        .chain(catalog::epfl_arith(Scale::Test));
+    for bench in test_scale {
+        let once = optimizer.optimize(&bench.aig);
+        let twice = optimizer.optimize(&once);
+        for (input, output) in [(&bench.aig, &once), (&once, &twice)] {
+            let fresh = synth::optimize(input);
+            assert!(
+                structure(output) == structure(&fresh),
+                "{}: the shared recipe cache changed the result",
+                bench.paper_name
+            );
+            assert_eq!(
+                cec::equivalent(input, output),
+                CecResult::Equivalent,
+                "{}",
+                bench.paper_name
+            );
+        }
+    }
+    let paper_scale = [
+        "alu4",
+        "c880",
+        "rca32",
+        "int2float",
+        "decoder",
+        "log2",
+        "shifter",
+        "max",
+        "cla32",
+    ];
+    for name in paper_scale {
+        let aig = catalog::by_name(name, Scale::Paper).expect("catalog circuit");
+        let optimized = optimizer.optimize(&aig);
+        assert_eq!(
+            cec::equivalent(&aig, &optimized),
+            CecResult::Equivalent,
+            "{name}"
+        );
+    }
+    assert!(optimizer.recipes_computed() > 0);
 }
 
 #[test]
