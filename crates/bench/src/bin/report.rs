@@ -125,6 +125,15 @@ const KNOWN_COUNTERS: &[&str] = &[
 /// The metric names of `run_start` records and certificates.
 const METRICS: &[&str] = &["ER", "NMED", "MRED", "WCE"];
 
+/// The `scale` values of `process` records.
+const SCALES: &[&str] = &["test", "paper"];
+
+/// The `flow` values of `run_start` records.
+const FLOWS: &[&str] = &["alsrac", "su", "liu"];
+
+/// The `reason` values of rejected `iteration` records.
+const REJECT_REASONS: &[&str] = &["no_candidates", "over_budget", "metropolis_reject", "cycle"];
+
 /// The record types a trace may contain, with their required fields (see
 /// DESIGN.md "Telemetry" for the authoritative description).
 fn validate_record(rec: &Json) -> Result<(), String> {
@@ -179,7 +188,7 @@ fn validate_record(rec: &Json) -> Result<(), String> {
     match typ {
         "process" => {
             need_str("binary")?;
-            need_one_of("scale", &["test", "paper"])?;
+            need_one_of("scale", SCALES)?;
             need_u64("seeds")?;
             need_u64("threads")?;
             rec.get("full")
@@ -189,7 +198,7 @@ fn validate_record(rec: &Json) -> Result<(), String> {
         "run_start" => {
             optional_job_id()?;
             need_u64("run")?;
-            need_one_of("flow", &["alsrac", "su", "liu"])?;
+            need_one_of("flow", FLOWS)?;
             need_str("circuit")?;
             need_u64("seed")?;
             need_one_of("metric", METRICS)?;
@@ -218,8 +227,7 @@ fn validate_record(rec: &Json) -> Result<(), String> {
                     .and_then(Json::as_f64)
                     .ok_or("iteration: missing number \"gain\"")?;
             } else {
-                let reasons = ["no_candidates", "over_budget", "metropolis_reject", "cycle"];
-                need_one_of("reason", &reasons)?;
+                need_one_of("reason", REJECT_REASONS)?;
             }
         }
         "run_end" => {
@@ -1418,6 +1426,40 @@ mod tests {
         documented.sort_unstable();
         known.sort_unstable();
         assert_eq!(documented, known, "DESIGN.md and KNOWN_COUNTERS disagree");
+    }
+
+    /// The double-quoted values in the DESIGN.md "Telemetry" bullet that
+    /// starts with `start`, deduplicated and sorted.
+    fn design_bullet_values(start: &str) -> Vec<&'static str> {
+        let design = include_str!("../../../../DESIGN.md");
+        let telemetry = &design[design.find("## Telemetry").expect("a Telemetry section")..];
+        let bullet = &telemetry[telemetry
+            .find(start)
+            .unwrap_or_else(|| panic!("DESIGN.md has the {start} bullet"))..];
+        let bullet = &bullet[..bullet[2..].find("\n* ").map_or(bullet.len(), |i| i + 2)];
+        let mut values: Vec<&str> = bullet.split('"').skip(1).step_by(2).collect();
+        values.sort_unstable();
+        values.dedup();
+        values
+    }
+
+    fn sorted(lists: &[&[&'static str]]) -> Vec<&'static str> {
+        let mut values = lists.concat();
+        values.sort_unstable();
+        values
+    }
+
+    #[test]
+    fn design_doc_quotes_exactly_the_validated_enumerations() {
+        assert_eq!(design_bullet_values("* `process`"), sorted(&[SCALES]));
+        assert_eq!(
+            design_bullet_values("* `run_start`"),
+            sorted(&[FLOWS, METRICS])
+        );
+        assert_eq!(
+            design_bullet_values("* `iteration`, rejected"),
+            sorted(&[REJECT_REASONS])
+        );
     }
 
     #[test]

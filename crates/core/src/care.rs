@@ -14,6 +14,10 @@ use alsrac_aig::Lit;
 use alsrac_sim::{PatternBuffer, Simulation};
 use alsrac_truthtable::Tt;
 
+/// Most divisors [`ApproximateCareSet::harvest`] accepts: the `2^6 = 64`
+/// divisor patterns index the bits of one `u64`.
+const MAX_DIVISORS: usize = 6;
+
 /// The approximate care set of one node at one divisor set: the observed
 /// divisor patterns and the node value each demands.
 ///
@@ -39,11 +43,106 @@ impl ApproximateCareSet {
     /// `None` if the divisor set is infeasible (Example 2 of the paper) —
     /// the common, cheap rejection path of Algorithm 2, line 8.
     ///
+    /// The check is word-parallel: per 64-lane simulation word, each
+    /// distinct divisor pattern present gets one lane mask (the AND over
+    /// the divisors of each divisor's word or its complement, whichever
+    /// holds at the lowest lane not yet classified), and the set is
+    /// rejected as soon as the target word is mixed under a mask or
+    /// contradicts the value that pattern demanded in an earlier word. A
+    /// word therefore costs one mask per distinct pattern (at most `2^k`
+    /// for `k` divisors) rather than one bit read per lane per divisor.
+    /// On- and care-set live in one `u64` each while harvesting, which
+    /// allows at most 6 divisors; the rejection path allocates nothing.
+    ///
     /// # Panics
     ///
-    /// Panics if `divisors` is empty or longer than
-    /// [`MAX_VARS`](alsrac_truthtable::MAX_VARS).
+    /// Panics if `divisors` is empty or holds more than 6 divisors.
     pub fn harvest(
+        sim: &Simulation,
+        patterns: &PatternBuffer,
+        node: Lit,
+        divisors: &[Lit],
+    ) -> Option<ApproximateCareSet> {
+        let k = divisors.len();
+        assert!(
+            (1..=MAX_DIVISORS).contains(&k),
+            "harvest takes 1 to {MAX_DIVISORS} divisors, got {k}"
+        );
+        let mut on = 0u64;
+        let mut care = 0u64;
+        let mut words = [0u64; MAX_DIVISORS];
+        for w in 0..patterns.num_words() {
+            for (word, &d) in words.iter_mut().zip(divisors) {
+                *word = sim.lit_word(d, w);
+            }
+            let target = sim.lit_word(node, w);
+            let mut lanes = patterns.word_mask(w);
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros();
+                let mut mask = lanes;
+                let mut pattern = 0u32;
+                for (i, &word) in words[..k].iter().enumerate() {
+                    let bit = word >> lane & 1;
+                    // `bit - 1` is 0 when the lane reads 1 and all ones
+                    // when it reads 0: keep the lanes that agree with it.
+                    mask &= word ^ bit.wrapping_sub(1);
+                    pattern |= (bit as u32) << i;
+                }
+                let hits = target & mask;
+                if hits != 0 && hits != mask {
+                    return None; // both values within this word
+                }
+                let seen = 1u64 << pattern;
+                let demand = ((hits != 0) as u64) << pattern;
+                if care & seen != 0 && on & seen != demand {
+                    return None; // the opposite value in an earlier word
+                }
+                care |= seen;
+                on |= demand;
+                lanes &= !mask;
+            }
+        }
+        Some(ApproximateCareSet {
+            num_divisors: k,
+            on: Tt::from_bits(k, on),
+            care: Tt::from_bits(k, care),
+        })
+    }
+
+    /// Number of divisor variables.
+    pub fn num_divisors(&self) -> usize {
+        self.num_divisors
+    }
+
+    /// The on-set over the divisor variables (care patterns demanding 1).
+    pub fn on_set(&self) -> &Tt {
+        &self.on
+    }
+
+    /// All observed care patterns.
+    pub fn care_set(&self) -> &Tt {
+        &self.care
+    }
+
+    /// The don't-care set: divisor patterns never observed.
+    pub fn dont_care_set(&self) -> Tt {
+        self.care.not()
+    }
+
+    /// Number of distinct care patterns observed.
+    pub fn num_care_patterns(&self) -> u32 {
+        self.care.count_ones()
+    }
+}
+
+/// The bit-serial harvest that [`ApproximateCareSet::harvest`] replaced:
+/// one bit read per lane per divisor into a growing care table. Kept as
+/// the reference the word-parallel check is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn harvest(
         sim: &Simulation,
         patterns: &PatternBuffer,
         node: Lit,
@@ -78,37 +177,15 @@ impl ApproximateCareSet {
             care,
         })
     }
-
-    /// Number of divisor variables.
-    pub fn num_divisors(&self) -> usize {
-        self.num_divisors
-    }
-
-    /// The on-set over the divisor variables (care patterns demanding 1).
-    pub fn on_set(&self) -> &Tt {
-        &self.on
-    }
-
-    /// All observed care patterns.
-    pub fn care_set(&self) -> &Tt {
-        &self.care
-    }
-
-    /// The don't-care set: divisor patterns never observed.
-    pub fn dont_care_set(&self) -> Tt {
-        self.care.not()
-    }
-
-    /// Number of distinct care patterns observed.
-    pub fn num_care_patterns(&self) -> u32 {
-        self.care.count_ones()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use alsrac_aig::Aig;
+    use alsrac_circuits::catalog::{self, Scale};
+    use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
+    use alsrac_rt::Rng;
 
     /// The paper's Fig. 1a circuit. Returns (aig, nodes...) with the same
     /// signal names: inputs a,b,c,d; x = !a & !c; y = c & (a|b)... the
@@ -240,5 +317,83 @@ mod tests {
         let care = ApproximateCareSet::harvest(&sim, &few, x, &[a, b, c]).expect("feasible");
         assert!(care.num_care_patterns() <= 2);
         assert!(care.dont_care_set().count_ones() >= 6);
+    }
+
+    /// Every Test-scale catalog circuit plus random networks of a few
+    /// seeds: the harvest oracles' common circuit set.
+    fn oracle_circuits() -> Vec<Aig> {
+        let mut circuits: Vec<Aig> = catalog::iscas_and_arith(Scale::Test)
+            .into_iter()
+            .chain(catalog::epfl_control(Scale::Test))
+            .chain(catalog::epfl_arith(Scale::Test))
+            .map(|b| b.aig)
+            .collect();
+        circuits.extend((1..=4).map(|seed| {
+            random_network(&RandomNetworkConfig {
+                seed,
+                ..RandomNetworkConfig::default()
+            })
+        }));
+        circuits
+    }
+
+    #[test]
+    fn word_parallel_harvest_matches_the_bit_serial_oracle() {
+        let mut rng = Rng::from_seed(16);
+        let (mut feasible, mut infeasible) = (0usize, 0usize);
+        for aig in oracle_circuits() {
+            let nodes: Vec<_> = aig.iter_nodes().collect();
+            let pick = |rng: &mut Rng| {
+                nodes[rng.gen_range(0..nodes.len())]
+                    .lit()
+                    .complement_if(rng.gen_bool(0.5))
+            };
+            for num_patterns in [1, 31, 32, 33, 63, 64, 65, 130] {
+                let patterns =
+                    PatternBuffer::random(aig.num_inputs(), num_patterns, rng.next_u64());
+                let sim = Simulation::new(&aig, &patterns);
+                for k in 1..=MAX_DIVISORS {
+                    for _ in 0..16 {
+                        let node = pick(&mut rng);
+                        let divisors: Vec<Lit> = (0..k).map(|_| pick(&mut rng)).collect();
+                        let got = ApproximateCareSet::harvest(&sim, &patterns, node, &divisors);
+                        let want = oracle::harvest(&sim, &patterns, node, &divisors);
+                        let context = format!(
+                            "{} N={num_patterns} node={node:?} divisors={divisors:?}",
+                            aig.name()
+                        );
+                        match (got, want) {
+                            (Some(got), Some(want)) => {
+                                assert_eq!(got.num_divisors(), k, "{context}");
+                                assert_eq!(got.on_set(), want.on_set(), "{context}");
+                                assert_eq!(got.care_set(), want.care_set(), "{context}");
+                                feasible += 1;
+                            }
+                            (None, None) => infeasible += 1,
+                            (got, want) => panic!(
+                                "{context}: feasibility differs (word-parallel {}, oracle {})",
+                                got.is_some(),
+                                want.is_some()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible > 100 && infeasible > 100,
+            "{feasible} / {infeasible}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "harvest takes 1 to 6 divisors, got 7")]
+    fn seven_divisors_are_rejected() {
+        let aig = alsrac_circuits::arith::ripple_carry_adder(4);
+        let patterns = PatternBuffer::random(aig.num_inputs(), 32, 1);
+        let sim = Simulation::new(&aig, &patterns);
+        let divisors: Vec<Lit> = aig.iter_nodes().skip(1).take(7).map(|n| n.lit()).collect();
+        let node = aig.iter_ands().last().expect("an AND node").lit();
+        ApproximateCareSet::harvest(&sim, &patterns, node, &divisors);
     }
 }

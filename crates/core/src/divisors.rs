@@ -20,6 +20,19 @@
 //! by `(level, index)` — a total order — a window that covers the whole
 //! TFI yields a bit-identical pool, which is what keeps the windowed flow
 //! bit-identical on small circuits.
+//!
+//! Sets are [`DivisorSet`]s: at most three node ids held inline, so a set
+//! is `Copy` and costs no allocation. The pool is only partially sorted.
+//! Fanin 0's removal and its replacements come first and stop at
+//! `max_sets`, so the walk reads at most the `max_sets` lowest pool
+//! entries: a partial selection picks those, and only they are sorted.
+//! No deduplication is needed either. The pool excludes the node and both
+//! fanins, so removal sets (one fanin), replacement sets (the kept fanin
+//! plus a pool node) and extension sets (both fanins plus a pool node)
+//! differ in size or in their pool member, and are distinct by
+//! construction.
+
+use std::ops::Deref;
 
 use alsrac_aig::{Aig, Node, NodeId, Window};
 
@@ -44,6 +57,41 @@ impl Default for DivisorConfig {
     }
 }
 
+/// One candidate divisor set: one to three distinct nodes in ascending
+/// order, held inline. Reads as a `[NodeId]` slice through `Deref`.
+/// Unused slots hold the constant node, so the derived equality compares
+/// sets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DivisorSet {
+    len: u8,
+    nodes: [NodeId; DivisorSet::CAPACITY],
+}
+
+impl DivisorSet {
+    /// Most nodes in one set: an extension set's two fanins plus one pool
+    /// node.
+    pub(crate) const CAPACITY: usize = 3;
+
+    /// The set of the given nodes, which must be ascending.
+    fn new(sorted: &[NodeId]) -> DivisorSet {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "{sorted:?}");
+        let mut nodes = [NodeId::CONST; DivisorSet::CAPACITY];
+        nodes[..sorted.len()].copy_from_slice(sorted);
+        DivisorSet {
+            len: sorted.len() as u8,
+            nodes,
+        }
+    }
+}
+
+impl Deref for DivisorSet {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..self.len as usize]
+    }
+}
+
 /// Computes candidate divisor sets for `node`, in Algorithm 1's order:
 /// per removed fanin, first the bare removal, then each TFI replacement in
 /// ascending level order.
@@ -55,7 +103,7 @@ impl Default for DivisorConfig {
 /// Convenience wrapper over [`select_divisor_sets_with`] that recomputes
 /// levels and walks the full TFI cone; per-iteration callers (the flow)
 /// should hoist both.
-pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<Vec<NodeId>> {
+pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<DivisorSet> {
     select_divisor_sets_with(aig, node, &aig.levels(), None, config)
 }
 
@@ -69,15 +117,19 @@ pub fn select_divisor_sets_with(
     levels: &[u32],
     window: Option<&Window>,
     config: &DivisorConfig,
-) -> Vec<Vec<NodeId>> {
+) -> Vec<DivisorSet> {
     let Node::And { f0, f1 } = *aig.node(node) else {
         return Vec::new();
     };
     let fanins = [f0.node(), f1.node()];
+    if fanins[0] == fanins[1] {
+        return Vec::new(); // duplicated fanin node: every set degenerates
+    }
 
-    // TFI candidates sorted by ascending level (Algorithm 1, line 2). The
+    // TFI candidates in ascending level (Algorithm 1, line 2). The
     // `(level, index)` key is a total order, so the pool is independent of
-    // the candidate source's own ordering.
+    // the candidate source's own ordering, and the `max_sets` lowest
+    // entries — all the walk below can read — are a well-defined prefix.
     let cone;
     let candidates: &[NodeId] = match window {
         Some(w) => w.tfi_nodes(),
@@ -91,35 +143,25 @@ pub fn select_divisor_sets_with(
         .copied()
         .filter(|&n| n != node && n != NodeId::CONST && !fanins.contains(&n))
         .collect();
-    pool.sort_by_key(|n| (levels[n.index()], n.index()));
+    let key = |n: &NodeId| (levels[n.index()], n.index());
+    if pool.len() > config.max_sets {
+        pool.select_nth_unstable_by_key(config.max_sets, key);
+        pool.truncate(config.max_sets);
+    }
+    pool.sort_unstable_by_key(key);
 
-    let mut sets: Vec<Vec<NodeId>> = Vec::new();
-    for &removed in &fanins {
-        let kept: Vec<NodeId> = fanins.iter().copied().filter(|&n| n != removed).collect();
-        if kept.is_empty() || kept.len() == fanins.len() {
-            continue; // duplicated fanin node: removal degenerates
-        }
-        // Removal set (Algorithm 1, lines 5-6).
-        if sets.len() >= config.max_sets {
-            return sets;
-        }
-        if !sets.contains(&kept) {
-            sets.push(kept.clone());
-        }
-        // Replacement sets (lines 7-9).
-        for &u in &pool {
+    let mut sets = Vec::with_capacity(config.max_sets.min(2 + 3 * pool.len()));
+    for kept in [fanins[1], fanins[0]] {
+        // Removal set (Algorithm 1, lines 5-6), then the replacement sets
+        // (lines 7-9).
+        let replacements = pool
+            .iter()
+            .map(|&u| DivisorSet::new(&[kept.min(u), kept.max(u)]));
+        for set in std::iter::once(DivisorSet::new(&[kept])).chain(replacements) {
             if sets.len() >= config.max_sets {
                 return sets;
             }
-            let mut set = kept.clone();
-            if set.contains(&u) {
-                continue;
-            }
-            set.push(u);
-            set.sort_unstable();
-            if !sets.contains(&set) {
-                sets.push(set);
-            }
+            sets.push(set);
         }
     }
     if config.include_extensions {
@@ -127,16 +169,90 @@ pub fn select_divisor_sets_with(
             if sets.len() >= config.max_sets {
                 break;
             }
-            let mut set = fanins.to_vec();
-            set.push(u);
+            let mut set = [fanins[0], fanins[1], u];
             set.sort_unstable();
-            set.dedup();
-            if set.len() == 3 && !sets.contains(&set) {
-                sets.push(set);
-            }
+            sets.push(DivisorSet::new(&set));
         }
     }
     sets
+}
+
+/// Algorithm 1 as it read before [`DivisorSet`]: one `Vec` per set, a
+/// fully sorted pool and a `contains` check per pushed set. Kept as the
+/// reference the partial selection is tested against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    pub(crate) fn select_divisor_sets_with(
+        aig: &Aig,
+        node: NodeId,
+        levels: &[u32],
+        window: Option<&Window>,
+        config: &DivisorConfig,
+    ) -> Vec<Vec<NodeId>> {
+        let Node::And { f0, f1 } = *aig.node(node) else {
+            return Vec::new();
+        };
+        let fanins = [f0.node(), f1.node()];
+        let cone;
+        let candidates: &[NodeId] = match window {
+            Some(w) => w.tfi_nodes(),
+            None => {
+                cone = aig.tfi_cone(node);
+                cone.members()
+            }
+        };
+        let mut pool: Vec<NodeId> = candidates
+            .iter()
+            .copied()
+            .filter(|&n| n != node && n != NodeId::CONST && !fanins.contains(&n))
+            .collect();
+        pool.sort_by_key(|n| (levels[n.index()], n.index()));
+
+        let mut sets: Vec<Vec<NodeId>> = Vec::new();
+        for &removed in &fanins {
+            let kept: Vec<NodeId> = fanins.iter().copied().filter(|&n| n != removed).collect();
+            if kept.is_empty() || kept.len() == fanins.len() {
+                continue; // duplicated fanin node: removal degenerates
+            }
+            if sets.len() >= config.max_sets {
+                return sets;
+            }
+            if !sets.contains(&kept) {
+                sets.push(kept.clone());
+            }
+            for &u in &pool {
+                if sets.len() >= config.max_sets {
+                    return sets;
+                }
+                let mut set = kept.clone();
+                if set.contains(&u) {
+                    continue;
+                }
+                set.push(u);
+                set.sort_unstable();
+                if !sets.contains(&set) {
+                    sets.push(set);
+                }
+            }
+        }
+        if config.include_extensions {
+            for &u in &pool {
+                if sets.len() >= config.max_sets {
+                    break;
+                }
+                let mut set = fanins.to_vec();
+                set.push(u);
+                set.sort_unstable();
+                set.dedup();
+                if set.len() == 3 && !sets.contains(&set) {
+                    sets.push(set);
+                }
+            }
+        }
+        sets
+    }
 }
 
 #[cfg(test)]
@@ -177,7 +293,7 @@ mod tests {
         let sets = select_divisor_sets(&aig, v, &DivisorConfig::default());
         for set in &sets {
             assert!(!set.contains(&v), "node must not be its own divisor");
-            for n in set {
+            for n in set.iter() {
                 assert!(tfi_members.contains(n), "{n} outside TFI");
             }
         }
@@ -253,7 +369,7 @@ mod tests {
             &DivisorConfig::default(),
         );
         for set in &truncated {
-            for n in set {
+            for n in set.iter() {
                 assert!(
                     w.tfi_nodes().contains(n) || aig.and_fanins(v).iter().any(|f| f.node() == *n)
                 );
@@ -280,5 +396,44 @@ mod tests {
         for w in added.windows(2) {
             assert!(w[0] <= w[1], "levels not ascending: {added:?}");
         }
+    }
+
+    #[test]
+    fn partial_pool_matches_the_full_sort_oracle() {
+        use alsrac_aig::{WindowExtractor, WindowParams};
+        use alsrac_circuits::catalog::{self, Scale};
+        let circuits = catalog::iscas_and_arith(Scale::Test)
+            .into_iter()
+            .chain(catalog::epfl_control(Scale::Test))
+            .chain(catalog::epfl_arith(Scale::Test));
+        let mut ex = WindowExtractor::new();
+        let mut compared = 0usize;
+        for bench in circuits {
+            let aig = &bench.aig;
+            let fanouts = aig.fanout_map();
+            let levels = fanouts.levels();
+            for node in aig.iter_ands() {
+                let whole = ex.extract(aig, &fanouts, node, &WindowParams { max_tfi: 0 });
+                let tight = ex.extract(aig, &fanouts, node, &WindowParams { max_tfi: 4 });
+                for window in [Some(&whole), Some(&tight), None] {
+                    for max_sets in [0, 1, 3, 64, 1000] {
+                        for include_extensions in [false, true] {
+                            let config = DivisorConfig {
+                                max_sets,
+                                include_extensions,
+                            };
+                            let got = select_divisor_sets_with(aig, node, levels, window, &config);
+                            let want = oracle::select_divisor_sets_with(
+                                aig, node, levels, window, &config,
+                            );
+                            let got: Vec<Vec<NodeId>> = got.iter().map(|s| s.to_vec()).collect();
+                            assert_eq!(got, want, "{} node {node} {config:?}", bench.paper_name);
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "{compared}");
     }
 }

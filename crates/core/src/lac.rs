@@ -13,7 +13,7 @@ use alsrac_sim::{PatternBuffer, Signatures, SimDelta, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, minimize, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
-use crate::divisors::{select_divisor_sets_with, DivisorConfig};
+use crate::divisors::{select_divisor_sets_with, DivisorConfig, DivisorSet};
 use crate::window::{provably_infeasible, WindowConfig};
 
 /// One candidate local approximate change.
@@ -173,7 +173,8 @@ pub fn generate_lacs(
 /// windowed LAC list is bit-identical to the unwindowed one.
 ///
 /// Emits `window_extracted` / `window_nodes` /
-/// `divisors_filtered_by_signature` trace counters when windowing is on.
+/// `divisors_filtered_by_signature` trace counters when windowing is on,
+/// each summed over the call and added once.
 pub fn generate_lacs_with(
     aig: &Aig,
     sim: &Simulation,
@@ -191,49 +192,63 @@ pub fn generate_lacs_with(
     let params = window.params();
     let mut extractor = WindowExtractor::new();
     let mut mffc_scratch = MffcScratch::new();
+    let (mut windows, mut window_nodes, mut screened) = (0u64, 0u64, 0u64);
 
     let mut lacs = Vec::new();
     for node in aig.iter_ands() {
         let mffc_size = aig.mffc_with(node, fanouts, &mut mffc_scratch).len();
         let extracted = signatures.is_some().then(|| {
             let w = extractor.extract(aig, fanouts, node, &params);
-            alsrac_rt::trace::add("window_extracted", 1);
-            alsrac_rt::trace::add("window_nodes", w.num_nodes() as u64);
+            windows += 1;
+            window_nodes += w.num_nodes() as u64;
             w
         });
         let sets =
             select_divisor_sets_with(aig, node, levels, extracted.as_ref(), &config.divisors);
         let mut count = 0usize;
-        for divisors in sets {
+        for set in sets {
             if count >= config.lac_limit {
                 break;
             }
             if let Some(sigs) = &signatures {
-                if provably_infeasible(sigs, node, &divisors) {
+                if provably_infeasible(sigs, node, &set) {
                     // Exactly the sets harvest would reject: skipping them
                     // keeps the LAC list bit-identical while saving the
-                    // per-pattern harvest walk.
-                    alsrac_rt::trace::add("divisors_filtered_by_signature", 1);
+                    // harvest.
+                    screened += 1;
                     continue;
                 }
             }
-            let divisors: Vec<Lit> = divisors.iter().map(|&d| d.lit()).collect();
-            let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), &divisors)
+            let mut lits = [Lit::FALSE; DivisorSet::CAPACITY];
+            for (lit, d) in lits.iter_mut().zip(set.iter()) {
+                *lit = d.lit();
+            }
+            let divisors = &lits[..set.len()];
+            let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), divisors)
             else {
                 continue; // infeasible divisor set
             };
             let on = care.on_set();
-            let upper = on.or(&care.dont_care_set());
-            let cover = minimize(&isop(on, &upper), on, &care.dont_care_set());
+            let dc = care.dont_care_set();
+            let cover = minimize(&isop(on, &on.or(&dc)), on, &dc);
             let est_cost = factored_aig_cost(&cover, divisors.len());
             lacs.push(Lac {
                 node: node.lit(),
-                divisors,
+                divisors: divisors.to_vec(),
                 cover,
                 est_cost,
                 est_saved: mffc_size,
             });
             count += 1;
+        }
+    }
+    for (name, total) in [
+        ("window_extracted", windows),
+        ("window_nodes", window_nodes),
+        ("divisors_filtered_by_signature", screened),
+    ] {
+        if total > 0 {
+            alsrac_rt::trace::add(name, total);
         }
     }
     lacs
@@ -502,5 +517,112 @@ mod tests {
         );
         let d = alsrac_aig::NodeId::new(1).lit();
         assert_eq!(mk(vec![d, d], Sop::zero()).kind(), "resub2");
+    }
+
+    /// `generate_lacs_with` composed from the bit-serial harvest and the
+    /// full-sort Algorithm 1 oracles, without the signature pre-screen
+    /// (which is exact, so the list must not change either).
+    fn oracle_lacs(
+        aig: &Aig,
+        sim: &Simulation,
+        patterns: &PatternBuffer,
+        config: &LacConfig,
+        window: &WindowConfig,
+    ) -> Vec<Lac> {
+        let fanouts = aig.fanout_map();
+        let mut extractor = WindowExtractor::new();
+        let mut lacs = Vec::new();
+        for node in aig.iter_ands() {
+            let extracted = window
+                .enabled
+                .then(|| extractor.extract(aig, &fanouts, node, &window.params()));
+            let sets = crate::divisors::oracle::select_divisor_sets_with(
+                aig,
+                node,
+                fanouts.levels(),
+                extracted.as_ref(),
+                &config.divisors,
+            );
+            let mut count = 0;
+            for set in sets {
+                if count >= config.lac_limit {
+                    break;
+                }
+                let divisors: Vec<Lit> = set.iter().map(|d| d.lit()).collect();
+                let Some(care) = crate::care::oracle::harvest(sim, patterns, node.lit(), &divisors)
+                else {
+                    continue;
+                };
+                let on = care.on_set();
+                let upper = on.or(&care.dont_care_set());
+                let cover = minimize(&isop(on, &upper), on, &care.dont_care_set());
+                lacs.push(Lac {
+                    node: node.lit(),
+                    est_cost: factored_aig_cost(&cover, divisors.len()),
+                    divisors,
+                    cover,
+                    est_saved: aig.mffc(node, &fanouts).len(),
+                });
+                count += 1;
+            }
+        }
+        lacs
+    }
+
+    #[test]
+    fn generation_matches_the_composed_oracles() {
+        use alsrac_circuits::catalog::{self, Scale};
+        let circuits = catalog::iscas_and_arith(Scale::Test)
+            .into_iter()
+            .chain(catalog::epfl_control(Scale::Test))
+            .chain(catalog::epfl_arith(Scale::Test));
+        let configs = [
+            LacConfig::default(),
+            LacConfig {
+                lac_limit: 4,
+                divisors: DivisorConfig {
+                    max_sets: 1000,
+                    include_extensions: true,
+                },
+            },
+        ];
+        let windows = [
+            WindowConfig::default(),
+            WindowConfig::disabled(),
+            WindowConfig {
+                max_tfi: 4,
+                ..WindowConfig::default()
+            },
+        ];
+        let mut total = 0;
+        for bench in circuits {
+            let aig = &bench.aig;
+            let fanouts = aig.fanout_map();
+            for (seed, num_patterns) in [(1, 32), (2, 128)] {
+                let patterns = PatternBuffer::random(aig.num_inputs(), num_patterns, seed);
+                let sim = Simulation::new(aig, &patterns);
+                for config in &configs {
+                    for window in &windows {
+                        let got =
+                            generate_lacs_with(aig, &sim, &patterns, &fanouts, config, window);
+                        let want = oracle_lacs(aig, &sim, &patterns, config, window);
+                        let context = format!(
+                            "{} N={num_patterns} {config:?} {window:?}",
+                            bench.paper_name
+                        );
+                        assert_eq!(got.len(), want.len(), "{context}");
+                        for (a, b) in got.iter().zip(&want) {
+                            assert_eq!(a.node, b.node, "{context}");
+                            assert_eq!(a.divisors, b.divisors, "{context}");
+                            assert_eq!(a.cover, b.cover, "{context}");
+                            assert_eq!(a.est_cost, b.est_cost, "{context}");
+                            assert_eq!(a.est_saved, b.est_saved, "{context}");
+                        }
+                        total += got.len();
+                    }
+                }
+            }
+        }
+        assert!(total > 1000, "{total}");
     }
 }

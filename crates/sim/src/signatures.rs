@@ -14,34 +14,22 @@
 //! Class 0 is always the constant class: node 0 (constant false) carries
 //! the all-zero signature and is bucketed first, so `class(id) == 0` means
 //! "constant under the current patterns, up to complement".
-//!
-//! The table is incrementally maintainable through [`SimDelta`]: a
-//! [`SimSource::Copy`] node inherits its donor's class (complementing the
-//! edge flips only the polarity flag, never the class, because classes are
-//! complement-canonical), so an update after a LAC application rehashes
-//! only the recomputed cone instead of the whole graph.
 
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, Lit, NodeId};
 
-use crate::{PatternBuffer, SimDelta, SimSource, Simulation};
+use crate::{PatternBuffer, Simulation};
 
 /// Complement-canonical signature equivalence classes for one simulation
 /// snapshot. See the [module docs](self) for the relation and invariants.
 #[derive(Clone, Debug)]
 pub struct Signatures {
-    num_words: usize,
     /// Class id per node, indexed by node.
     class_of: Vec<u32>,
     /// Per node: whether its signature is the complement of its class's
     /// canonical representative.
     complemented: Vec<bool>,
-    /// Number of member nodes per class.
-    class_sizes: Vec<u32>,
-    /// Canonical representative signature → class id. Persisted across
-    /// [`Signatures::update`] calls so classes keep stable identities.
-    class_index: HashMap<Vec<u64>, u32>,
 }
 
 impl Signatures {
@@ -50,107 +38,35 @@ impl Signatures {
     /// Class ids are assigned in first-seen node order, so the numbering
     /// is deterministic; class 0 is the constant class.
     pub fn build(aig: &Aig, sim: &Simulation, patterns: &PatternBuffer) -> Signatures {
-        let num_words = sim.num_words();
         let masks = patterns.word_masks();
+        // Canonical representative signature -> class id.
+        let mut class_index: HashMap<Vec<u64>, u32> = HashMap::new();
         let mut table = Signatures {
-            num_words,
             class_of: Vec::with_capacity(aig.num_nodes()),
             complemented: Vec::with_capacity(aig.num_nodes()),
-            class_sizes: Vec::new(),
-            class_index: HashMap::new(),
         };
-        let mut scratch = vec![0u64; num_words];
+        let mut scratch = vec![0u64; sim.num_words()];
         for id in aig.iter_nodes() {
-            let (class, complement) = table.classify(sim, &masks, id, &mut scratch);
-            table.class_of.push(class);
-            table.complemented.push(complement);
-        }
-        table
-    }
-
-    /// Rebuilds the table for a graph produced by an incremental rebuild,
-    /// rehashing only the nodes `delta` marks [`SimSource::Compute`].
-    ///
-    /// `sim` must be the *new* graph's simulation (same patterns as the
-    /// table was built with) and `delta` the same delta that produced it.
-    /// Copy nodes inherit their donor's class in O(1); the result is
-    /// identical to a fresh [`Signatures::build`] on the new graph, except
-    /// that class ids keep the numbering history of the old table (fresh
-    /// functions get fresh ids rather than renumbering from zero).
-    pub fn update(
-        &self,
-        aig: &Aig,
-        sim: &Simulation,
-        patterns: &PatternBuffer,
-        delta: &SimDelta,
-    ) -> Signatures {
-        assert_eq!(
-            self.num_words,
-            sim.num_words(),
-            "pattern width changed; build a fresh table"
-        );
-        let masks = patterns.word_masks();
-        let mut table = Signatures {
-            num_words: self.num_words,
-            class_of: Vec::with_capacity(aig.num_nodes()),
-            complemented: Vec::with_capacity(aig.num_nodes()),
-            class_sizes: vec![0; self.class_sizes.len()],
-            class_index: self.class_index.clone(),
-        };
-        let mut scratch = vec![0u64; self.num_words];
-        for id in aig.iter_nodes() {
-            let (class, complement) = match delta.source(id) {
-                SimSource::Copy { old, complement } => {
-                    let class = self.class_of[old.index()];
-                    table.class_sizes[class as usize] += 1;
-                    (class, self.complemented[old.index()] ^ complement)
+            // Canonical polarity: lane 0 (always valid) reads 0.
+            // Complementing within the masked lanes keeps the relation
+            // symmetric.
+            let complement = sim.node_word(id, 0) & 1 != 0;
+            for (w, slot) in scratch.iter_mut().enumerate() {
+                let word = sim.node_word(id, w);
+                *slot = (if complement { !word } else { word }) & masks[w];
+            }
+            let class = match class_index.get(&scratch) {
+                Some(&class) => class,
+                None => {
+                    let class = class_index.len() as u32;
+                    class_index.insert(scratch.clone(), class);
+                    class
                 }
-                SimSource::Compute => table.classify(sim, &masks, id, &mut scratch),
             };
             table.class_of.push(class);
             table.complemented.push(complement);
         }
         table
-    }
-
-    /// Canonicalizes `id`'s masked signature into `scratch` and returns
-    /// its (class, complemented) pair, creating the class if new.
-    fn classify(
-        &mut self,
-        sim: &Simulation,
-        masks: &[u64],
-        id: NodeId,
-        scratch: &mut [u64],
-    ) -> (u32, bool) {
-        // Canonical polarity: lane 0 (always valid) reads 0. Complementing
-        // within the masked lanes keeps the relation symmetric.
-        let complement = sim.node_word(id, 0) & 1 != 0;
-        for (w, slot) in scratch.iter_mut().enumerate() {
-            let word = sim.node_word(id, w);
-            *slot = (if complement { !word } else { word }) & masks[w];
-        }
-        let class = match self.class_index.get(scratch as &[u64]) {
-            Some(&class) => class,
-            None => {
-                let class = self.class_sizes.len() as u32;
-                self.class_index.insert(scratch.to_vec(), class);
-                self.class_sizes.push(0);
-                class
-            }
-        };
-        self.class_sizes[class as usize] += 1;
-        (class, complement)
-    }
-
-    /// Number of distinct classes ever assigned (including classes whose
-    /// members all disappeared across updates).
-    pub fn num_classes(&self) -> usize {
-        self.class_sizes.len()
-    }
-
-    /// Number of nodes covered by the table.
-    pub fn num_nodes(&self) -> usize {
-        self.class_of.len()
     }
 
     /// Class id of `id`. Class 0 is the constant class.
@@ -177,11 +93,6 @@ impl Signatures {
     #[inline]
     pub fn is_constant(&self, id: NodeId) -> bool {
         self.class_of[id.index()] == 0
-    }
-
-    /// Number of member nodes in `class`.
-    pub fn class_size(&self, class: u32) -> usize {
-        self.class_sizes[class as usize] as usize
     }
 
     /// Whether two nodes carry the same signature up to complement.
@@ -278,53 +189,5 @@ mod tests {
         assert!(sigs.lits_equal(ab.lit(), ab.lit()));
         assert!(!sigs.lits_equal(ab.lit(), nand_lit));
         assert!(sigs.lits_equal(!ab.lit(), nand_lit));
-    }
-
-    #[test]
-    fn update_matches_fresh_build() {
-        use std::collections::HashMap as Map;
-        let aig = sample();
-        let patterns = PatternBuffer::exhaustive(3);
-        let sim = Simulation::new(&aig, &patterns);
-        let sigs = Signatures::build(&aig, &sim, &patterns);
-
-        // Substitute the xor node with constant 0 and rebuild.
-        let x = aig.outputs()[4].lit.node();
-        let (rebuilt, map) = aig
-            .rebuilt_with_substitutions_mapped(&Map::from([(x, Lit::FALSE)]))
-            .expect("no cycle");
-        let tfo = {
-            let fanouts = aig.fanout_map();
-            aig.tfo_cone(x, &fanouts)
-        };
-        let delta = SimDelta::from_rebuild_map(rebuilt.num_nodes(), &map, |old| !tfo.contains(old));
-        let new_sim = sim.update(&rebuilt, &delta, &patterns);
-
-        let updated = sigs.update(&rebuilt, &new_sim, &patterns, &delta);
-        let fresh = Signatures::build(&rebuilt, &new_sim, &patterns);
-        assert_eq!(updated.num_nodes(), fresh.num_nodes());
-        for a in rebuilt.iter_nodes() {
-            assert_eq!(updated.is_constant(a), fresh.is_constant(a), "node {a}");
-            for b in rebuilt.iter_nodes() {
-                assert_eq!(
-                    updated.same_class(a, b),
-                    fresh.same_class(a, b),
-                    "nodes {a} / {b}"
-                );
-                assert_eq!(
-                    updated.lits_equal(a.lit(), b.lit()),
-                    fresh.lits_equal(a.lit(), b.lit()),
-                    "lits {a} / {b}"
-                );
-            }
-        }
-        // Class sizes agree per member count even though ids may differ.
-        for a in rebuilt.iter_nodes() {
-            assert_eq!(
-                updated.class_size(updated.class(a)),
-                fresh.class_size(fresh.class(a)),
-                "node {a}"
-            );
-        }
     }
 }

@@ -28,7 +28,12 @@
 #           the repository benchmark (`alsbench/`, its own cargo
 #           workspace) must build against the current library API and pass
 #           its smoke tests: every workload at smoke size reports exactly
-#           the metrics BENCHMARK.json declares
+#           the metrics BENCHMARK.json declares. Then each workload runs
+#           once traced at smoke size (`--seed 3 --seconds 1 --trace 1
+#           --smoke`) and must report `correct`, no failed job, and
+#           `lac_gen.probe_agree` equal to `attempted`: the production
+#           `lac_gen` agrees with Algorithm 1 plus the care harvest
+#           re-run stage by stage on every job
 #   window-smoke
 #           windowed-resubstitution gate: `bench_window --smoke` runs the
 #           flow on every bundled Test-scale circuit with windowing on and
@@ -167,6 +172,22 @@ run_alsbench() {
     # A library API change that breaks the benchmark fails here rather
     # than in the benchmark run.
     cargo test --release --offline --manifest-path alsbench/Cargo.toml
+
+    echo "==> every workload is correct and its lac_gen probe agrees"
+    local workload result attempted agree
+    for workload in er_suite distance scale_engine; do
+        result="$(cargo run --release --offline --quiet --manifest-path alsbench/Cargo.toml -- \
+            --workload "$workload" --seed 3 --seconds 1 --trace 1 --smoke | tail -n 1)"
+        attempted="$(grep -o '"attempted":[0-9]*' <<<"$result" | cut -d: -f2)"
+        agree="$(grep -o '"lac_gen.probe_agree":{"value":[0-9.]*' <<<"$result" | cut -d: -f3)"
+        if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0,' <<<"$result" ||
+            [[ -z "$attempted" || "$agree" != "$attempted" ]]; then
+            echo "alsbench: $workload must be correct with no failed job and" \
+                "lac_gen.probe_agree ($agree) equal to attempted ($attempted)" >&2
+            exit 1
+        fi
+        echo "  $workload: correct, $attempted attempted, lac_gen.probe_agree $agree"
+    done
 }
 
 run_window_smoke() {
