@@ -12,11 +12,13 @@
 //!
 //! The output (`BENCH_cert.json` by default, or the path given as the
 //! first non-flag argument) is committed at the repo root and validated in
-//! CI by `report --cert`. `--smoke` shrinks the Monte-Carlo sample for the
-//! CI gate; everything else — flows, certificates, agreement checks — is
-//! identical, and the whole artifact is deterministic in the thread count
-//! except for the recorded `"threads"` field itself (`scripts/ci.sh
-//! cert-smoke` diffs two runs modulo that line).
+//! CI by `report --cert`. `--smoke` shrinks the Monte-Carlo sample for
+//! the CI gate; everything else — flows, certificates, agreement checks —
+//! is identical, and the whole artifact is deterministic in the thread
+//! count except for the recorded `"threads"` field itself (`scripts/ci.sh
+//! cert-smoke` diffs two runs modulo that line). The last stdout line
+//! totals the SAT queries and the nodes the miter sweeps merged
+//! (`cert_sweep_merges`), which `cert-smoke` requires to be positive.
 
 use alsrac::flow::{certified_record, run, FlowConfig, FlowResult};
 use alsrac_bench::CERT_WILSON_Z;
@@ -190,9 +192,15 @@ fn main() {
         .finish();
     std::fs::write(&path, json + "\n").expect("write benchmark JSON");
     let (_, counters) = trace::snapshot();
-    let queries = counters
-        .iter()
-        .find(|(n, _)| n == "cert_sat_queries")
-        .map_or(0, |&(_, v)| v);
-    println!("wrote {path} ({queries} SAT queries total)");
+    let total = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    };
+    println!(
+        "wrote {path} ({} SAT queries, {} sweep merges total)",
+        total("cert_sat_queries"),
+        total("cert_sweep_merges")
+    );
 }

@@ -112,6 +112,8 @@ const KNOWN_COUNTERS: &[&str] = &[
     "overhead_probe",
     "cert_miters_built",
     "cert_sat_queries",
+    "cert_sweep_merges",
+    "cert_sweep_refuted",
     "cert_wce_searches",
     "cert_candidate_rejects",
     "cert_degraded",

@@ -11,21 +11,28 @@
 //! [`alsrac_metrics::CertifiedMeasurement`].
 //!
 //! [`wce_within`] / [`wce_gate`] are the accept-side gate of the
-//! WCE-constrained flow: a single `distance > bound` SAT query replacing
-//! the sampled estimate in the acceptance decision.
+//! WCE-constrained flow: one `distance > bound` SAT query on a freshly
+//! swept miter replacing the sampled estimate in the acceptance decision.
+//! Every entry point builds its miter the same way, [`Miter::budgeted`]:
+//! the sweep merges the node pairs of the two circuits it proves equal,
+//! so the queries search only the logic that really differs.
 //!
 //! **Budgets and degradation.** Every entry point has a `_budgeted`
-//! variant threading an [`alsrac_rt::budget::Budget`] into the solver.
-//! When a SAT cap cuts a query short the certificate comes back with
-//! [`CertStatus::Degraded`] (deterministic — caps count solver events,
-//! so the same run always degrades the same way); when the budget's
-//! cancel token or deadline interrupts, the gate reports
+//! variant threading an [`alsrac_rt::budget::Budget`] into the miter: its
+//! sweep runs under it, then its solver does. When a SAT cap cuts a
+//! query short the certificate comes back with [`CertStatus::Degraded`]
+//! (deterministic — caps count solver events, so the same run always
+//! degrades the same way); a cap that cuts a sweep proof short only
+//! skips that merge. When the budget's cancel token or deadline
+//! interrupts, the sweep stops merging, the gate reports
 //! [`WceGate::Interrupted`] and the flow aborts the iteration without
 //! letting the nondeterministic answer steer any decision.
 //!
-//! Telemetry: `cert_miters_built`, `cert_sat_queries`,
-//! `cert_wce_searches`, `cert_candidate_rejects`, and `cert_degraded`
-//! counters plus a `certify` span, all inert when tracing is disabled.
+//! Telemetry: `cert_miters_built`, `cert_sat_queries` (gate,
+//! certificate and counting queries, not sweep proofs),
+//! `cert_sweep_merges`, `cert_sweep_refuted`, `cert_wce_searches`,
+//! `cert_candidate_rejects`, and `cert_degraded` counters plus a
+//! `certify` span, all inert when tracing is disabled.
 
 use alsrac_aig::Aig;
 use alsrac_metrics::{CertStatus, CertifiedMeasurement, ErrorMetric};
@@ -34,6 +41,17 @@ use alsrac_rt::trace;
 use alsrac_sat::count;
 use alsrac_sat::miter::Miter;
 use alsrac_sat::SatResult;
+
+/// The miter every entry point queries, built and swept under `budget`,
+/// with its sweep counted.
+fn swept_miter(original: &Aig, approx: &Aig, budget: &Budget) -> Miter {
+    let miter = Miter::budgeted(original, approx, budget);
+    let stats = miter.sweep_stats();
+    trace::add("cert_miters_built", 1);
+    trace::add("cert_sweep_merges", stats.merges);
+    trace::add("cert_sweep_refuted", stats.refuted);
+    miter
+}
 
 /// Certifies the error rate of `approx` against `original` by model
 /// counting over the miter inputs.
@@ -70,9 +88,7 @@ pub fn certify_error_rate_budgeted(
     budget: &Budget,
 ) -> CertifiedMeasurement {
     let span = trace::span("certify");
-    let mut miter = Miter::new(original, approx);
-    miter.solver.set_budget(budget.clone());
-    trace::add("cert_miters_built", 1);
+    let mut miter = swept_miter(original, approx, budget);
     let counted = count::count_errors(&mut miter, seed);
     trace::add("cert_sat_queries", counted.sat_queries);
     let status = if counted.complete {
@@ -120,9 +136,7 @@ pub fn certify_wce(original: &Aig, approx: &Aig) -> CertifiedMeasurement {
 /// Panics if the circuits disagree in arity or have more than 63 outputs.
 pub fn certify_wce_budgeted(original: &Aig, approx: &Aig, budget: &Budget) -> CertifiedMeasurement {
     let span = trace::span("certify");
-    let mut miter = Miter::new(original, approx);
-    miter.solver.set_budget(budget.clone());
-    trace::add("cert_miters_built", 1);
+    let mut miter = swept_miter(original, approx, budget);
     let cert = miter.certify_max_distance();
     trace::add("cert_sat_queries", cert.queries);
     trace::add("cert_wce_searches", 1);
@@ -164,23 +178,22 @@ pub enum WceGate {
 }
 
 /// The budgeted WCE accept gate: is the maximum error distance of
-/// `approx` against `original` at most `bound`, certified by a single
-/// `distance > bound` SAT query under `budget`?
+/// `approx` against `original` at most `bound`, certified by one
+/// `distance > bound` SAT query on their swept miter, all under `budget`?
 ///
-/// An `Unknown` solver answer is classified [`WceGate::Interrupted`]
-/// when the budget's cancel token or deadline has fired (nondeterministic
-/// cut — the caller must abort, not decide) and [`WceGate::Degraded`]
-/// otherwise (a deterministic SAT cap — the caller may fall back to its
-/// sampled estimate).
+/// The sweep only merges what it proves equal, so the answer is the one
+/// an unswept miter gives. An `Unknown` solver answer is classified
+/// [`WceGate::Interrupted`] when the budget's cancel token or deadline has
+/// fired (nondeterministic cut — the caller must abort, not decide) and
+/// [`WceGate::Degraded`] otherwise (a deterministic SAT cap — the caller
+/// may fall back to its sampled estimate).
 ///
 /// # Panics
 ///
 /// Panics if the circuits disagree in arity or have more than 63 outputs.
 pub fn wce_gate(original: &Aig, approx: &Aig, bound: u64, budget: &Budget) -> WceGate {
     let span = trace::span("certify");
-    let mut miter = Miter::new(original, approx);
-    miter.solver.set_budget(budget.clone());
-    trace::add("cert_miters_built", 1);
+    let mut miter = swept_miter(original, approx, budget);
     trace::add("cert_sat_queries", 1);
     let gate = match miter.distance_exceeds(bound) {
         SatResult::Unsat => WceGate::Within,
@@ -199,7 +212,8 @@ pub fn wce_gate(original: &Aig, approx: &Aig, bound: u64, budget: &Budget) -> Wc
 }
 
 /// The WCE accept gate: is the maximum error distance of `approx` against
-/// `original` at most `bound`, certified by a single SAT query?
+/// `original` at most `bound`, certified by one SAT query on their swept
+/// miter?
 ///
 /// Unlimited-budget form of [`wce_gate`]; never degrades.
 ///
@@ -383,6 +397,25 @@ mod tests {
             .with_sat_propagations(0);
         assert_eq!(
             wce_gate(&original, &approx, bound - 1, &cancelled),
+            WceGate::Interrupted
+        );
+    }
+
+    #[test]
+    fn a_cancelled_budget_stops_the_sweep_and_interrupts_the_gate() {
+        let original = alsrac_circuits::arith::ripple_carry_adder(4);
+        let approx = corrupted(&original, original.num_outputs() - 1);
+        assert!(
+            Miter::new(&original, &approx).sweep_stats().merges > 0,
+            "an unbudgeted sweep merges the shared logic"
+        );
+        let token = alsrac_rt::budget::CancelToken::new();
+        token.trip();
+        let cancelled = Budget::unlimited().with_cancel(token);
+        let miter = Miter::budgeted(&original, &approx, &cancelled);
+        assert_eq!(miter.sweep_stats().merges, 0);
+        assert_eq!(
+            wce_gate(&original, &approx, 0, &cancelled),
             WceGate::Interrupted
         );
     }

@@ -3,10 +3,10 @@
 //!
 //! Two applications of the [`Solver`]:
 //!
-//! * [`equivalent`] — the classic miter construction: two circuits over
-//!   shared inputs, outputs pairwise XORed and ORed; UNSAT means
-//!   equivalent. This verifies the exact optimizer and mappers beyond the
-//!   exhaustive-simulation reach of unit tests.
+//! * [`equivalent`] — a [`Miter`] of the two circuits: shared inputs,
+//!   outputs pairwise XORed and ORed, equal nodes swept together; UNSAT
+//!   means equivalent. This verifies the exact optimizer and mappers
+//!   beyond the exhaustive-simulation reach of unit tests.
 //! * [`exact_resub_feasible`] / [`exact_resub_function`] — the *exact*
 //!   version of the paper's Theorem 1 (from Mishchenko et al. [18]): a
 //!   divisor set can express a node iff no two input patterns agree on all
@@ -17,6 +17,7 @@
 use alsrac_aig::{Aig, Lit};
 
 use crate::encode::Encoding;
+use crate::miter::Miter;
 use crate::{SatLit, SatResult, Solver, Var};
 
 /// Outcome of an equivalence check.
@@ -29,46 +30,23 @@ pub enum CecResult {
 }
 
 /// Checks whether two circuits with identical interfaces are functionally
-/// equivalent.
+/// equivalent: one solve of their [`Miter`] under its any-difference
+/// assumption. The sweep usually leaves little for that solve: logic the
+/// two circuits share collapses onto one variable while the miter is
+/// built.
 ///
 /// # Panics
 ///
 /// Panics if the circuits disagree in input or output counts.
 pub fn equivalent(a: &Aig, b: &Aig) -> CecResult {
-    assert_eq!(a.num_inputs(), b.num_inputs(), "input arity");
-    assert_eq!(a.num_outputs(), b.num_outputs(), "output arity");
-    let mut solver = Solver::new();
-    let (enc_a, inputs) = Encoding::new(&mut solver, a);
-    let enc_b = Encoding::with_inputs(&mut solver, b, &inputs);
-
-    // diff_o <-> (a_o XOR b_o); assert OR(diff_o).
-    let mut diffs: Vec<SatLit> = Vec::with_capacity(a.num_outputs());
-    for (out_a, out_b) in a.outputs().iter().zip(b.outputs()) {
-        let la = enc_a.sat_lit(out_a.lit);
-        let lb = enc_b.sat_lit(out_b.lit);
-        let d = solver.new_var();
-        // d <-> la xor lb.
-        solver.add_clause(&[d.negative(), la, lb]);
-        solver.add_clause(&[d.negative(), !la, !lb]);
-        solver.add_clause(&[d.positive(), !la, lb]);
-        solver.add_clause(&[d.positive(), la, !lb]);
-        diffs.push(d.positive());
-    }
-    if !solver.add_clause(&diffs) {
-        return CecResult::Equivalent; // no outputs: vacuously equivalent
-    }
-    match solver.solve() {
-        // CEC builds its own unbudgeted solver, which never answers
-        // Unknown (see `Solver::set_budget`).
-        SatResult::Unknown => unreachable!("unbudgeted solver answered Unknown"),
+    let mut miter = Miter::new(a, b);
+    let differs = miter.differs();
+    match miter.solver.solve_with_assumptions(&[differs]) {
+        // A miter built without a budget never answers Unknown.
+        SatResult::Unknown => unreachable!("unbudgeted miter answered Unknown"),
         SatResult::Unsat => CecResult::Equivalent,
-        SatResult::Sat => {
-            // Inputs a propagation never reached (pure in the miter) are
-            // unassigned in the model; `model_value` fills them with the
-            // saved phase, and any completion of a partial model is a
-            // valid counterexample.
-            CecResult::Counterexample(inputs.iter().map(|&v| solver.model_value(v)).collect())
-        }
+        // Any completion of a partial model is a valid counterexample.
+        SatResult::Sat => CecResult::Counterexample(miter.model_inputs()),
     }
 }
 
@@ -176,6 +154,28 @@ mod tests {
         let a = alsrac_circuits::arith::wallace_multiplier(4);
         let b = alsrac_synth::optimize(&a);
         assert_eq!(equivalent(&a, &b), CecResult::Equivalent);
+    }
+
+    #[test]
+    fn array_multiplier_is_equivalent_to_its_optimized_form() {
+        let a = alsrac_circuits::arith::array_multiplier(8);
+        let b = alsrac_synth::optimize(&a);
+        assert_eq!(equivalent(&a, &b), CecResult::Equivalent);
+    }
+
+    #[test]
+    fn a_corrupted_multiplier_yields_a_confirmed_counterexample() {
+        let a = alsrac_circuits::arith::array_multiplier(8);
+        let mut b = alsrac_synth::optimize(&a);
+        // Flip one middle product bit where the low operand bits are all 1.
+        let cube: Vec<Lit> = b.inputs()[..4].iter().map(|id| id.lit()).collect();
+        let gate = b.and_all(&cube);
+        let flipped = b.xor(b.output_lits()[7], gate);
+        b.set_output_lit(7, flipped);
+        let CecResult::Counterexample(cex) = equivalent(&a, &b) else {
+            panic!("expected a counterexample");
+        };
+        assert_ne!(a.evaluate(&cex), b.evaluate(&cex));
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! * [`Solver`] — a self-contained CDCL SAT solver (two-watched literals,
 //!   first-UIP learning, VSIDS-style activities, restarts, phase saving);
 //! * [`encode`] — Tseitin encoding of AIG cones into CNF;
-//! * [`cec`] — combinational equivalence checking via a miter
+//! * [`cec`] — combinational equivalence checking on a swept miter
 //!   ([`cec::equivalent`]), and the SAT version of the paper's Theorem 1
 //!   feasibility check ([`cec::exact_resub_feasible`]);
-//! * [`miter`] — a reusable original-vs-approximate miter with
-//!   materialized outputs and exact worst-case-error certification
+//! * [`miter`] — a reusable original-vs-approximate miter: one AIG with
+//!   the difference and distance logic, swept, then encoded, with exact
+//!   worst-case-error certification
 //!   ([`miter::Miter::certify_max_distance`]);
+//! * [`sweep`] — SAT sweeping: simulation proposes equal node pairs,
+//!   incremental SAT proves them, counterexamples refine the signatures,
+//!   and proven pairs merge ([`sweep::SweepStats`] counts both outcomes);
 //! * [`count`] — exact and (ε, δ)-approximate model counting of the
 //!   differing inputs, i.e. *certified* error rates.
 //!
@@ -40,5 +44,6 @@ pub mod count;
 pub mod encode;
 pub mod miter;
 mod solver;
+pub mod sweep;
 
 pub use solver::{SatLit, SatResult, Solver, Var};

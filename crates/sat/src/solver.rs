@@ -146,6 +146,10 @@ pub struct Solver {
     last_conflicts: u64,
     /// Trail literals propagated by the most recent solve call.
     last_propagations: u64,
+    /// Check the two-watched-literal invariant after every conflict-free
+    /// propagation (see `assert_watch_invariant`).
+    #[cfg(test)]
+    check_watches: bool,
 }
 
 impl Default for Solver {
@@ -175,6 +179,8 @@ impl Solver {
             budget: None,
             last_conflicts: 0,
             last_propagations: 0,
+            #[cfg(test)]
+            check_watches: false,
         }
     }
 
@@ -422,7 +428,28 @@ impl Solver {
             // list we took is the complete new watch list.
             self.watches[false_lit.index()] = watch_list;
         }
+        #[cfg(test)]
+        if self.check_watches {
+            self.assert_watch_invariant();
+        }
         None
+    }
+
+    /// After a conflict-free propagation, a clause that watches a false
+    /// literal must have its other watch true; otherwise propagation has
+    /// missed (or will miss) one of its implications.
+    #[cfg(test)]
+    fn assert_watch_invariant(&self) {
+        for (id, clause) in self.clauses.iter().enumerate() {
+            let (w0, w1) = (clause.lits[0], clause.lits[1]);
+            for (watch, other) in [(w0, w1), (w1, w0)] {
+                assert!(
+                    self.lit_value(watch) != 0 || self.lit_value(other) == 1,
+                    "clause {id} {:?} watches false {watch:?} while {other:?} is not true",
+                    clause.lits
+                );
+            }
+        }
     }
 
     fn bump(&mut self, v: Var) {
@@ -482,11 +509,15 @@ impl Solver {
             seen[l.var().index()] = false; // resolved away
         }
 
-        let backtrack = learned[1..]
-            .iter()
-            .map(|l| self.level[l.var().index()])
-            .max()
-            .unwrap_or(0);
+        // The second watch must be a literal of the backjump level. A
+        // lower-level one stays false after a later backtrack to between
+        // the two levels, while the asserting literal comes unassigned:
+        // the clause then watches a false literal and misses implications.
+        let second = (1..learned.len()).max_by_key(|&i| self.level[learned[i].var().index()]);
+        let backtrack = second.map_or(0, |i| {
+            learned.swap(1, i);
+            self.level[learned[1].var().index()]
+        });
         (learned, backtrack)
     }
 
@@ -694,6 +725,13 @@ mod tests {
         (0..n).map(|_| solver.new_var()).collect()
     }
 
+    /// A solver that checks the watch invariant after every propagation.
+    fn checked_solver() -> Solver {
+        let mut s = Solver::new();
+        s.check_watches = true;
+        s
+    }
+
     #[test]
     fn trivial_sat_and_unsat() {
         let mut s = Solver::new();
@@ -737,7 +775,7 @@ mod tests {
     #[test]
     fn pigeonhole_3_into_2_is_unsat() {
         // 3 pigeons, 2 holes: p[i][h].
-        let mut s = Solver::new();
+        let mut s = checked_solver();
         let p: Vec<Vec<Var>> = (0..3).map(|_| vars(&mut s, 2)).collect();
         for row in &p {
             s.add_clause(&[row[0].positive(), row[1].positive()]);
@@ -754,7 +792,7 @@ mod tests {
 
     #[test]
     fn pigeonhole_4_into_4_is_sat() {
-        let mut s = Solver::new();
+        let mut s = checked_solver();
         let p: Vec<Vec<Var>> = (0..4).map(|_| vars(&mut s, 4)).collect();
         for row in &p {
             let lits: Vec<SatLit> = row.iter().map(|v| v.positive()).collect();
@@ -821,7 +859,7 @@ mod tests {
                     .all(|c| c.iter().any(|&(v, neg)| (m >> v & 1 == 1) != neg))
             });
             // Solver.
-            let mut s = Solver::new();
+            let mut s = checked_solver();
             let vs = vars(&mut s, num_vars);
             let mut ok = true;
             for c in &clauses {
@@ -990,14 +1028,14 @@ mod tests {
     fn unknown_is_returned_exactly_at_the_conflict_cap() {
         use alsrac_rt::budget::Budget;
         // Reference: how many conflicts does the unbudgeted solve need?
-        let mut reference = Solver::new();
+        let mut reference = checked_solver();
         pigeonhole(&mut reference, 6);
         assert_eq!(reference.solve(), SatResult::Unsat);
         let needed = reference.last_conflicts();
         assert!(needed > 10, "instance too easy to exercise the cap");
 
         for cap in [0, 1, needed / 2, needed - 1] {
-            let mut s = Solver::new();
+            let mut s = checked_solver();
             pigeonhole(&mut s, 6);
             s.set_budget(Budget::default().with_sat_conflicts(cap));
             assert_eq!(s.solve(), SatResult::Unknown, "cap {cap}");
@@ -1005,7 +1043,7 @@ mod tests {
         }
         // A cap at (or above) the true requirement answers normally and
         // spends the same deterministic conflict count.
-        let mut s = Solver::new();
+        let mut s = checked_solver();
         pigeonhole(&mut s, 6);
         s.set_budget(Budget::default().with_sat_conflicts(needed));
         assert_eq!(s.solve(), SatResult::Unsat);
@@ -1015,13 +1053,13 @@ mod tests {
     #[test]
     fn propagation_cap_degrades_to_unknown() {
         use alsrac_rt::budget::Budget;
-        let mut reference = Solver::new();
+        let mut reference = checked_solver();
         pigeonhole(&mut reference, 6);
         assert_eq!(reference.solve(), SatResult::Unsat);
         let needed = reference.last_propagations();
         assert!(needed > 10);
 
-        let mut s = Solver::new();
+        let mut s = checked_solver();
         pigeonhole(&mut s, 6);
         s.set_budget(Budget::default().with_sat_propagations(needed / 2));
         assert_eq!(s.solve(), SatResult::Unknown);
@@ -1088,13 +1126,39 @@ mod tests {
 
     #[test]
     fn unbudgeted_solver_never_answers_unknown_and_counts_deterministically() {
-        let mut a = Solver::new();
+        let mut a = checked_solver();
         pigeonhole(&mut a, 5);
-        let mut b = Solver::new();
+        let mut b = checked_solver();
         pigeonhole(&mut b, 5);
         assert_eq!(a.solve(), SatResult::Unsat);
         assert_eq!(b.solve(), SatResult::Unsat);
         assert_eq!(a.last_conflicts(), b.last_conflicts());
         assert_eq!(a.last_propagations(), b.last_propagations());
+    }
+
+    #[test]
+    fn a_learned_clause_watches_a_literal_of_the_backjump_level() {
+        // Decide a (level 1) and b (level 2); c (level 3) implies x and y,
+        // which conflict with (¬a ∨ ¬b ∨ ¬x ∨ ¬y). The learned clause is
+        // (¬c ∨ ¬a ∨ ¬b) with backjump level 2; by then watch moves have
+        // put ¬a ahead of ¬b in the conflict clause.
+        let mut s = Solver::new();
+        let [a, b, c, x, y] = [(); 5].map(|()| s.new_var());
+        s.add_clause(&[a.negative(), b.negative(), x.negative(), y.negative()]);
+        s.add_clause(&[c.negative(), x.positive()]);
+        s.add_clause(&[c.negative(), y.positive()]);
+        for decision in [a, b] {
+            s.trail_limits.push(s.trail.len());
+            s.enqueue(decision.positive(), u32::MAX);
+            assert_eq!(s.propagate(), None);
+        }
+        s.trail_limits.push(s.trail.len());
+        s.enqueue(c.positive(), u32::MAX);
+        let conflict = s.propagate().expect("x and y conflict");
+        let (learned, backjump) = s.analyze(conflict);
+        assert_eq!(learned[0], c.negative(), "asserting literal first");
+        assert_eq!(learned.len(), 3);
+        assert_eq!(backjump, 2);
+        assert_eq!(s.level[learned[1].var().index()], backjump);
     }
 }

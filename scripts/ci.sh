@@ -47,8 +47,10 @@
 #           sample within the Wilson bound) and the WCE-constrained flow's
 #           certified bound; the artifact is validated by `report --cert`
 #           and must be bit-identical between ALSRAC_THREADS=1 and 3 apart
-#           from the recorded "threads" field; `report --cert` also
-#           validates the committed BENCH_cert.json
+#           from the recorded "threads" field; the miter sweeps must have
+#           merged at least one node (`cert_sweep_merges`, printed by
+#           bench_cert); `report --cert` also validates the committed
+#           BENCH_cert.json
 #   serve-smoke
 #           daemon gate: `bench_serve --smoke` runs three concurrent jobs
 #           through an in-process daemon at ALSRAC_THREADS=1 and 3 and
@@ -215,9 +217,18 @@ run_cert_smoke() {
     # bench_cert --smoke asserts: every certified error rate agrees with an
     # independent sampled estimate within the Wilson interval, and every
     # WCE-constrained flow result is certified at or below its bound.
-    ALSRAC_THREADS=1 target/release/bench_cert --smoke "$cert_t1"
+    local summary merges
+    summary="$(ALSRAC_THREADS=1 target/release/bench_cert --smoke "$cert_t1")"
+    echo "$summary"
     ALSRAC_THREADS=3 target/release/bench_cert --smoke "$cert_t3"
     target/release/report --cert "$cert_t1"
+    # Every miter is swept before it is queried; a sweep that merges
+    # nothing has silently stopped working.
+    merges="$(grep -o '[0-9]* sweep merges' <<<"$summary" | cut -d' ' -f1)"
+    if [[ -z "$merges" || "$merges" -eq 0 ]]; then
+        echo "cert-smoke: the miter sweeps merged no node (cert_sweep_merges is ${merges:-missing})" >&2
+        exit 1
+    fi
     # Certification is SAT-backed and sampling is block-seeded, so the
     # artifact must not depend on the worker count — only the recorded
     # "threads" field itself may differ.

@@ -103,6 +103,34 @@ fn parallel_flow_runs_are_bit_identical_to_serial() {
 }
 
 #[test]
+fn wce_flows_are_bit_identical_at_every_thread_count() {
+    // The WCE flow adds the SAT accept gate and the final certificate,
+    // each on a freshly swept miter; neither may see the worker count.
+    for name in ["cla32", "rca32"] {
+        let circuit = iscas_and_arith(Scale::Test)
+            .into_iter()
+            .find(|b| b.paper_name == name)
+            .expect("catalog circuit")
+            .aig;
+        let config = FlowConfig {
+            metric: ErrorMetric::Wce,
+            threshold: 4.0,
+            seed: 42,
+            ..FlowConfig::default()
+        };
+        let serial = alsrac_rt::pool::with_threads(1, || run(&circuit, &config).expect("flow"));
+        assert!(serial.applied > 0, "{name}: the WCE flow accepted nothing");
+        assert!(serial.certificate.is_some(), "{name}: no certificate");
+        for threads in [3, 7] {
+            let parallel =
+                alsrac_rt::pool::with_threads(threads, || run(&circuit, &config).expect("flow"));
+            assert_identical(&serial, &parallel);
+            assert_eq!(serial.certificate, parallel.certificate, "{name}");
+        }
+    }
+}
+
+#[test]
 fn ragged_measurement_blocks_are_identical_at_odd_thread_counts() {
     // `measure_sampled` splits the pattern budget into fixed-size blocks;
     // a rounds count that is not a multiple of the block size leaves a
