@@ -3,7 +3,7 @@
 //! per-phase time breakdown and error-trajectory summary, plus a compact
 //! `RUN_SUMMARY.json` for downstream tooling.
 //!
-//! Five modes:
+//! Four modes:
 //!
 //! * `report <trace.jsonl> [--summary PATH]` — validate every record
 //!   against the schema, print the breakdown, write the summary JSON
@@ -21,9 +21,6 @@
 //!   untraced runs.
 //! * `report --cert PATH` — validate a `BENCH_cert.json` certification
 //!   artifact (schema, certified-vs-sampled agreement, WCE bounds).
-//! * `report --serve PATH` — validate a `BENCH_serve.json` daemon
-//!   throughput artifact (schema, jobs/sec > 0, monotone latency
-//!   percentiles, exactly one terminal record per job).
 //!
 //! Every validation failure is a diagnostic naming the offending record's
 //! line number (or JSON path), never a panic backtrace. Exits 0 on
@@ -49,10 +46,6 @@ fn main() -> ExitCode {
             Some(path) => cert_check(path),
             None => usage("--cert needs a path"),
         },
-        Some("--serve") => match args.get(1) {
-            Some(path) => serve_check(path),
-            None => usage("--serve needs a path"),
-        },
         Some(path) if !path.starts_with("--") => {
             let summary = match args.get(1).map(String::as_str) {
                 Some("--summary") => match args.get(2) {
@@ -72,7 +65,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: report <trace.jsonl> [--summary PATH] | report --smoke [PATH] | \
-         report --overhead | report --cert PATH | report --serve PATH"
+         report --overhead | report --cert PATH"
     );
     ExitCode::from(2)
 }
@@ -120,7 +113,6 @@ const KNOWN_COUNTERS: &[&str] = &[
     "flow_interrupts",
     "checkpoints_written",
     "faults_injected",
-    "serve_cache_hits",
     "synth_recipes_computed",
 ];
 
@@ -176,17 +168,6 @@ fn validate_record(rec: &Json) -> Result<(), String> {
         }
         Ok(())
     };
-    // Flow records from a daemon session carry the submitting job's id
-    // (1-based; 0 is the reserved untagged value and must never appear).
-    let optional_job_id = || -> Result<(), String> {
-        match rec.get("job_id") {
-            None => Ok(()),
-            Some(v) => match v.as_u64() {
-                Some(id) if id > 0 => Ok(()),
-                _ => Err(format!("{typ}: \"job_id\" is not a positive integer")),
-            },
-        }
-    };
     match typ {
         "process" => {
             need_str("binary")?;
@@ -198,7 +179,6 @@ fn validate_record(rec: &Json) -> Result<(), String> {
                 .ok_or("process: missing bool \"full\"")?;
         }
         "run_start" => {
-            optional_job_id()?;
             need_u64("run")?;
             need_one_of("flow", FLOWS)?;
             need_str("circuit")?;
@@ -210,7 +190,6 @@ fn validate_record(rec: &Json) -> Result<(), String> {
             }
         }
         "iteration" => {
-            optional_job_id()?;
             need_u64("run")?;
             need_u64("iter")?;
             need_u64("candidates")?;
@@ -233,7 +212,6 @@ fn validate_record(rec: &Json) -> Result<(), String> {
             }
         }
         "run_end" => {
-            optional_job_id()?;
             for key in ["run", "iterations", "applied", "ands", "depth", "wall_ns"] {
                 need_u64(key)?;
             }
@@ -307,86 +285,6 @@ fn validate_record(rec: &Json) -> Result<(), String> {
                 }
                 v.as_u64()
                     .ok_or(format!("totals: counter {name} is not an integer"))?;
-            }
-        }
-        // Daemon protocol records (see DESIGN.md "Service mode"): a
-        // captured serve session is a valid trace file.
-        "response" => {
-            need_str("op")?;
-            let ok = rec
-                .get("ok")
-                .and_then(Json::as_bool)
-                .ok_or("response: missing bool \"ok\"")?;
-            if !ok {
-                need_str("error")?;
-            } else {
-                // Only submit and cancel are acknowledged; both name a job.
-                let op = need_one_of("op", &["submit", "cancel"])?;
-                if need_u64("job_id")? == 0 {
-                    return Err("response: \"job_id\" must be positive".to_string());
-                }
-                if op == "cancel" {
-                    need_one_of("state", &["cancelled", "cancelling", "done"])?;
-                }
-            }
-        }
-        "status" => {
-            for key in ["queued", "running", "done"] {
-                need_u64(key)?;
-            }
-        }
-        "job_done" => {
-            let id = need_u64("job_id")?;
-            if id == 0 {
-                return Err("job_done: \"job_id\" must be positive".to_string());
-            }
-            for key in [
-                "queue_ns",
-                "run_ns",
-                "queue_depth",
-                "iterations",
-                "applied",
-                "ands",
-            ] {
-                need_u64(key)?;
-            }
-            // Cache replays carry a bool marker; it is omitted when false.
-            if let Some(v) = rec.get("cache_hit") {
-                v.as_bool().ok_or("job_done: \"cache_hit\" is not a bool")?;
-            }
-            match need_str("outcome")? {
-                "completed" | "cancelled" => {}
-                "interrupted" => {
-                    need_str("interrupt_reason")?;
-                    need_str("checkpoint")?;
-                }
-                "failed" => {
-                    need_str("error")?;
-                }
-                other => return Err(format!("job_done: unknown outcome {other:?}")),
-            }
-        }
-        "error" => {
-            let line = need_u64("line")?;
-            if line == 0 {
-                return Err("error: \"line\" must be 1-based".to_string());
-            }
-            need_str("message")?;
-        }
-        "shutdown" => {
-            need_one_of(
-                "reason",
-                &["shutdown_request", "input_closed", "stop_requested"],
-            )?;
-            for key in [
-                "submitted",
-                "completed",
-                "interrupted",
-                "cancelled",
-                "failed",
-                "rejected_lines",
-            ] {
-                need_u64(key)?;
             }
         }
         other => return Err(format!("unknown record type {other:?}")),
@@ -1136,190 +1034,6 @@ fn try_cert_check(path: &str) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// --serve: BENCH_serve.json validation
-// ---------------------------------------------------------------------------
-
-fn serve_check(path: &str) -> ExitCode {
-    match try_serve_check(path) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Validates a `BENCH_serve.json` daemon throughput artifact: schema,
-/// totals that add up, a positive jobs/sec (recomputed, not trusted),
-/// monotone latency percentiles, and exactly one terminal record per
-/// submitted job.
-fn try_serve_check(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let root = Json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let name = root
-        .get("benchmark")
-        .and_then(Json::as_str)
-        .ok_or("missing string \"benchmark\"")?;
-    if name != "serve" {
-        return Err(format!("benchmark is {name:?}, expected \"serve\""));
-    }
-    root.get("smoke")
-        .and_then(Json::as_bool)
-        .ok_or("missing bool \"smoke\"")?;
-    let int = |key: &str| -> Result<u64, String> {
-        root.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("missing integer {key:?}"))
-    };
-    let threads = int("threads")?;
-    let workers = int("workers")?;
-    if threads == 0 || workers == 0 {
-        return Err("threads and workers must be positive".to_string());
-    }
-    let jobs = int("jobs")?;
-    if jobs == 0 {
-        return Err("an artifact with zero jobs is vacuous".to_string());
-    }
-    let completed = int("completed")?;
-    let outcomes = ["completed", "interrupted", "cancelled", "failed"];
-    let settled = outcomes.iter().try_fold(0u64, |sum, key| {
-        sum.checked_add(int(key)?)
-            .ok_or(format!("outcome totals overflow u64 at {key:?}"))
-    })?;
-    if settled != jobs {
-        return Err(format!(
-            "outcome totals sum to {settled}, but {jobs} jobs were submitted"
-        ));
-    }
-    int("rejected_lines")?;
-    let wall_ns = int("wall_ns")?;
-    if wall_ns == 0 {
-        return Err("wall_ns must be positive".to_string());
-    }
-
-    // Recompute the throughput instead of trusting the field.
-    let jobs_per_sec = root
-        .get("jobs_per_sec")
-        .and_then(Json::as_f64)
-        .ok_or("missing number \"jobs_per_sec\"")?;
-    if jobs_per_sec.is_nan() || jobs_per_sec <= 0.0 {
-        return Err(format!("jobs_per_sec must be positive, got {jobs_per_sec}"));
-    }
-    let recomputed = jobs as f64 / (wall_ns as f64 / 1e9);
-    if (jobs_per_sec - recomputed).abs() > recomputed * 1e-6 {
-        return Err(format!(
-            "jobs_per_sec {jobs_per_sec} does not match {jobs} jobs over {wall_ns} ns \
-             (expected {recomputed})"
-        ));
-    }
-
-    let latency = root
-        .get("latency_ns")
-        .and_then(Json::as_obj)
-        .ok_or("missing \"latency_ns\" object")?;
-    let lat = |key: &str| -> Result<u64, String> {
-        latency
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("latency_ns.{key} missing or not an integer"))
-    };
-    let (p50, p95, max) = (lat("p50")?, lat("p95")?, lat("max")?);
-    if !(p50 <= p95 && p95 <= max) {
-        return Err(format!(
-            "latency percentiles must be monotone: p50 {p50} <= p95 {p95} <= max {max}"
-        ));
-    }
-
-    let depth = root
-        .get("queue_depth")
-        .and_then(Json::as_obj)
-        .ok_or("missing \"queue_depth\" object")?;
-    let depth_max = depth
-        .get("max")
-        .and_then(Json::as_u64)
-        .ok_or("queue_depth.max missing or not an integer")?;
-    let depth_mean = depth
-        .get("mean")
-        .and_then(Json::as_f64)
-        .ok_or("queue_depth.mean missing or not a number")?;
-    if depth_mean < 0.0 || depth_mean > depth_max as f64 {
-        return Err(format!(
-            "queue_depth.mean {depth_mean} outside [0, max {depth_max}]"
-        ));
-    }
-
-    // Exactly one terminal record per job, ids unique and in range.
-    let detail = root
-        .get("jobs_detail")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"jobs_detail\" array")?;
-    if detail.len() as u64 != jobs {
-        return Err(format!(
-            "jobs_detail has {} entries for {jobs} jobs — a job's terminal record \
-             is missing or duplicated",
-            detail.len()
-        ));
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    let mut detail_completed = 0u64;
-    for (i, entry) in detail.iter().enumerate() {
-        let at = |e: String| format!("jobs_detail[{i}]: {e}");
-        let id = entry
-            .get("job_id")
-            .and_then(Json::as_u64)
-            .filter(|&id| id > 0)
-            .ok_or_else(|| at("missing positive integer \"job_id\"".into()))?;
-        if id > jobs {
-            return Err(at(format!("job_id {id} out of range 1..={jobs}")));
-        }
-        if !seen.insert(id) {
-            return Err(at(format!("job {id} has more than one terminal record")));
-        }
-        entry
-            .get("circuit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| at("missing string \"circuit\"".into()))?;
-        let get = |key: &str| -> Result<u64, String> {
-            entry
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| at(format!("missing integer {key:?}")))
-        };
-        let job_latency = get("queue_ns")?
-            .checked_add(get("run_ns")?)
-            .ok_or_else(|| at("queue_ns + run_ns overflows u64".into()))?;
-        if job_latency > max {
-            return Err(at(format!(
-                "end-to-end latency {job_latency} exceeds the reported max {max}"
-            )));
-        }
-        for key in ["queue_depth", "priority", "iterations", "applied", "ands"] {
-            get(key)?;
-        }
-        match entry.get("outcome").and_then(Json::as_str) {
-            Some("completed") => detail_completed += 1,
-            Some("interrupted") | Some("cancelled") | Some("failed") => {}
-            Some(other) => return Err(at(format!("unknown outcome {other:?}"))),
-            None => return Err(at("missing string \"outcome\"".into())),
-        }
-    }
-    if detail_completed != completed {
-        return Err(format!(
-            "jobs_detail shows {detail_completed} completed jobs, header says {completed}"
-        ));
-    }
-
-    println!(
-        "serve OK: {path}: {jobs} jobs ({completed} completed) at {workers} worker(s), \
-         {jobs_per_sec:.3} jobs/s, latency p50 {} / p95 {} / max {}",
-        format_ns(p50 as f64),
-        format_ns(p95 as f64),
-        format_ns(max as f64),
-    );
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // --overhead: disabled-path cost gate
 // ---------------------------------------------------------------------------
 
@@ -1516,14 +1230,17 @@ mod tests {
 
     #[test]
     fn flow_record_enumerations_are_checked() {
+        let process = r#"{"type":"process","binary":"table4","scale":"test","seeds":1,
+"full":false,"threads":1}"#;
         let start = r#"{"type":"run_start","run":1,"flow":"alsrac","circuit":"c","seed":1,
 "metric":"ER","threshold":0.1,"inputs":2,"outputs":1,"ands":3,"depth":2}"#;
         let reject = r#"{"type":"iteration","run":1,"iter":1,"accepted":false,
 "reason":"cycle","candidates":2,"rounds":64,"phase_ns":{}}"#;
-        for rec in [start, reject] {
+        for rec in [process, start, reject] {
             validate_record(&Json::parse(rec).unwrap()).expect("valid record");
         }
         for (rec, expect) in [
+            (process.replace("\"test\"", "\"huge\""), "huge"),
             (start.replace("\"alsrac\"", "\"exact\""), "exact"),
             (start.replace("\"ER\"", "\"er\""), "\"er\""),
             (reject.replace("\"cycle\"", "\"bored\""), "bored"),
@@ -1611,238 +1328,6 @@ mod tests {
 "status":"degraded","status_reason":"SAT budget exhausted during WCE binary search"}}]}"#;
         let t = TempTrace::write("cert_degraded", artifact);
         try_cert_check(&t.0).expect("degraded WCE entry must validate");
-    }
-
-    /// A minimal valid serve artifact; `patch` rewrites one substring to
-    /// produce the invalid variants.
-    fn serve_artifact(patch: &[(&str, &str)]) -> String {
-        let mut s = r#"{"benchmark":"serve","smoke":true,"threads":1,"workers":2,"jobs":2,
-"completed":2,"interrupted":0,"cancelled":0,"failed":0,"rejected_lines":1,
-"wall_ns":1000000000,"jobs_per_sec":2,
-"latency_ns":{"p50":400000000,"p95":900000000,"max":900000000},
-"queue_depth":{"max":1,"mean":0.5},
-"jobs_detail":[
-{"job_id":1,"circuit":"alu4","priority":0,"outcome":"completed","queue_ns":1000,
-"run_ns":399999000,"queue_depth":1,"iterations":5,"applied":3,"ands":80},
-{"job_id":2,"circuit":"mtp8","priority":0,"outcome":"completed","queue_ns":2000,
-"run_ns":899998000,"queue_depth":0,"iterations":5,"applied":2,"ands":70}]}"#
-            .to_string();
-        for (from, to) in patch {
-            assert!(s.contains(from), "patch target {from:?} not in artifact");
-            s = s.replace(from, to);
-        }
-        s
-    }
-
-    #[test]
-    fn serve_artifacts_validate() {
-        let t = TempTrace::write("serve_ok", &serve_artifact(&[]));
-        try_serve_check(&t.0).expect("valid serve artifact must pass");
-    }
-
-    #[test]
-    fn serve_artifacts_with_inconsistent_totals_fail() {
-        let t = TempTrace::write(
-            "serve_totals",
-            &serve_artifact(&[("\"completed\":2", "\"completed\":1")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("totals must add up");
-        assert!(err.contains("sum to"), "wrong diagnostic: {err}");
-    }
-
-    #[test]
-    fn serve_artifacts_with_nonmonotone_latency_fail() {
-        let t = TempTrace::write(
-            "serve_latency",
-            &serve_artifact(&[("\"p50\":400000000", "\"p50\":950000000")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("p50 > p95 must fail");
-        assert!(err.contains("monotone"), "wrong diagnostic: {err}");
-    }
-
-    #[test]
-    fn serve_artifacts_with_duplicate_terminal_records_fail() {
-        let t = TempTrace::write(
-            "serve_dup",
-            &serve_artifact(&[("\"job_id\":2", "\"job_id\":1")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("duplicate job id must fail");
-        assert!(
-            err.contains("more than one terminal record"),
-            "wrong diagnostic: {err}"
-        );
-    }
-
-    #[test]
-    fn serve_artifacts_with_overflowing_sums_fail() {
-        let t = TempTrace::write(
-            "serve_overflow",
-            &serve_artifact(&[("\"queue_ns\":1000", "\"queue_ns\":18446744073709551615")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("a wrapped latency must fail");
-        assert!(err.contains("jobs_detail[0]"), "wrong diagnostic: {err}");
-        let t = TempTrace::write(
-            "serve_overflow_totals",
-            &serve_artifact(&[("\"failed\":0", "\"failed\":18446744073709551615")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("wrapped totals must fail");
-        assert!(err.contains("\"failed\""), "wrong diagnostic: {err}");
-    }
-
-    #[test]
-    fn serve_artifacts_with_fabricated_throughput_fail() {
-        let t = TempTrace::write(
-            "serve_rate",
-            &serve_artifact(&[("\"jobs_per_sec\":2", "\"jobs_per_sec\":1000")]),
-        );
-        let err = try_serve_check(&t.0).expect_err("jobs_per_sec is recomputed");
-        assert!(err.contains("does not match"), "wrong diagnostic: {err}");
-    }
-
-    #[test]
-    fn daemon_records_validate_as_trace_records() {
-        for rec in [
-            r#"{"type":"response","op":"submit","ok":true,"job_id":1}"#,
-            r#"{"type":"response","op":"cancel","ok":false,"error":"unknown job"}"#,
-            r#"{"type":"status","queued":1,"running":2,"done":3}"#,
-            r#"{"type":"job_done","job_id":1,"outcome":"completed","queue_ns":5,
-"run_ns":10,"queue_depth":0,"iterations":3,"applied":1,"ands":40}"#,
-            r#"{"type":"job_done","job_id":3,"outcome":"completed","cache_hit":true,
-"queue_ns":5,"run_ns":0,"queue_depth":0,"iterations":3,"applied":1,"ands":40}"#,
-            r#"{"type":"job_done","job_id":2,"outcome":"interrupted",
-"interrupt_reason":"cancelled","checkpoint":"{}","queue_ns":5,"run_ns":10,
-"queue_depth":0,"iterations":3,"applied":1,"ands":40}"#,
-            r#"{"type":"error","line":4,"message":"expected a value"}"#,
-            r#"{"type":"shutdown","reason":"input_closed","submitted":1,"completed":1,
-"interrupted":0,"cancelled":0,"failed":0,"rejected_lines":0}"#,
-        ] {
-            validate_record(&Json::parse(rec).unwrap())
-                .unwrap_or_else(|e| panic!("{rec} must validate: {e}"));
-        }
-    }
-
-    #[test]
-    fn daemon_records_with_schema_violations_fail() {
-        for (rec, expect) in [
-            (
-                r#"{"type":"job_done","job_id":0,"outcome":"completed","queue_ns":5,
-"run_ns":10,"queue_depth":0,"iterations":3,"applied":1,"ands":40}"#,
-                "positive",
-            ),
-            (
-                r#"{"type":"job_done","job_id":1,"outcome":"vanished","queue_ns":5,
-"run_ns":10,"queue_depth":0,"iterations":3,"applied":1,"ands":40}"#,
-                "vanished",
-            ),
-            (r#"{"type":"error","line":0,"message":"m"}"#, "1-based"),
-            (
-                r#"{"type":"shutdown","reason":"crash","submitted":0,"completed":0,
-"interrupted":0,"cancelled":0,"failed":0,"rejected_lines":0}"#,
-                "crash",
-            ),
-            (
-                r#"{"type":"response","op":"frobnicate","ok":true}"#,
-                "frobnicate",
-            ),
-            (r#"{"type":"response","op":"submit","ok":true}"#, "job_id"),
-            (
-                r#"{"type":"response","op":"cancel","ok":true,"job_id":2,"state":"gone"}"#,
-                "gone",
-            ),
-            (
-                r#"{"type":"process","binary":"table4","scale":"huge","seeds":1,"full":false,
-"threads":1}"#,
-                "huge",
-            ),
-        ] {
-            let err = validate_record(&Json::parse(rec).unwrap())
-                .expect_err("schema violation must fail");
-            assert!(err.contains(expect), "wrong diagnostic for {rec}: {err}");
-        }
-    }
-
-    /// Every `Response` variant the daemon writes is a valid record.
-    #[test]
-    fn every_response_variant_validates() {
-        use alsrac::serve::{CancelState, JobDone, JobOutcome, Response, SessionTotals};
-        let job = |job_id, outcome, checkpoint: Option<&str>, cache_hit| {
-            Response::JobDone(JobDone {
-                job_id,
-                outcome,
-                queue_ns: 1_000,
-                run_ns: 2_000,
-                queue_depth: 4,
-                iterations: 12,
-                applied: 7,
-                ands: 33,
-                checkpoint: checkpoint.map(str::to_string),
-                cache_hit,
-            })
-        };
-        let cancel = |job_id, state| Response::CancelAck { job_id, state };
-        let responses = [
-            Response::Submitted { job_id: 1 },
-            cancel(2, CancelState::Cancelled),
-            cancel(3, CancelState::Cancelling),
-            cancel(4, CancelState::AlreadyDone),
-            Response::Rejected {
-                op: "cancel".to_string(),
-                error: "unknown job id 9".to_string(),
-            },
-            Response::Status {
-                queued: 5,
-                running: 2,
-                done: 11,
-            },
-            job(6, JobOutcome::Completed, None, false),
-            job(10, JobOutcome::Completed, None, true),
-            job(
-                7,
-                JobOutcome::Interrupted {
-                    reason: "cancelled".to_string(),
-                },
-                Some("{\"version\": 1}"),
-                false,
-            ),
-            job(8, JobOutcome::Cancelled, None, false),
-            job(
-                9,
-                JobOutcome::Failed {
-                    error: "unknown circuit \"nope\"".to_string(),
-                },
-                None,
-                false,
-            ),
-            Response::LineError {
-                line: 4,
-                message: "unknown key \"bogus\"".to_string(),
-            },
-            Response::Shutdown {
-                reason: "input_closed".to_string(),
-                totals: SessionTotals {
-                    submitted: 9,
-                    completed: 5,
-                    interrupted: 1,
-                    cancelled: 2,
-                    failed: 1,
-                    rejected_lines: 3,
-                },
-            },
-        ];
-        for response in responses {
-            let line = response.to_json();
-            validate_record(&Json::parse(&line).unwrap())
-                .unwrap_or_else(|e| panic!("{line} must validate: {e}"));
-        }
-    }
-
-    #[test]
-    fn job_tagged_flow_records_validate_but_job_id_zero_fails() {
-        let rec = run_end_with(r#","job_id":3"#);
-        validate_record(&Json::parse(&rec).unwrap()).expect("tagged run_end must validate");
-        let rec = run_end_with(r#","job_id":0"#);
-        let err = validate_record(&Json::parse(&rec).unwrap()).expect_err("zero tag must fail");
-        assert!(err.contains("job_id"), "wrong diagnostic: {err}");
     }
 
     #[test]

@@ -37,9 +37,6 @@
 //!   measurement that assembles the [`flow::FlowResult`];
 //! * [`checkpoint`] — the serialized loop state an interrupted run leaves
 //!   behind and a resumed run restarts from, bit-identically;
-//! * [`serve`] — the multi-tenant service mode: a JSONL job protocol and
-//!   a priority-scheduled worker pool running many flows concurrently
-//!   over a shared immutable catalog;
 //! * [`baseline`] — reimplementations of the paper's comparison methods:
 //!   Su's SASIMI-style substitute-and-simplify and Liu's stochastic ALS;
 //! * [`exact`] — zero-error SAT-based resubstitution (the [14]/[18]
@@ -78,7 +75,6 @@ pub mod estimate;
 pub mod exact;
 pub mod flow;
 pub mod lac;
-pub mod serve;
 pub mod window;
 
 mod error;

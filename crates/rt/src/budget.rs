@@ -80,26 +80,31 @@ impl CancelToken {
 /// A wall-clock cutoff. Checked against the monotonic clock.
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {
-    at: Instant,
+    /// `None` when the cutoff lies past the last representable instant.
+    at: Option<Instant>,
 }
 
 impl Deadline {
-    /// A deadline `timeout` from now.
+    /// A deadline `timeout` from now. A timeout too long for the clock to
+    /// represent gives a deadline that never expires.
     pub fn after(timeout: Duration) -> Deadline {
         Deadline {
-            at: Instant::now() + timeout,
+            at: Instant::now().checked_add(timeout),
         }
     }
 
     /// Whether the deadline has passed.
     #[inline]
     pub fn expired(&self) -> bool {
-        Instant::now() >= self.at
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// Time left before expiry (zero once expired).
+    /// Time left before expiry (zero once expired, [`Duration::MAX`] for a
+    /// deadline that never expires).
     pub fn remaining(&self) -> Duration {
-        self.at.saturating_duration_since(Instant::now())
+        self.at.map_or(Duration::MAX, |at| {
+            at.saturating_duration_since(Instant::now())
+        })
     }
 }
 
@@ -272,6 +277,13 @@ mod tests {
         let budget = Budget::default().with_deadline_after(Duration::from_secs(3600));
         assert_eq!(budget.interrupted(), None);
         assert!(budget.deadline_remaining().expect("deadline") > Duration::from_secs(3000));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_interrupts() {
+        let budget = Budget::default().with_deadline_after(Duration::MAX);
+        assert_eq!(budget.interrupted(), None);
+        assert_eq!(budget.deadline_remaining(), Some(Duration::MAX));
     }
 
     #[test]

@@ -99,35 +99,6 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Marks the current thread as a pool worker for the guard's lifetime:
-/// every nested parallel primitive runs inline, exactly as it would inside
-/// a [`par_indices`] worker.
-///
-/// This is for long-lived executor threads *outside* this module — e.g.
-/// the job workers of `alsrac::serve`, which each own one flow at a time
-/// and must not fan that flow's inner loops out over further threads
-/// (oversubscription, and worker-count-dependent span attribution). The
-/// guard nests and restores the previous state on drop, including on
-/// panic.
-#[must_use = "the worker marking lasts only while the guard is alive"]
-pub struct WorkerGuard {
-    prev: bool,
-}
-
-/// Installs a [`WorkerGuard`] on the current thread.
-pub fn become_worker() -> WorkerGuard {
-    WorkerGuard {
-        prev: IN_POOL.with(|p| p.replace(true)),
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_POOL.with(|p| p.set(prev));
-    }
-}
-
 /// Maps `f` over `0..n` in parallel, returning results in index order.
 ///
 /// The scheduling is dynamic (an atomic counter hands out indices), so
@@ -381,23 +352,6 @@ mod tests {
         assert_eq!(parse_threads(""), None);
         assert_eq!(parse_threads("-2"), None);
         assert_eq!(parse_threads("many"), None);
-    }
-
-    #[test]
-    fn become_worker_forces_inline_execution_and_restores() {
-        let caller = std::thread::current().id();
-        with_threads(8, || {
-            {
-                let _guard = become_worker();
-                // Every item runs on the caller's thread: the primitives
-                // see IN_POOL and take the inline path.
-                let tids = par_indices(16, |_| std::thread::current().id());
-                assert!(tids.iter().all(|&t| t == caller));
-            }
-            // Guard dropped: parallelism is available again (results are
-            // identical either way; only placement may differ).
-            assert_eq!(par_indices(4, |i| i * 3), vec![0, 3, 6, 9]);
-        });
     }
 
     #[test]

@@ -54,10 +54,6 @@ thread_local! {
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     /// Small dense id for the current thread (for distinct-thread counts).
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
-    /// Job id stamped onto every record emitted from this thread
-    /// (0 = untagged). Set by multi-tenant drivers such as `alsrac::serve`
-    /// so interleaved job streams stay separable on one sink.
-    static JOB_TAG: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Totals {
@@ -189,32 +185,6 @@ pub fn next_run_id() -> u64 {
     NEXT_RUN.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Tags (or untags, with `None`) every record subsequently emitted from
-/// *this thread* with a `job_id` field. Multi-tenant drivers set the tag
-/// around each job they execute so a shared sink stays demultiplexable;
-/// the flow code underneath needs no knowledge of the tag. Job ids must be
-/// nonzero (zero is the internal "untagged" sentinel).
-///
-/// # Panics
-///
-/// Panics if `job_id` is `Some(0)`.
-pub fn set_job_tag(job_id: Option<u64>) {
-    let raw = job_id.unwrap_or(0);
-    assert!(
-        job_id != Some(0),
-        "job id 0 is reserved for the untagged state"
-    );
-    JOB_TAG.with(|tag| tag.set(raw));
-}
-
-/// The `job_id` tag in effect on this thread, if any.
-pub fn job_tag() -> Option<u64> {
-    JOB_TAG.with(|tag| match tag.get() {
-        0 => None,
-        id => Some(id),
-    })
-}
-
 /// A scoped wall-clock timer. Created by [`span`]; records its elapsed
 /// time into the process-wide totals on drop (or [`Span::finish`]).
 ///
@@ -330,17 +300,11 @@ pub fn snapshot() -> (Vec<PhaseSnapshot>, Vec<(String, u64)>) {
 }
 
 /// Writes one JSONL record (a closed-over [`Obj`]) to the sink. No-op when
-/// tracing is disabled; the whole line is written under one lock. When a
-/// [`set_job_tag`] tag is active on this thread, a `job_id` field is
-/// appended to the record before it is serialized.
+/// tracing is disabled; the whole line is written under one lock.
 pub fn emit(record: Obj) {
     if !is_enabled() {
         return;
     }
-    let record = match job_tag() {
-        Some(id) => record.u64("job_id", id),
-        None => record,
-    };
     let line = record.finish();
     let mut sink = SINK.lock().expect("trace sink poisoned");
     if let Some(writer) = sink.as_mut() {
@@ -584,39 +548,5 @@ mod tests {
         let a = next_run_id();
         let b = next_run_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn job_tag_stamps_records_and_is_thread_local() {
-        let text = with_trace(|buf| {
-            emit(Obj::new().str("type", "iteration").u64("iter", 1));
-            set_job_tag(Some(42));
-            assert_eq!(job_tag(), Some(42));
-            emit(Obj::new().str("type", "iteration").u64("iter", 2));
-            // A fresh thread starts untagged even while this one is tagged.
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    assert_eq!(job_tag(), None);
-                    emit(Obj::new().str("type", "iteration").u64("iter", 3));
-                });
-            });
-            set_job_tag(None);
-            emit(Obj::new().str("type", "iteration").u64("iter", 4));
-            buf.text()
-        });
-        let tags: Vec<Option<u64>> = text
-            .lines()
-            .map(|line| {
-                let rec = crate::json::Json::parse(line).expect("valid JSONL");
-                rec.get("job_id").and_then(|v| v.as_u64())
-            })
-            .collect();
-        assert_eq!(tags, vec![None, Some(42), None, None]);
-    }
-
-    #[test]
-    #[should_panic(expected = "job id 0 is reserved")]
-    fn job_tag_rejects_zero() {
-        set_job_tag(Some(0));
     }
 }

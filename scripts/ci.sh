@@ -51,22 +51,6 @@
 #           merged at least one node (`cert_sweep_merges`, printed by
 #           bench_cert); `report --cert` also validates the committed
 #           BENCH_cert.json
-#   serve-smoke
-#           daemon gate: `bench_serve --smoke` runs three concurrent jobs
-#           through an in-process daemon at ALSRAC_THREADS=1 and 3 and
-#           asserts every streamed run_end bit-identical to a direct
-#           `flow::run` at the same seed (the workspace tests check the
-#           same on another job mix), a malformed request line yields
-#           a structured error naming its line number without killing the
-#           daemon, and cancelling an in-flight job yields an interrupted
-#           record whose checkpoint `flow::resume` completes from; then a
-#           scripted transcript is piped through the real `alsrac-cli
-#           --serve` binary — including a repeated identical submit that
-#           must come back `cache_hit` from the result cache — and the
-#           captured session (responses plus job-tagged flow records)
-#           must be a schema-valid trace.
-#           `report --serve` validates both fresh artifacts and the
-#           committed BENCH_serve.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -243,55 +227,6 @@ run_cert_smoke() {
     echo "cert-smoke gate passed."
 }
 
-run_serve_smoke() {
-    ensure_release_build
-
-    echo "==> daemon gate (bit-identity + cancel/resume, 1 and 3 workers)"
-    serve_t1="$(tmpfile alsrac_bench_serve1_XXXXXX.json)"
-    serve_t3="$(tmpfile alsrac_bench_serve3_XXXXXX.json)"
-    # bench_serve --smoke asserts in-process: every streamed run_end
-    # bit-identical to a direct flow::run at the same seed, a malformed
-    # line rejected by line number without killing the daemon, and an
-    # in-flight cancel interrupted with a checkpoint flow::resume
-    # completes from.
-    ALSRAC_THREADS=1 target/release/bench_serve --smoke "$serve_t1"
-    ALSRAC_THREADS=3 target/release/bench_serve --smoke "$serve_t3"
-    target/release/report --serve "$serve_t1"
-    target/release/report --serve "$serve_t3"
-
-    echo "==> committed throughput artifact still validates"
-    target/release/report --serve BENCH_serve.json
-
-    echo "==> end-to-end transcript through the real daemon binary"
-    session="$(tmpfile alsrac_serve_session_XXXXXX.jsonl)"
-    printf '%s\n' \
-        '{"op":"submit","circuit":"cla32","metric":"er","threshold":0.05,"seed":1,"max_iterations":5,"measure_rounds":2000}' \
-        'this is not a request' \
-        '{"op":"status"}' \
-        '{"op":"submit","circuit":"cla32","metric":"er","threshold":0.05,"seed":1,"max_iterations":5,"measure_rounds":2000}' \
-        '{"op":"shutdown","mode":"drain"}' \
-        | target/release/alsrac-cli --serve --workers 1 2>/dev/null >"$session"
-    check() {
-        grep -q "$1" "$session" || {
-            echo "serve-smoke: captured session lacks $2" >&2
-            exit 1
-        }
-    }
-    check '"type":"response","op":"submit","ok":true,"job_id":1' "the submit ack"
-    check '"type":"run_end".*"job_id":1' "the job-tagged run_end"
-    check '"type":"error","line":2,' "the line-numbered parse error"
-    check '"type":"job_done","job_id":1,"outcome":"completed"' "the terminal job record"
-    # The second, identical submit must be served from the result cache:
-    # its terminal record carries cache_hit and the session totals count it.
-    check '"type":"job_done","job_id":2,.*"cache_hit":true' "the cache-served job record"
-    check '"type":"shutdown","reason":"shutdown_request"' "the final shutdown record"
-    # The captured session — responses interleaved with job-tagged flow
-    # records — must itself be a schema-valid trace file.
-    session_summary="$(tmpfile alsrac_serve_summary_XXXXXX.json)"
-    target/release/report "$session" --summary "$session_summary" >/dev/null
-    echo "serve-smoke gate passed."
-}
-
 case "$step" in
 fmt) run_step fmt run_fmt ;;
 clippy) run_step clippy run_clippy ;;
@@ -301,7 +236,6 @@ smoke) run_step smoke run_smoke ;;
 alsbench) run_step alsbench run_alsbench ;;
 window-smoke) run_step window-smoke run_window_smoke ;;
 cert-smoke) run_step cert-smoke run_cert_smoke ;;
-serve-smoke) run_step serve-smoke run_serve_smoke ;;
 all)
     run_step fmt run_fmt
     run_step clippy run_clippy
@@ -311,10 +245,9 @@ all)
     run_step alsbench run_alsbench
     run_step window-smoke run_window_smoke
     run_step cert-smoke run_cert_smoke
-    run_step serve-smoke run_serve_smoke
     ;;
 *)
-    echo "unknown step '$step' (expected fmt|clippy|build|test|smoke|alsbench|window-smoke|cert-smoke|serve-smoke|all)" >&2
+    echo "unknown step '$step' (expected fmt|clippy|build|test|smoke|alsbench|window-smoke|cert-smoke|all)" >&2
     exit 2
     ;;
 esac

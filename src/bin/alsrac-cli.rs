@@ -4,12 +4,14 @@
 //! ```text
 //! alsrac-cli --input adder.blif --metric er --threshold 0.01 --output approx.blif
 //! alsrac-cli --bench rca32 --metric nmed --threshold 0.0005 --map lut6
-//! alsrac-cli --bench ks32 --metric wce --threshold 4 --deadline 30 --sat-conflicts 100000
+//! alsrac-cli --bench ksa32 --metric wce --threshold 4 --deadline 30 --sat-conflicts 100000
 //! ```
 //!
 //! Input formats: BLIF (`.blif`), ASCII AIGER (`.aag`), binary AIGER
 //! (`.aig`), or a named generated benchmark via `--bench`. The output
-//! format follows the output file extension.
+//! format follows the output file extension: the three input formats or
+//! structural Verilog (`.v`). Flag values are checked before the circuit
+//! is loaded, so a bad one never costs a flow run.
 //!
 //! # Budgets and interruption
 //!
@@ -26,46 +28,82 @@
 use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use alsrac_suite::aig::Aig;
-use alsrac_suite::circuits::{aiger, blif, catalog};
+use alsrac_suite::circuits::{aiger, blif, catalog, verilog};
 use alsrac_suite::core::baseline::{liu, su};
 use alsrac_suite::core::checkpoint::Checkpoint;
 use alsrac_suite::core::flow::{self, run, FlowConfig, FlowOutcome};
-use alsrac_suite::core::serve::{self, CircuitSource, ExitReason};
 use alsrac_suite::map::cell::{map_cells, Library};
 use alsrac_suite::map::lut::map_luts;
 use alsrac_suite::metrics::{CertStatus, ErrorMetric};
 use alsrac_suite::rt::budget::{Budget, CancelToken};
-use alsrac_suite::rt::pool;
+
+/// The synthesis method `--method` selects.
+#[derive(Clone, Copy, PartialEq)]
+enum Method {
+    Alsrac,
+    Su,
+    Liu,
+}
+
+/// The technology mapper `--map` selects.
+#[derive(Clone, Copy)]
+enum Mapper {
+    Lut6,
+    Cells,
+}
+
+/// A circuit file format, named by the file's extension. Verilog is
+/// written only.
+#[derive(Clone, Copy)]
+enum Format {
+    Blif,
+    Aag,
+    Aig,
+    Verilog,
+}
+
+impl Format {
+    fn of(path: &str) -> Result<Format, String> {
+        let ext = Path::new(path)
+            .extension()
+            .and_then(|e| e.to_str())
+            .unwrap_or("");
+        match ext {
+            "blif" => Ok(Format::Blif),
+            "aag" => Ok(Format::Aag),
+            "aig" => Ok(Format::Aig),
+            "v" => Ok(Format::Verilog),
+            other => Err(format!("unsupported extension {other:?} in {path:?}")),
+        }
+    }
+}
 
 struct Args {
-    input: Option<String>,
+    input: Option<(String, Format)>,
     bench: Option<String>,
-    output: Option<String>,
+    output: Option<(String, Format)>,
     metric: ErrorMetric,
     threshold: f64,
     seed: u64,
-    method: String,
-    map: Option<String>,
+    method: Method,
+    map: Option<Mapper>,
     measure_rounds: usize,
-    deadline: Option<f64>,
+    deadline: Option<Duration>,
     sat_conflicts: Option<u64>,
     sat_propagations: Option<u64>,
     checkpoint: String,
     resume: Option<String>,
-    serve: bool,
-    socket: Option<String>,
-    workers: Option<usize>,
 }
 
 const USAGE: &str = "\
 usage: alsrac-cli [options]
   --input FILE        input circuit (.blif, .aag, .aig)
   --bench NAME        use a generated benchmark (e.g. rca32, voter) instead
-  --output FILE       write the approximate circuit (.blif, .aag, .aig)
+  --output FILE       write the approximate circuit (.blif, .aag, .aig, .v)
   --metric er|nmed|mred|wce   error metric (default er)
   --threshold X       error budget (default 0.01; an absolute maximum
                       error distance when --metric wce)
@@ -80,17 +118,8 @@ usage: alsrac-cli [options]
                       (default alsrac_checkpoint.json)
   --resume FILE       continue a previously interrupted run from FILE
                       (requires the same circuit, seed, metric, threshold)
-  --serve             run as a JSONL job daemon on stdin/stdout instead of
-                      a single flow (requests in, responses and streamed
-                      trace records out, one JSON object per line)
-  --socket PATH       with --serve: listen on a Unix socket at PATH and
-                      serve one connection at a time instead of stdio
-  --workers N         with --serve: concurrent job workers (default: the
-                      pool thread count, i.e. ALSRAC_THREADS or the CPU count)
 
 Ctrl-C checkpoints the run to the --checkpoint path and exits 130.
-In --serve mode, Ctrl-C checkpoints running jobs, cancels queued ones,
-emits the final shutdown record, and exits 130.
 ";
 
 fn parse_args() -> Result<Args, String> {
@@ -101,7 +130,7 @@ fn parse_args() -> Result<Args, String> {
         metric: ErrorMetric::ErrorRate,
         threshold: 0.01,
         seed: 1,
-        method: "alsrac".to_string(),
+        method: Method::Alsrac,
         map: None,
         measure_rounds: 100_000,
         deadline: None,
@@ -109,17 +138,24 @@ fn parse_args() -> Result<Args, String> {
         sat_propagations: None,
         checkpoint: "alsrac_checkpoint.json".to_string(),
         resume: None,
-        serve: false,
-        socket: None,
-        workers: None,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = || iter.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--input" => args.input = Some(value()?),
+            "--input" => {
+                let path = value()?;
+                match Format::of(&path)? {
+                    Format::Verilog => return Err(format!("cannot read Verilog input {path:?}")),
+                    format => args.input = Some((path, format)),
+                }
+            }
             "--bench" => args.bench = Some(value()?),
-            "--output" => args.output = Some(value()?),
+            "--output" => {
+                let path = value()?;
+                let format = Format::of(&path)?;
+                args.output = Some((path, format));
+            }
             "--metric" => {
                 args.metric = match value()?.as_str() {
                     "er" => ErrorMetric::ErrorRate,
@@ -136,14 +172,28 @@ fn parse_args() -> Result<Args, String> {
             "--rounds" => {
                 args.measure_rounds = value()?.parse().map_err(|e| format!("rounds: {e}"))?
             }
-            "--method" => args.method = value()?,
-            "--map" => args.map = Some(value()?),
+            "--method" => {
+                args.method = match value()?.as_str() {
+                    "alsrac" => Method::Alsrac,
+                    "su" => Method::Su,
+                    "liu" => Method::Liu,
+                    other => return Err(format!("unknown method {other:?}")),
+                }
+            }
+            "--map" => {
+                args.map = Some(match value()?.as_str() {
+                    "lut6" => Mapper::Lut6,
+                    "cells" => Mapper::Cells,
+                    other => return Err(format!("unknown mapper {other:?}")),
+                })
+            }
             "--deadline" => {
                 let secs: f64 = value()?.parse().map_err(|e| format!("deadline: {e}"))?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err(format!("deadline must be a positive number, got {secs}"));
                 }
-                args.deadline = Some(secs);
+                // Too long to represent: a deadline that never expires.
+                args.deadline = Some(Duration::try_from_secs_f64(secs).unwrap_or(Duration::MAX));
             }
             "--sat-conflicts" => {
                 args.sat_conflicts = Some(
@@ -161,80 +211,50 @@ fn parse_args() -> Result<Args, String> {
             }
             "--checkpoint" => args.checkpoint = value()?,
             "--resume" => args.resume = Some(value()?),
-            "--serve" => args.serve = true,
-            "--socket" => args.socket = Some(value()?),
-            "--workers" => {
-                let n: usize = value()?.parse().map_err(|e| format!("workers: {e}"))?;
-                if n == 0 {
-                    return Err("workers must be at least 1".to_string());
-                }
-                args.workers = Some(n);
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.serve {
-        if args.input.is_some() || args.bench.is_some() {
-            return Err("--serve takes circuits via submit requests, not --input/--bench".into());
-        }
-        if args.output.is_some() || args.resume.is_some() {
-            return Err("--output/--resume do not apply in --serve mode".to_string());
-        }
-        return Ok(args);
-    }
-    if args.socket.is_some() || args.workers.is_some() {
-        return Err("--socket/--workers require --serve".to_string());
-    }
     if args.input.is_none() == args.bench.is_none() {
         return Err("exactly one of --input or --bench is required".to_string());
     }
-    if args.method != "alsrac" {
+    if args.method != Method::Alsrac {
         let budgeted = args.deadline.is_some()
             || args.sat_conflicts.is_some()
             || args.sat_propagations.is_some()
             || args.resume.is_some();
         if budgeted {
-            return Err(format!(
+            return Err(
                 "--deadline/--sat-conflicts/--sat-propagations/--resume require \
-                 --method alsrac, not {:?}",
-                args.method
-            ));
+                 --method alsrac"
+                    .to_string(),
+            );
         }
     }
     Ok(args)
 }
 
 fn load(args: &Args) -> Result<Aig, Box<dyn Error>> {
-    if let Some(name) = &args.bench {
+    let Some((path, format)) = &args.input else {
+        let name = args.bench.as_deref().expect("validated");
         return catalog::by_name(name, catalog::Scale::Paper)
             .ok_or_else(|| format!("unknown benchmark {name:?}").into());
-    }
-    let path = args.input.as_deref().expect("validated");
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    match ext {
-        "blif" => Ok(blif::parse(&std::fs::read_to_string(path)?)?),
-        "aag" => Ok(aiger::parse_ascii(&std::fs::read_to_string(path)?)?),
-        "aig" => Ok(aiger::parse_binary(&std::fs::read(path)?)?),
-        other => Err(format!("unsupported input extension {other:?}").into()),
+    };
+    match format {
+        Format::Blif => Ok(blif::parse(&std::fs::read_to_string(path)?)?),
+        Format::Aag => Ok(aiger::parse_ascii(&std::fs::read_to_string(path)?)?),
+        Format::Aig => Ok(aiger::parse_binary(&std::fs::read(path)?)?),
+        Format::Verilog => unreachable!("parse_args rejects Verilog input"),
     }
 }
 
-fn save(path: &str, aig: &Aig) -> Result<(), Box<dyn Error>> {
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    match ext {
-        "blif" => std::fs::write(path, blif::write(aig))?,
-        "aag" => std::fs::write(path, aiger::write_ascii(aig))?,
-        "aig" => std::fs::write(path, aiger::write_binary(aig))?,
-        other => return Err(format!("unsupported output extension {other:?}").into()),
+fn save(path: &str, format: Format, aig: &Aig) -> std::io::Result<()> {
+    match format {
+        Format::Blif => std::fs::write(path, blif::write(aig)),
+        Format::Aag => std::fs::write(path, aiger::write_ascii(aig)),
+        Format::Aig => std::fs::write(path, aiger::write_binary(aig)),
+        Format::Verilog => std::fs::write(path, verilog::write(aig)),
     }
-    Ok(())
 }
 
 /// The token the SIGINT handler trips. Installed once before the flow
@@ -263,105 +283,6 @@ fn install_sigint_handler() -> CancelToken {
     token
 }
 
-/// Builds the circuit resolver the daemon's shared catalog uses: named
-/// circuits come from the bundled generators (at either scale, with the
-/// large scale-study multipliers also reachable by name), inline text
-/// goes through the BLIF/AIGER parsers.
-fn serve_resolver() -> Box<serve::Resolver> {
-    Box::new(|source: &CircuitSource| match source {
-        CircuitSource::Named { name, scale } => {
-            let scale = match scale.as_str() {
-                "paper" => catalog::Scale::Paper,
-                _ => catalog::Scale::Test,
-            };
-            catalog::by_name(name, scale)
-                .or_else(|| {
-                    catalog::scale_benchmarks()
-                        .into_iter()
-                        .find(|b| b.paper_name == *name)
-                        .map(|b| b.aig)
-                })
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))
-        }
-        CircuitSource::Blif(text) => blif::parse(text).map_err(|e| e.to_string()),
-        CircuitSource::Aag(text) => aiger::parse_ascii(text).map_err(|e| e.to_string()),
-    })
-}
-
-/// Runs the daemon over stdio or a Unix socket until shutdown. Returns
-/// exit code 130 when SIGINT stopped the session (mirroring the
-/// single-flow checkpoint path).
-fn run_serve(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
-    let stop = install_sigint_handler();
-    let catalog = Arc::new(serve::Catalog::new(serve_resolver()));
-    let workers = args.workers.unwrap_or_else(pool::current_threads);
-    let reason = match &args.socket {
-        Some(path) => serve_socket(path, &catalog, workers, &stop)?,
-        None => {
-            eprintln!("alsrac-cli: serving JSONL on stdin/stdout ({workers} workers)");
-            let reader = std::io::BufReader::new(std::io::stdin());
-            serve::serve(reader, std::io::stdout(), catalog, workers, Some(stop)).reason
-        }
-    };
-    Ok(match reason {
-        ExitReason::StopRequested => ExitCode::from(130),
-        _ => ExitCode::SUCCESS,
-    })
-}
-
-/// Accepts connections on a Unix socket one at a time, running a serve
-/// session per connection, until a client sends `shutdown` or SIGINT
-/// arrives. A client hanging up (EOF) just ends its session; the daemon
-/// keeps listening.
-fn serve_socket(
-    path: &str,
-    catalog: &Arc<serve::Catalog>,
-    workers: usize,
-    stop: &CancelToken,
-) -> Result<ExitReason, Box<dyn Error>> {
-    use std::os::unix::net::UnixListener;
-
-    // A stale socket file from a crashed daemon would make bind fail.
-    if std::fs::metadata(path).is_ok() {
-        std::fs::remove_file(path).map_err(|e| format!("cannot replace socket {path}: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("cannot bind socket {path}: {e}"))?;
-    // Non-blocking accept so SIGINT is noticed between connections too.
-    listener.set_nonblocking(true)?;
-    eprintln!("alsrac-cli: serving JSONL on {path} ({workers} workers)");
-    let reason = loop {
-        if stop.is_tripped() {
-            break ExitReason::StopRequested;
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                stream.set_nonblocking(false)?;
-                let writer = stream.try_clone()?;
-                let reader = std::io::BufReader::new(stream);
-                let summary = serve::serve(
-                    reader,
-                    writer,
-                    Arc::clone(catalog),
-                    workers,
-                    Some(stop.clone()),
-                );
-                match summary.reason {
-                    // EOF just means this client hung up; wait for the next.
-                    ExitReason::InputClosed => continue,
-                    other => break other,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(format!("accept on {path} failed: {e}").into()),
-        }
-    };
-    let _ = std::fs::remove_file(path);
-    Ok(reason)
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -383,22 +304,17 @@ fn main() -> ExitCode {
 }
 
 fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
-    if args.serve {
-        // The daemon owns the trace sink (streamed records ARE the
-        // protocol), so ALSRAC_TRACE does not apply here.
-        return run_serve(args);
-    }
     if let Some(path) = alsrac_suite::rt::trace::init_from_env()? {
         eprintln!("tracing to {path} (ALSRAC_TRACE)");
     }
     let exact = load(args)?;
     eprintln!("loaded: {exact:?}");
 
-    let result = match args.method.as_str() {
-        "alsrac" => {
+    let result = match args.method {
+        Method::Alsrac => {
             let mut budget = Budget::unlimited().with_cancel(install_sigint_handler());
-            if let Some(secs) = args.deadline {
-                budget = budget.with_deadline_after(Duration::from_secs_f64(secs));
+            if let Some(timeout) = args.deadline {
+                budget = budget.with_deadline_after(timeout);
             }
             if let Some(n) = args.sat_conflicts {
                 budget = budget.with_sat_conflicts(n);
@@ -428,7 +344,7 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
                 None => run(&exact, &config)?,
             }
         }
-        "su" => su::run(
+        Method::Su => su::run(
             &exact,
             &su::SuConfig {
                 metric: args.metric,
@@ -438,7 +354,7 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
                 ..su::SuConfig::default()
             },
         )?,
-        "liu" => liu::run(
+        Method::Liu => liu::run(
             &exact,
             &liu::LiuConfig {
                 metric: args.metric,
@@ -448,7 +364,6 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
                 ..liu::LiuConfig::default()
             },
         )?,
-        other => return Err(format!("unknown method {other:?}").into()),
     };
 
     if let FlowOutcome::Interrupted { reason } = &result.outcome {
@@ -495,8 +410,8 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
         );
     }
 
-    match args.map.as_deref() {
-        Some("lut6") => {
+    match args.map {
+        Some(Mapper::Lut6) => {
             let base = map_luts(&exact, 6);
             let approx = map_luts(&result.approx, 6);
             println!(
@@ -507,7 +422,7 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
                 approx.depth()
             );
         }
-        Some("cells") => {
+        Some(Mapper::Cells) => {
             let lib = Library::mcnc();
             let base = map_cells(&exact, &lib);
             let approx = map_cells(&result.approx, &lib);
@@ -516,12 +431,11 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
                 base.area, approx.area, base.delay, approx.delay
             );
         }
-        Some(other) => return Err(format!("unknown mapper {other:?}").into()),
         None => {}
     }
 
-    if let Some(path) = &args.output {
-        save(path, &result.approx)?;
+    if let Some((path, format)) = &args.output {
+        save(path, *format, &result.approx)?;
         eprintln!("wrote {path}");
     }
     // No-ops unless ALSRAC_TRACE installed a sink above.
