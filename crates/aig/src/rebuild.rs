@@ -66,28 +66,6 @@ impl Aig {
         &self,
         substitutions: &HashMap<NodeId, Lit>,
     ) -> Result<Aig, RebuildError> {
-        self.rebuilt_with_substitutions_mapped(substitutions)
-            .map(|(aig, _)| aig)
-    }
-
-    /// Like [`Aig::rebuilt_with_substitutions`], additionally returning the
-    /// rebuild map: `map[old.index()]` is the literal of the rebuilt graph
-    /// that old node `old` resolves to (`None` for nodes unreachable from
-    /// the outputs, i.e. swept).
-    ///
-    /// The map lets callers relate old and new node ids — e.g. to carry
-    /// simulated values of structurally untouched nodes across a rewrite
-    /// instead of re-simulating from scratch. A complemented map literal
-    /// means the new node computes the old node's complement (constant
-    /// folding and substitution chains can introduce these).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Aig::rebuilt_with_substitutions`].
-    pub fn rebuilt_with_substitutions_mapped(
-        &self,
-        substitutions: &HashMap<NodeId, Lit>,
-    ) -> Result<(Aig, Vec<Option<Lit>>), RebuildError> {
         for (&node, &lit) in substitutions {
             if lit.node().index() >= self.num_nodes() {
                 return Err(RebuildError::SubstitutionOutOfBounds { node });
@@ -95,6 +73,8 @@ impl Aig {
         }
 
         let mut out = Aig::new(self.name().to_string());
+        // `map[old]` is the literal of `out` that old node `old` resolves
+        // to, set once the node is finished.
         let mut map: Vec<Option<Lit>> = vec![None; self.num_nodes()];
         map[NodeId::CONST.index()] = Some(Lit::FALSE);
         for (pos, &input) in self.inputs().iter().enumerate() {
@@ -169,7 +149,7 @@ impl Aig {
                 mapped.complement_if(output.lit.is_complement()),
             );
         }
-        Ok((out, map))
+        Ok(out)
     }
 
     /// Rebuilds the graph with no substitutions: sweeps dangling nodes,
@@ -334,32 +314,6 @@ mod tests {
         // y = b now.
         assert_eq!(rebuilt.evaluate(&[false, true]), vec![true]);
         assert_eq!(rebuilt.evaluate(&[false, false]), vec![false]);
-    }
-
-    #[test]
-    fn mapped_rebuild_relates_old_and_new_ids() {
-        let mut aig = Aig::new("t");
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let c = aig.add_input("c");
-        let ab = aig.and(a, b);
-        let y = aig.and(ab, c);
-        let dangling = aig.and(a, !b);
-        aig.add_output("y", y);
-        let (rebuilt, map) = aig
-            .rebuilt_with_substitutions_mapped(&HashMap::new())
-            .expect("no cycle");
-        // Inputs map to inputs, reachable ANDs map to equivalent new nodes,
-        // dangling nodes are swept (None).
-        assert_eq!(map[a.node().index()], Some(rebuilt.inputs()[0].lit()));
-        assert!(map[dangling.node().index()].is_none());
-        let mapped_y = map[y.node().index()].expect("output driver kept");
-        assert_eq!(
-            rebuilt.outputs()[0].lit,
-            mapped_y.complement_if(y.is_complement())
-        );
-        // The mapped graph is the same as the unmapped rebuild.
-        assert_eq!(rebuilt.num_ands(), aig.cleaned().num_ands());
     }
 
     #[test]

@@ -92,8 +92,17 @@ fn bench_batch_estimation(runner: &mut Runner) {
         &LacConfig::default(),
     );
     let est_patterns = PatternBuffer::random(16, 2048, 6);
+    let outputs = Simulation::new(&aig, &est_patterns).output_words(&aig);
     runner.bench("batch estimate all LACs ksa8", || {
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate);
+        let sim = Simulation::new(&aig, &est_patterns);
+        let estimator = Estimator::new(
+            &outputs,
+            &sim,
+            &aig,
+            &est_patterns,
+            &fanouts,
+            ErrorMetric::ErrorRate,
+        );
         black_box(estimator.estimate_all(black_box(&lacs)));
     });
 }

@@ -89,8 +89,6 @@ fn sibling_summary_path(trace_path: &str) -> String {
 const KNOWN_COUNTERS: &[&str] = &[
     "simulations",
     "sim_node_words",
-    "sim_incremental_updates",
-    "sim_words_saved",
     "influence_words_computed",
     "influence_early_exits",
     "influence_quenched_nodes",

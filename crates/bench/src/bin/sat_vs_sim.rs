@@ -1,6 +1,6 @@
 //! The paper's scalability argument, measured: simulation-only feasibility
 //! checking (ALSRAC, §III-B2) vs the exact SAT-based check it replaces
-//! (Mishchenko et al. [18], our `alsrac-sat` implementation).
+//! (Mishchenko et al. \[18\], our `alsrac-sat` implementation).
 //!
 //! For every AND node of each benchmark, both methods decide whether the
 //! node's first divisor set can form a resubstitution. We report total

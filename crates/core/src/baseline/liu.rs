@@ -90,6 +90,7 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
     let mut rng = Rng::for_stream(config.seed, Stream::Proposal);
     let est_patterns = spec.estimation_patterns(original);
     let mut run = Run::start(original, spec);
+    let original_outputs = Simulation::new(original, &est_patterns).output_words(original);
     let mut current = original.cleaned();
     let mut best = current.clone();
     let mut temperature = config.initial_temperature;
@@ -123,8 +124,16 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
 
         // Constraint check by batch estimation against the original.
         let m = it.time("estimate", || {
-            Estimator::new(original, &current, &est_patterns, &fanouts, config.metric)
-                .estimate_all(std::slice::from_ref(proposal))[0]
+            let sim = Simulation::new(&current, &est_patterns);
+            Estimator::new(
+                &original_outputs,
+                &sim,
+                &current,
+                &est_patterns,
+                &fanouts,
+                config.metric,
+            )
+            .estimate_all(std::slice::from_ref(proposal))[0]
         });
         let Some(error) = m.value(config.metric) else {
             break;

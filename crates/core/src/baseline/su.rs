@@ -13,6 +13,7 @@
 
 use alsrac_aig::{Aig, NodeId};
 use alsrac_metrics::ErrorMetric;
+use alsrac_sim::{PatternBuffer, Simulation};
 use alsrac_truthtable::{Cube, Sop};
 
 use crate::estimate::Estimator;
@@ -102,15 +103,15 @@ fn constant_lac(node: NodeId, one: bool, saved: usize) -> Lac {
 const SIMILARITY_WINDOW: usize = 48;
 
 /// Generates SASIMI candidates: for each node, its most similar non-TFO
-/// signals (both polarities) plus the two constants.
+/// signals (both polarities) plus the two constants, ranked on `sim`, the
+/// simulation of `aig` on `patterns`.
 fn generate_candidates(
     aig: &Aig,
-    estimator: &Estimator<'_>,
+    sim: &Simulation,
+    patterns: &PatternBuffer,
     fanouts: &alsrac_aig::FanoutMap,
     per_node: usize,
 ) -> Vec<Lac> {
-    let sim = estimator.simulation();
-    let patterns = estimator.patterns();
     let masks = patterns.word_masks();
     let total_bits: u32 = masks.iter().map(|m| m.count_ones()).sum();
     let mut lacs = Vec::new();
@@ -203,6 +204,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
     spec.check(original)?;
     let est_patterns = spec.estimation_patterns(original);
     let mut run = Run::start(original, spec);
+    let original_outputs = Simulation::new(original, &est_patterns).output_words(original);
     let mut current = original.cleaned();
     let mut iterations = 0usize;
 
@@ -210,18 +212,34 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         iterations += 1;
         let mut it = Iteration::new(iterations, est_patterns.num_patterns());
         let fanouts = current.fanout_map();
-        let estimator = it.time("estimate", || {
-            Estimator::new(original, &current, &est_patterns, &fanouts, config.metric)
-        });
+        // One sweep of `current` serves both the similarity ranking and
+        // the error estimates.
+        let sim = it.time("estimate", || Simulation::new(&current, &est_patterns));
         let lacs = it.time("lac_gen", || {
-            generate_candidates(&current, &estimator, &fanouts, config.candidates_per_node)
+            generate_candidates(
+                &current,
+                &sim,
+                &est_patterns,
+                &fanouts,
+                config.candidates_per_node,
+            )
         });
         if lacs.is_empty() {
             run.reject(&it, "no_candidates", 0);
             break;
         }
-        let Some((best_idx, best_m)) = it.time("estimate", || estimator.best_candidate(&lacs))
-        else {
+        let best = it.time("estimate", || {
+            Estimator::new(
+                &original_outputs,
+                &sim,
+                &current,
+                &est_patterns,
+                &fanouts,
+                config.metric,
+            )
+            .best_candidate(&lacs)
+        });
+        let Some((best_idx, best_m)) = best else {
             break;
         };
         let best_error = best_m.value(config.metric).expect("checked up front");
@@ -249,7 +267,6 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alsrac_sim::PatternBuffer;
 
     #[test]
     fn respects_error_threshold() {
@@ -302,8 +319,8 @@ mod tests {
         let exact = alsrac_circuits::arith::ripple_carry_adder(3);
         let patterns = PatternBuffer::exhaustive(6);
         let fanouts = exact.fanout_map();
-        let estimator = Estimator::new(&exact, &exact, &patterns, &fanouts, ErrorMetric::ErrorRate);
-        let lacs = generate_candidates(&exact, &estimator, &fanouts, 3);
+        let sim = Simulation::new(&exact, &patterns);
+        let lacs = generate_candidates(&exact, &sim, &patterns, &fanouts, 3);
         for lac in &lacs {
             for &d in &lac.divisors {
                 let tfo = exact.tfo_cone(lac.node.node(), &fanouts);

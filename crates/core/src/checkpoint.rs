@@ -7,9 +7,8 @@
 //! history, and the iteration counter. Nothing else is required — every
 //! random decision of the flow is a pure function of `(seed, stream,
 //! iteration)` via [`alsrac_rt::derive_indexed`], so "RNG position" *is*
-//! the iteration counter, and the carried incremental simulation is
-//! rebuilt from scratch on resume (the incremental engine is exact, so a
-//! fresh sweep is bit-identical to the carried state).
+//! the iteration counter, and the loop carries no simulation from one
+//! iteration to the next.
 //!
 //! The JSON encoding rides on [`alsrac_rt::json`], whose finite-`f64`
 //! round trip is bit-exact (shortest `Display` + correctly rounded

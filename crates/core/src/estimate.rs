@@ -8,7 +8,6 @@
 //! new function disagrees with the current one, and each such lane flips
 //! exactly the outputs the influence masks say it flips.
 
-use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -27,9 +26,9 @@ use crate::lac::Lac;
 
 /// Batch error estimator for LAC candidates on a fixed pattern set.
 ///
-/// Holds the simulations of the *original* circuit (the error reference)
-/// and the *current* circuit (the one being modified) on the same
-/// patterns, plus the current circuit's fanout map (computed once per
+/// Borrows the *original* circuit's output words (the error reference),
+/// a simulation of the *current* circuit (the one being modified) on the
+/// same patterns, and the current circuit's fanout map (computed once per
 /// graph snapshot by the caller — every flow already has it in hand for
 /// LAC generation).
 ///
@@ -46,8 +45,8 @@ pub struct Estimator<'a> {
     patterns: &'a PatternBuffer,
     fanouts: &'a FanoutMap,
     metric: ErrorMetric,
-    sim: Simulation,
-    original_outputs: Cow<'a, OutputWords>,
+    sim: &'a Simulation,
+    original_outputs: &'a OutputWords,
     current_outputs: OutputWords,
     masks: Vec<u64>,
     /// Node → driven outputs, built once per snapshot so the influence
@@ -60,51 +59,22 @@ pub struct Estimator<'a> {
 }
 
 impl<'a> Estimator<'a> {
-    /// Builds an estimator ranking by `metric` by simulating both circuits
-    /// on `patterns`.
+    /// Builds an estimator ranking by `metric`.
     ///
-    /// `fanouts` must be the fanout map of `current` (the same snapshot —
-    /// it is used to walk TFO cones during influence computation).
-    ///
-    /// The estimation patterns are fixed across flow iterations, so callers
-    /// in a loop should simulate the original once and carry the current
-    /// simulation forward incrementally via [`Estimator::with_state`] /
-    /// [`Estimator::into_simulation`]; this constructor re-simulates both
-    /// circuits from scratch.
+    /// `original_outputs` are the original circuit's output words on
+    /// `patterns`: the estimation patterns are fixed for a run, so callers
+    /// simulate the original once. `sim` must be a simulation of `current`
+    /// on `patterns`, and `fanouts` the fanout map of `current` (the same
+    /// snapshot — it is used to walk TFO cones during influence
+    /// computation).
     ///
     /// # Panics
     ///
-    /// Panics if the circuits disagree in input or output arity.
+    /// Panics if `sim` simulates a graph with another node count than
+    /// `current`, or the output or pattern shapes disagree.
     pub fn new(
-        original: &Aig,
-        current: &'a Aig,
-        patterns: &'a PatternBuffer,
-        fanouts: &'a FanoutMap,
-        metric: ErrorMetric,
-    ) -> Estimator<'a> {
-        assert_eq!(original.num_inputs(), current.num_inputs(), "input arity");
-        assert_eq!(
-            original.num_outputs(),
-            current.num_outputs(),
-            "output arity"
-        );
-        let original_sim = Simulation::new(original, patterns);
-        let original_outputs = Cow::Owned(original_sim.output_words(original));
-        let sim = Simulation::new(current, patterns);
-        Estimator::assemble(original_outputs, sim, current, patterns, fanouts, metric)
-    }
-
-    /// Builds an estimator ranking by `metric` from precomputed state: the
-    /// original circuit's output words (simulated once per run — the
-    /// reference never changes) and an existing simulation of `current`
-    /// (typically carried across iterations via [`Simulation::update`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sim` does not cover `current` or the shapes disagree.
-    pub fn with_state(
         original_outputs: &'a OutputWords,
-        sim: Simulation,
+        sim: &'a Simulation,
         current: &'a Aig,
         patterns: &'a PatternBuffer,
         fanouts: &'a FanoutMap,
@@ -115,30 +85,21 @@ impl<'a> Estimator<'a> {
             current.num_outputs(),
             "output arity"
         );
+        assert_eq!(
+            sim.num_nodes(),
+            current.num_nodes(),
+            "simulation is not of the current graph"
+        );
         assert_eq!(sim.num_words(), patterns.num_words(), "pattern shape");
-        Estimator::assemble(
-            Cow::Borrowed(original_outputs),
-            sim,
-            current,
-            patterns,
-            fanouts,
-            metric,
-        )
-    }
-
-    fn assemble(
-        original_outputs: Cow<'a, OutputWords>,
-        sim: Simulation,
-        current: &'a Aig,
-        patterns: &'a PatternBuffer,
-        fanouts: &'a FanoutMap,
-        metric: ErrorMetric,
-    ) -> Estimator<'a> {
+        assert_eq!(
+            original_outputs.num_words(),
+            patterns.num_words(),
+            "pattern shape"
+        );
         let current_outputs = sim.output_words(current);
         let masks = patterns.word_masks();
-        let rate_base = (!metric.needs_distance()).then(|| {
-            alsrac_metrics::base_diff_columns(&original_outputs, &current_outputs, &masks)
-        });
+        let rate_base = (!metric.needs_distance())
+            .then(|| alsrac_metrics::base_diff_columns(original_outputs, &current_outputs, &masks));
         Estimator {
             current,
             patterns,
@@ -153,27 +114,10 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// The base simulation of the current circuit (used by the SASIMI
-    /// baseline to rank signal similarity).
-    pub fn simulation(&self) -> &Simulation {
-        &self.sim
-    }
-
-    /// Consumes the estimator, handing back the current circuit's
-    /// simulation for incremental reuse in the next iteration.
-    pub fn into_simulation(self) -> Simulation {
-        self.sim
-    }
-
-    /// The pattern buffer both circuits were simulated on.
-    pub fn patterns(&self) -> &PatternBuffer {
-        self.patterns
-    }
-
     /// The error of the *current* circuit against the original (no LAC).
     pub fn baseline(&self) -> Measurement {
         compare_output_words(
-            &self.original_outputs,
+            self.original_outputs,
             &self.current_outputs,
             &self.masks,
             self.patterns.num_patterns(),
@@ -184,7 +128,7 @@ impl<'a> Estimator<'a> {
     fn change_mask(&self, lac: &Lac) -> Vec<u64> {
         let words = self.sim.num_words();
         let mut new_value = vec![0u64; words];
-        sop_eval_words(&lac.cover, &lac.divisors, &self.sim, &mut new_value);
+        sop_eval_words(&lac.cover, &lac.divisors, self.sim, &mut new_value);
         // The cover reproduces the signal lac.node; lanes where it
         // disagrees with that signal are exactly the lanes where the
         // underlying node flips (polarity cancels in the XOR).
@@ -204,7 +148,7 @@ impl<'a> Estimator<'a> {
         let change = self.change_mask(lac);
         if let Some((base_diff, base_lanes)) = &self.rate_base {
             return compare_flipped_error_rate(
-                &self.original_outputs,
+                self.original_outputs,
                 &self.current_outputs,
                 influence,
                 &change,
@@ -215,7 +159,7 @@ impl<'a> Estimator<'a> {
             );
         }
         compare_flipped_output_words(
-            &self.original_outputs,
+            self.original_outputs,
             &self.current_outputs,
             influence,
             &change,
@@ -256,7 +200,7 @@ impl<'a> Estimator<'a> {
         let influences = pool::par_map_init(&nodes, InfluenceScratch::new, |scratch, &node| {
             FlipInfluence::compute(
                 self.current,
-                &self.sim,
+                self.sim,
                 self.fanouts,
                 &self.output_index,
                 node,
@@ -340,6 +284,13 @@ mod tests {
     use super::*;
     use crate::lac::{generate_lacs, LacConfig};
 
+    /// The output words and the simulation of `aig` on `patterns`: what an
+    /// estimator of `aig` against itself borrows.
+    fn simulated(aig: &Aig, patterns: &PatternBuffer) -> (OutputWords, Simulation) {
+        let sim = Simulation::new(aig, patterns);
+        (sim.output_words(aig), sim)
+    }
+
     /// Estimated error must equal the exact error of actually applying the
     /// LAC and re-measuring, bit for bit — the headline property of batch
     /// estimation. ER takes the sparse rate-only compare (distance metrics
@@ -363,10 +314,13 @@ mod tests {
         assert!(!lacs.is_empty());
 
         let est_patterns = PatternBuffer::exhaustive(6);
-        let rate = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate)
-            .estimate_all(&lacs);
-        let decode = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::Nmed)
-            .estimate_all(&lacs);
+        let (outputs, sim) = simulated(&aig, &est_patterns);
+        let estimate_all = |metric| {
+            Estimator::new(&outputs, &sim, &aig, &est_patterns, &fanouts, metric)
+                .estimate_all(&lacs)
+        };
+        let rate = estimate_all(ErrorMetric::ErrorRate);
+        let decode = estimate_all(ErrorMetric::Nmed);
         for ((lac, rate), decode) in lacs.iter().zip(&rate).zip(&decode) {
             let applied = lac.apply(&aig).expect("no cycle");
             let direct =
@@ -405,8 +359,11 @@ mod tests {
         current.set_output_lit(2, alsrac_aig::Lit::FALSE); // stuck carry
         let patterns = PatternBuffer::exhaustive(4);
         let fanouts = current.fanout_map();
+        let (original_outputs, _) = simulated(&original, &patterns);
+        let sim = Simulation::new(&current, &patterns);
         let estimator = Estimator::new(
-            &original,
+            &original_outputs,
+            &sim,
             &current,
             &patterns,
             &fanouts,
@@ -434,7 +391,15 @@ mod tests {
         );
         assert!(lacs.len() >= 2);
         let est_patterns = PatternBuffer::exhaustive(6);
-        let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, ErrorMetric::ErrorRate);
+        let (outputs, sim) = simulated(&aig, &est_patterns);
+        let estimator = Estimator::new(
+            &outputs,
+            &sim,
+            &aig,
+            &est_patterns,
+            &fanouts,
+            ErrorMetric::ErrorRate,
+        );
         let (best_idx, best_m) = estimator.best_candidate(&lacs).expect("candidates exist");
         let all = estimator.estimate_all(&lacs);
         for m in &all {
@@ -461,8 +426,9 @@ mod tests {
         );
         assert!(lacs.len() >= 2, "need a few candidates");
         let est_patterns = PatternBuffer::exhaustive(6);
+        let (outputs, sim) = simulated(&aig, &est_patterns);
         for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
-            let estimator = Estimator::new(&aig, &aig, &est_patterns, &fanouts, metric);
+            let estimator = Estimator::new(&outputs, &sim, &aig, &est_patterns, &fanouts, metric);
             let serial = alsrac_rt::pool::with_threads(1, || estimator.estimate_all(&lacs));
             for threads in [2, 5] {
                 let parallel =
@@ -477,6 +443,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation is not of the current graph")]
+    fn rejects_a_simulation_of_another_graph() {
+        let mut current = Aig::new("t");
+        let a = current.add_input("a");
+        let b = current.add_input("b");
+        let y = current.and(a, b);
+        current.add_output("y", y);
+        // Same inputs, outputs and pattern shape, more nodes: accepted, it
+        // would score the wrong circuit.
+        let mut larger = current.clone();
+        larger.xor(a, b);
+        assert!(larger.num_nodes() > current.num_nodes());
+        let patterns = PatternBuffer::exhaustive(2);
+        let (outputs, sim) = simulated(&larger, &patterns);
+        let fanouts = current.fanout_map();
+        Estimator::new(
+            &outputs,
+            &sim,
+            &current,
+            &patterns,
+            &fanouts,
+            ErrorMetric::ErrorRate,
+        );
     }
 
     #[test]

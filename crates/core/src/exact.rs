@@ -1,4 +1,4 @@
-//! Exact (zero-error) resubstitution — the [14]/[18] machinery ALSRAC
+//! Exact (zero-error) resubstitution — the \[14\]/\[18\] machinery ALSRAC
 //! approximates.
 //!
 //! Before ALSRAC, resubstitution used *complete* care sets: a divisor set

@@ -368,9 +368,7 @@ fn run_from(
 ) -> Result<FlowResult, FlowError> {
     let spec = config.spec();
     let mut run = Run::start(original, spec);
-    // Fresh or checkpointed loop state. The carried estimation simulation
-    // is not checkpointed: the incremental engine is exact, so rebuilding
-    // it below is bit-identical to what the interrupted run carried.
+    // Fresh or checkpointed loop state.
     let (mut current, mut care, mut iterations) = match checkpoint {
         Some(cp) => {
             run.resumed_from = Some(cp.iterations as u64);
@@ -390,12 +388,8 @@ fn run_from(
     // (empty candidate set / over budget) where the graph is unchanged.
     let mut fanouts = current.fanout_map();
     // The original's outputs on the fixed estimation patterns are simulated
-    // once. The current circuit's estimation simulation is carried across
-    // iterations and updated cone-locally on accepts; it is `None` only
-    // after an optimize pass invalidated it (re-sweeping eagerly would keep
-    // a simulation alive through the next `lac_gen`, raising peak heap).
+    // once per run; `current` is swept afresh by every `estimate` phase.
     let original_est_outputs = Simulation::new(original, &est_patterns).output_words(original);
-    let mut est_sim: Option<Simulation> = None;
     // WCE mode: the threshold is an absolute maximum error distance, and
     // every acceptance is gated by a SAT query instead of trusting the
     // sampled estimate (which can only *under*-estimate a maximum).
@@ -447,22 +441,17 @@ fn run_from(
             break;
         }
 
-        let (estimator, ranked) = it.time("estimate", || {
-            // Reuse the carried estimation simulation of `current`, or
-            // sweep once after an optimize pass invalidated it.
-            let sim = est_sim
-                .take()
-                .unwrap_or_else(|| Simulation::new(&current, &est_patterns));
-            let estimator = Estimator::with_state(
+        let ranked = it.time("estimate", || {
+            let sim = Simulation::new(&current, &est_patterns);
+            Estimator::new(
                 &original_est_outputs,
-                sim,
+                &sim,
                 &current,
                 &est_patterns,
                 &fanouts,
                 config.metric,
-            );
-            let ranked = estimator.ranked_candidates(&lacs);
-            (estimator, ranked)
+            )
+            .ranked_candidates(&lacs)
         });
         let Some(ranked) = ranked else {
             break; // metric not evaluable — cannot happen after the arity check
@@ -488,7 +477,7 @@ fn run_from(
                     }
                     // Skip the rare candidate whose materialized cover
                     // hashes onto its own fanout (would create a cycle).
-                    let (aig, delta) = lacs[idx].apply_with_delta(&current, &fanouts).ok()?;
+                    let aig = lacs[idx].apply(&current).ok()?;
                     // The SAT accept gate of the WCE-constrained mode: a
                     // sampled max can miss the worst-case input, so a
                     // candidate only passes if `distance > bound` is UNSAT.
@@ -513,7 +502,7 @@ fn run_from(
                             }
                         }
                     }
-                    Some(Some((idx, error, aig, delta)))
+                    Some(Some((idx, error, aig)))
                 })
                 .flatten()
         });
@@ -524,10 +513,7 @@ fn run_from(
             interrupt = Some(cause);
             break;
         }
-        let Some((best_idx, best_error, applied_aig, delta)) = choice else {
-            // Nothing applied: `current` is unchanged, so its estimation
-            // simulation is still valid for the next iteration.
-            est_sim = Some(estimator.into_simulation());
+        let Some((best_idx, best_error, applied_aig)) = choice else {
             run.reject(&it, "over_budget", lacs.len());
             if care.over_budget(config) {
                 continue;
@@ -535,17 +521,8 @@ fn run_from(
             break;
         };
         care.accepted();
-        let optimized_now = run.optimize_due();
-        // Cone-local resimulation of the substitution's TFO. Skipped when an
-        // optimize pass follows, which restructures the graph arbitrarily.
-        est_sim = it.time("sim_update", || {
-            (!optimized_now).then(|| {
-                estimator
-                    .into_simulation()
-                    .update(&applied_aig, &delta, &est_patterns)
-            })
-        });
-        current = it.optimize(&mut run, optimized_now, applied_aig);
+        let due = run.optimize_due();
+        current = it.optimize(&mut run, due, applied_aig);
         fanouts = current.fanout_map();
         run.accept(&it, lacs.len(), &lacs[best_idx], best_error, &current);
     }

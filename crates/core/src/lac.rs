@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, RebuildError, WindowExtractor};
-use alsrac_sim::{PatternBuffer, Signatures, SimDelta, Simulation};
+use alsrac_sim::{PatternBuffer, Signatures, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, minimize, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
@@ -58,42 +58,6 @@ impl Lac {
             .materialize(&mut work)
             .complement_if(self.node.is_complement());
         work.rebuilt_with_substitutions(&HashMap::from([(self.node.node(), replacement)]))
-    }
-
-    /// Like [`Lac::apply`], additionally returning the structural
-    /// [`SimDelta`] between `aig` and the rebuilt graph.
-    ///
-    /// Only nodes inside the target's transitive fanout (plus the freshly
-    /// materialized cover logic) change function; every other node of the
-    /// rebuilt graph is marked as a value copy from its pre-apply
-    /// counterpart, which lets [`alsrac_sim::Simulation::update`] resweep
-    /// just the changed cone. `fanouts` must be the fanout map of `aig`
-    /// (the same snapshot the flow already holds for LAC generation).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Lac::apply`].
-    pub fn apply_with_delta(
-        &self,
-        aig: &Aig,
-        fanouts: &FanoutMap,
-    ) -> Result<(Aig, SimDelta), RebuildError> {
-        let mut work = aig.clone();
-        let replacement = self
-            .materialize(&mut work)
-            .complement_if(self.node.is_complement());
-        let (rebuilt, map) = work
-            .rebuilt_with_substitutions_mapped(&HashMap::from([(self.node.node(), replacement)]))?;
-        // A node's function survives the substitution iff the target is not
-        // in its fanin cone, i.e. the node is outside the target's TFO. The
-        // materialized cover nodes (ids past the pre-apply count) have no
-        // simulated values to donate, and `tfo_cone` on the *pre-apply*
-        // graph never covers them, so the index bound excludes them too.
-        let tfo = aig.tfo_cone(self.node.node(), fanouts);
-        let delta = SimDelta::from_rebuild_map(rebuilt.num_nodes(), &map, |old| {
-            old.index() < aig.num_nodes() && !tfo.contains(old)
-        });
-        Ok((rebuilt, delta))
     }
 
     /// Estimated net node saving (may be negative for size-increasing
@@ -431,38 +395,6 @@ mod tests {
             let approx = lac.apply(&aig).expect("no cycle");
             assert_eq!(approx.num_inputs(), aig.num_inputs());
             assert_eq!(approx.num_outputs(), aig.num_outputs());
-        }
-    }
-
-    #[test]
-    fn apply_with_delta_matches_apply_and_full_resimulation() {
-        let aig = alsrac_circuits::arith::ripple_carry_adder(3);
-        let care_patterns = PatternBuffer::random(6, 4, 9);
-        let care_sim = Simulation::new(&aig, &care_patterns);
-        let fanouts = aig.fanout_map();
-        let lacs = generate_lacs(
-            &aig,
-            &care_sim,
-            &care_patterns,
-            &fanouts,
-            &LacConfig::default(),
-        );
-        assert!(!lacs.is_empty());
-        let patterns = PatternBuffer::random(6, 100, 21);
-        let sim = Simulation::new(&aig, &patterns);
-        for lac in lacs.iter().take(8) {
-            let (applied, delta) = lac.apply_with_delta(&aig, &fanouts).expect("no cycle");
-            let plain = lac.apply(&aig).expect("no cycle");
-            assert_eq!(applied.num_ands(), plain.num_ands());
-            let incremental = sim.update(&applied, &delta, &patterns);
-            let full = Simulation::new(&applied, &patterns);
-            for id in applied.iter_nodes() {
-                assert_eq!(incremental.node_words(id), full.node_words(id), "node {id}");
-            }
-            assert!(
-                delta.num_compute() < applied.num_nodes(),
-                "delta recomputes everything"
-            );
         }
     }
 

@@ -39,7 +39,7 @@
 //!   behind and a resumed run restarts from, bit-identically;
 //! * [`baseline`] — reimplementations of the paper's comparison methods:
 //!   Su's SASIMI-style substitute-and-simplify and Liu's stochastic ALS;
-//! * [`exact`] — zero-error SAT-based resubstitution (the [14]/[18]
+//! * [`exact`] — zero-error SAT-based resubstitution (the \[14\]/\[18\]
 //!   machinery ALSRAC's approximate care set replaces).
 //!
 //! # Example

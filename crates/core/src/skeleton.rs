@@ -112,7 +112,7 @@ impl Spec<'_> {
 pub(crate) struct Iteration {
     index: usize,
     rounds: usize,
-    phases: [(&'static str, u64); 6],
+    phases: [(&'static str, u64); 5],
     len: usize,
 }
 

@@ -52,9 +52,10 @@ fn assert_bit_identical(a: &Measurement, b: &Measurement, what: &str) {
 fn estimates_match_direct_application_across_lac_applies_and_threads() {
     let original = arith::ripple_carry_adder(3);
     let mut current = original.clone();
-    // 200 patterns -> 4 words: a full batch for the kernel plus a masked
-    // partial final word for the compare loops.
+    // 200 patterns -> 4 words, the last one partial and masked in the
+    // compare loops.
     let est_patterns = PatternBuffer::random(original.num_inputs(), 200, 23);
+    let original_outputs = Simulation::new(&original, &est_patterns).output_words(&original);
 
     let mut rounds_checked = 0usize;
     for round in 0..3u64 {
@@ -87,8 +88,16 @@ fn estimates_match_direct_application_across_lac_applies_and_threads() {
             direct.iter().any(Option::is_some),
             "round {round}: every LAC cycles"
         );
+        let sim = Simulation::new(&current, &est_patterns);
         for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
-            let estimator = Estimator::new(&original, &current, &est_patterns, &fanouts, metric);
+            let estimator = Estimator::new(
+                &original_outputs,
+                &sim,
+                &current,
+                &est_patterns,
+                &fanouts,
+                metric,
+            );
             for threads in [1usize, 3, 7] {
                 let got = pool::with_threads(threads, || estimator.estimate_all(&lacs));
                 assert_eq!(got.len(), lacs.len());

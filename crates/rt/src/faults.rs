@@ -9,7 +9,7 @@
 //! ordinal the fault fires exactly once.
 //!
 //! Plans are seeded through the existing [`crate::Stream`] machinery
-//! ([`FaultPlan::seeded`] uses [`Stream::Faults`](crate::Stream::Faults)),
+//! ([`FaultPlan::seeded`] uses [`Stream::Faults`]),
 //! so a property suite sweeping seeds explores injection points
 //! reproducibly — the same seed always fires the same fault at the same
 //! span ordinal.

@@ -15,11 +15,12 @@
 //!   independent named sub-streams (care simulation, error estimation,
 //!   final measurement, …) instead of the ad-hoc `seed ^ 0xE57`-style
 //!   offsets the flow used to hand-roll.
-//! * [`check`] — a minimal property-testing harness: composable
+//! * [`check`](mod@check) — a minimal property-testing harness: composable
 //!   generators, configurable case counts, greedy shrinking on failure,
 //!   and a replayable seed printed with every failure.
-//! * [`bench`] — a wall-clock micro-bench timer (calibrated batches,
-//!   warmup, median/min/mean report) for `harness = false` bench targets.
+//! * [`bench`](mod@bench) — a wall-clock micro-bench timer (calibrated
+//!   batches, warmup, median/min/mean report) for `harness = false` bench
+//!   targets.
 //! * [`pool`] — a data-parallel executor over scoped std threads
 //!   (`ALSRAC_THREADS`-sized, order-preserving `par_map`/`par_chunks`)
 //!   whose results are bit-identical to serial execution at any thread
@@ -66,8 +67,8 @@ pub mod trace;
 pub use check::{check, u64s, usizes, Config, Gen};
 pub use rng::{derive_indexed, derive_seed, split_mix64, Rng, Stream};
 
-/// Asserts a condition inside a [`check`] property, returning `Err` (so the
-/// harness can shrink the input) instead of panicking.
+/// Asserts a condition inside a [`check`](fn@check) property, returning
+/// `Err` (so the harness can shrink the input) instead of panicking.
 ///
 /// With a single argument the failure message quotes the condition; extra
 /// arguments are a `format!` message.
@@ -90,8 +91,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Asserts equality inside a [`check`] property, returning `Err` with both
-/// values on mismatch.
+/// Asserts equality inside a [`check`](fn@check) property, returning `Err`
+/// with both values on mismatch.
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($left:expr, $right:expr) => {{

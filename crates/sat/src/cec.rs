@@ -8,7 +8,7 @@
 //!   means equivalent. This verifies the exact optimizer and mappers
 //!   beyond the exhaustive-simulation reach of unit tests.
 //! * [`exact_resub_feasible`] / [`exact_resub_function`] — the *exact*
-//!   version of the paper's Theorem 1 (from Mishchenko et al. [18]): a
+//!   version of the paper's Theorem 1 (from Mishchenko et al. \[18\]): a
 //!   divisor set can express a node iff no two input patterns agree on all
 //!   divisors but disagree on the node. ALSRAC's point is to replace this
 //!   SAT query with simulation; implementing both sides lets the harness
@@ -18,7 +18,7 @@ use alsrac_aig::{Aig, Lit};
 
 use crate::encode::Encoding;
 use crate::miter::Miter;
-use crate::{SatLit, SatResult, Solver, Var};
+use crate::{SatLit, SatResult, Solver};
 
 /// Outcome of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,16 +125,6 @@ pub fn exact_resub_function(
         });
     }
     Ok(table)
-}
-
-/// Forces a variable assignment as assumptions (helper for external users
-/// assembling custom queries).
-pub fn assume_inputs(inputs: &[Var], bits: &[bool]) -> Vec<SatLit> {
-    inputs
-        .iter()
-        .zip(bits)
-        .map(|(&v, &bit)| v.lit(!bit))
-        .collect()
 }
 
 #[cfg(test)]

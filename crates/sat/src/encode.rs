@@ -1,6 +1,6 @@
 //! Tseitin encoding of AIGs into CNF.
 
-use alsrac_aig::{Aig, Lit, Node, NodeId};
+use alsrac_aig::{Aig, Lit, Node};
 
 use crate::{SatLit, Solver, Var};
 
@@ -59,21 +59,10 @@ impl Encoding {
     pub fn sat_lit(&self, lit: Lit) -> SatLit {
         lit_to_sat(&self.node_vars, lit)
     }
-
-    /// The solver variable of a node.
-    pub fn node_var(&self, node: NodeId) -> Var {
-        self.node_vars[node.index()]
-    }
 }
 
 fn lit_to_sat(node_vars: &[Var], lit: Lit) -> SatLit {
     node_vars[lit.node().index()].lit(lit.is_complement())
-}
-
-/// Adds a clause forcing at least one of `lits` (convenience re-export of
-/// the common pattern when assembling miters by hand).
-pub fn at_least_one(solver: &mut Solver, lits: &[SatLit]) -> bool {
-    solver.add_clause(lits)
 }
 
 #[cfg(test)]

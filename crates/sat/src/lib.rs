@@ -2,7 +2,7 @@
 //!
 //! ALSRAC's selling point is being *simulation-only*: it never calls a SAT
 //! or BDD engine, unlike the exact resubstitution flows it builds on
-//! (Mishchenko et al. [14], [18]). To reproduce that comparison — and to
+//! (Mishchenko et al. \[14\], \[18\]). To reproduce that comparison — and to
 //! verify our own exact transforms beyond exhaustive simulation — this
 //! crate provides:
 //!

@@ -113,7 +113,9 @@ struct Clause {
     lits: Vec<SatLit>,
 }
 
-/// A CDCL SAT solver. See the [module docs](self) for the feature set.
+/// A CDCL SAT solver: two-watched-literal propagation, first-UIP clause
+/// learning, VSIDS-style activities, restarts, phase saving, and
+/// incremental solving under assumptions.
 pub struct Solver {
     clauses: Vec<Clause>,
     /// watches[lit] = clauses currently watching `lit`.

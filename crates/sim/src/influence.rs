@@ -19,7 +19,7 @@
 //! locally costs a handful of word ops instead of a full-TFO sweep, and the
 //! arena makes the hot loop allocation-free after warm-up (pinned by a
 //! counting-allocator test). The per-visit word loop goes through the
-//! batched [`crate::kernel`], and [`FlipInfluence::compute`] discovers
+//! word-row [`crate::kernel`], and [`FlipInfluence::compute`] discovers
 //! touched outputs *during* propagation via an [`OutputIndex`] instead of
 //! re-scanning every primary output per candidate.
 
@@ -209,7 +209,7 @@ impl InfluenceScratch {
             // Fanins sit strictly below `id` in the arena, so splitting at
             // `base` separates the destination row from both source rows;
             // resolving each fanin's dirty branch once per row (instead of
-            // once per word) hands whole rows to the batched kernel.
+            // once per word) hands whole rows to the kernel.
             let f0_base = f0.node().index() * num_words;
             let f1_base = f1.node().index() * num_words;
             let (lo, hi) = self.flipped.split_at_mut(base);

@@ -1,31 +1,17 @@
-//! Wide-word batched word kernels for the hot simulation loops.
+//! Word-row kernels for the hot simulation loops.
 //!
-//! Every hot path in this crate — the topological sweep, cone-local
-//! incremental updates, and event-driven flip propagation — reduces to a
-//! handful of bitwise recurrences over per-node word rows. Evaluating them
-//! one `u64` at a time leaves most of the cost in per-word loop and
-//! indexing overhead; these kernels instead process [`BATCH_WORDS`] words
-//! per step through fixed-size-array inner loops that the autovectorizer
-//! turns into SIMD, with a scalar tail for ragged row lengths.
-//!
-//! Everything here is pure boolean algebra over independent lanes, so the
-//! batched forms are *bit-identical* to the scalar recurrences for every
-//! row length and batch width — evaluation order of AND/XOR/NOT over
-//! disjoint words cannot change a single bit (pinned by the in-module
-//! tests and the `batch_kernel` property suite).
+//! Every hot path in this crate — the topological sweep and event-driven
+//! flip propagation — reduces to a handful of bitwise recurrences over
+//! per-node word rows. Each kernel is one `zip` loop over its rows: the
+//! lanes are independent, so the loop has no carried dependency beyond
+//! the OR-reduction of [`and_diff_into`], and the optimizer is free to
+//! unroll and vectorize it.
 //!
 //! The callers in [`crate::Simulation`] and [`crate::InfluenceScratch`]
 //! obtain the non-aliasing source/destination slices these kernels require
 //! via `split_at_mut` on their flat arenas, relying on the AIG invariant
 //! that fanin indices are strictly smaller than the node index (topological
 //! construction order) — no `unsafe` anywhere (`alsrac-sim` forbids it).
-
-/// Words processed per batched step (256 patterns per node visit).
-///
-/// Chosen so one batch fills two AVX2 registers (or one AVX-512 register)
-/// per operand while staying useful on plain 64-bit ALUs; the kernels are
-/// correct for any row length, including rows shorter than one batch.
-pub const BATCH_WORDS: usize = 4;
 
 /// `dst[w] = (a[w] ^ m0) & (b[w] ^ m1)` — the AND-gate recurrence, with
 /// fanin complements pre-expanded to the lane masks `m0`/`m1`.
@@ -37,21 +23,8 @@ pub const BATCH_WORDS: usize = 4;
 pub fn and_into(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64) {
     assert_eq!(dst.len(), a.len(), "row length mismatch");
     assert_eq!(dst.len(), b.len(), "row length mismatch");
-    let mut dst_batches = dst.chunks_exact_mut(BATCH_WORDS);
-    let mut a_batches = a.chunks_exact(BATCH_WORDS);
-    let mut b_batches = b.chunks_exact(BATCH_WORDS);
-    for ((d, av), bv) in (&mut dst_batches).zip(&mut a_batches).zip(&mut b_batches) {
-        for i in 0..BATCH_WORDS {
-            d[i] = (av[i] ^ m0) & (bv[i] ^ m1);
-        }
-    }
-    for ((d, &av), &bv) in dst_batches
-        .into_remainder()
-        .iter_mut()
-        .zip(a_batches.remainder())
-        .zip(b_batches.remainder())
-    {
-        *d = (av ^ m0) & (bv ^ m1);
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = (x ^ m0) & (y ^ m1);
     }
 }
 
@@ -69,41 +42,16 @@ pub fn and_diff_into(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64, ba
     assert_eq!(dst.len(), b.len(), "row length mismatch");
     assert_eq!(dst.len(), base.len(), "row length mismatch");
     let mut diff = 0u64;
-    let mut dst_batches = dst.chunks_exact_mut(BATCH_WORDS);
-    let mut a_batches = a.chunks_exact(BATCH_WORDS);
-    let mut b_batches = b.chunks_exact(BATCH_WORDS);
-    let mut base_batches = base.chunks_exact(BATCH_WORDS);
-    for (((d, av), bv), kv) in (&mut dst_batches)
-        .zip(&mut a_batches)
-        .zip(&mut b_batches)
-        .zip(&mut base_batches)
-    {
-        let mut lane_diff = [0u64; BATCH_WORDS];
-        for i in 0..BATCH_WORDS {
-            let new = (av[i] ^ m0) & (bv[i] ^ m1);
-            lane_diff[i] = new ^ kv[i];
-            d[i] = new;
-        }
-        for d in lane_diff {
-            diff |= d;
-        }
-    }
-    for (((d, &av), &bv), &kv) in dst_batches
-        .into_remainder()
-        .iter_mut()
-        .zip(a_batches.remainder())
-        .zip(b_batches.remainder())
-        .zip(base_batches.remainder())
-    {
-        let new = (av ^ m0) & (bv ^ m1);
-        diff |= new ^ kv;
+    for (((d, &x), &y), &k) in dst.iter_mut().zip(a).zip(b).zip(base) {
+        let new = (x ^ m0) & (y ^ m1);
+        diff |= new ^ k;
         *d = new;
     }
     diff
 }
 
-/// `dst[w] = !src[w]` — the complemented-copy recurrence of incremental
-/// updates and flip seeding.
+/// `dst[w] = !src[w]` — the complemented copy of output collection and
+/// flip seeding.
 ///
 /// # Panics
 ///
@@ -111,18 +59,7 @@ pub fn and_diff_into(dst: &mut [u64], a: &[u64], b: &[u64], m0: u64, m1: u64, ba
 #[inline]
 pub fn not_into(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "row length mismatch");
-    let mut dst_batches = dst.chunks_exact_mut(BATCH_WORDS);
-    let mut src_batches = src.chunks_exact(BATCH_WORDS);
-    for (d, s) in (&mut dst_batches).zip(&mut src_batches) {
-        for i in 0..BATCH_WORDS {
-            d[i] = !s[i];
-        }
-    }
-    for (d, &s) in dst_batches
-        .into_remainder()
-        .iter_mut()
-        .zip(src_batches.remainder())
-    {
+    for (d, &s) in dst.iter_mut().zip(src) {
         *d = !s;
     }
 }
@@ -137,21 +74,8 @@ pub fn not_into(dst: &mut [u64], src: &[u64]) {
 pub fn xor_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
     assert_eq!(dst.len(), a.len(), "row length mismatch");
     assert_eq!(dst.len(), b.len(), "row length mismatch");
-    let mut dst_batches = dst.chunks_exact_mut(BATCH_WORDS);
-    let mut a_batches = a.chunks_exact(BATCH_WORDS);
-    let mut b_batches = b.chunks_exact(BATCH_WORDS);
-    for ((d, av), bv) in (&mut dst_batches).zip(&mut a_batches).zip(&mut b_batches) {
-        for i in 0..BATCH_WORDS {
-            d[i] = av[i] ^ bv[i];
-        }
-    }
-    for ((d, &av), &bv) in dst_batches
-        .into_remainder()
-        .iter_mut()
-        .zip(a_batches.remainder())
-        .zip(b_batches.remainder())
-    {
-        *d = av ^ bv;
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d = x ^ y;
     }
 }
 
@@ -164,8 +88,8 @@ mod tests {
         (0..len).map(|_| rng.next_u64()).collect()
     }
 
-    /// Every kernel must match its scalar recurrence for row lengths
-    /// around, below, and far above the batch width (ragged tails).
+    /// Every kernel must match its scalar recurrence at row lengths from
+    /// empty to 129 words.
     #[test]
     fn kernels_match_scalar_reference_on_ragged_lengths() {
         let mut rng = Rng::from_seed(0xBA7C4);

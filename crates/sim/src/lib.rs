@@ -8,23 +8,19 @@
 //! * [`PatternBuffer`] — packed input patterns (64 per machine word), from a
 //!   seeded uniform source, a biased per-input distribution, or exhaustive
 //!   enumeration;
-//! * [`Simulation`] — the values of every node of an [`Aig`] under a pattern
-//!   buffer, computed in one topological sweep at 64 patterns per word op;
+//! * [`Simulation`] — the values of every node of an
+//!   [`Aig`](alsrac_aig::Aig) under a pattern buffer, computed in one
+//!   topological sweep at 64 patterns per word op;
 //! * [`FlipInfluence`] — for a chosen node, the exact per-pattern, per-output
 //!   effect of flipping that node's value, computed by event-driven
 //!   propagation over a reusable [`InfluenceScratch`] arena that stops the
 //!   moment the flip quenches. This is the engine behind the batch error
 //!   estimation of Su et al. (DAC 2018) that ALSRAC reuses;
-//! * [`SimDelta`] + [`Simulation::update`] — cone-local incremental
-//!   resimulation after a structural rewrite: values of nodes whose function
-//!   is untouched are carried over instead of re-evaluated;
 //! * [`Signatures`] — complement-canonical equivalence classes over node
 //!   signatures, turning pairwise simulation-equality checks into O(1)
 //!   class-id comparisons for windowed divisor filtering;
-//! * [`kernel`] — the wide-word batched primitives every hot loop above is
-//!   built on: fixed-size [`kernel::BATCH_WORDS`]-word inner loops the
-//!   autovectorizer turns into SIMD, bit-identical to the scalar
-//!   recurrences at any row length.
+//! * [`kernel`] — the word-row primitives every hot loop above is built on,
+//!   one bitwise recurrence each.
 //!
 //! # Example
 //!
@@ -47,14 +43,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod delta;
 mod influence;
 pub mod kernel;
 mod patterns;
 mod signatures;
 mod simulation;
 
-pub use delta::{SimDelta, SimSource};
 pub use influence::{FlipInfluence, InfluenceScratch, OutputIndex};
 pub use patterns::PatternBuffer;
 pub use signatures::Signatures;

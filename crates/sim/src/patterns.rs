@@ -6,8 +6,8 @@ use alsrac_rt::Rng;
 ///
 /// Word `w` of input `i` holds the value of input `i` under patterns
 /// `64*w .. 64*w+63` (pattern `p` in bit `p % 64`). A buffer may hold a
-/// pattern count that is not a multiple of 64; [`PatternBuffer::tail_mask`]
-/// masks the valid lanes of the last word, and generators always leave the
+/// pattern count that is not a multiple of 64; [`PatternBuffer::word_mask`]
+/// masks the valid lanes of each word, and generators always leave the
 /// invalid lanes zero.
 #[derive(Clone, Debug)]
 pub struct PatternBuffer {

@@ -22,7 +22,8 @@ use alsrac_aig::{Aig, Lit, NodeId};
 use crate::{PatternBuffer, Simulation};
 
 /// Complement-canonical signature equivalence classes for one simulation
-/// snapshot. See the [module docs](self) for the relation and invariants.
+/// snapshot: two nodes share a class when their masked signatures agree,
+/// possibly after complementing one, and class 0 is the constant class.
 #[derive(Clone, Debug)]
 pub struct Signatures {
     /// Class id per node, indexed by node.
@@ -73,13 +74,6 @@ impl Signatures {
     #[inline]
     pub fn class(&self, id: NodeId) -> u32 {
         self.class_of[id.index()]
-    }
-
-    /// Class id of a literal's underlying node (the complement bit never
-    /// changes the class — classes are complement-canonical).
-    #[inline]
-    pub fn lit_class(&self, lit: Lit) -> u32 {
-        self.class_of[lit.node().index()]
     }
 
     /// Whether `id`'s signature is the complement of its class

@@ -1,9 +1,8 @@
-//! Whole-graph bit-parallel simulation, plus cone-local incremental
-//! resimulation after a structural change.
+//! Whole-graph bit-parallel simulation.
 
 use alsrac_aig::{Aig, Lit, Node, NodeId};
 
-use crate::{kernel, PatternBuffer, SimDelta, SimSource};
+use crate::{kernel, PatternBuffer};
 
 /// The simulated values of every node of an [`Aig`] under a
 /// [`PatternBuffer`].
@@ -145,86 +144,6 @@ impl Simulation {
         }
     }
 
-    /// Re-simulates after a structural change: values of nodes whose
-    /// function is untouched are carried over from `self` (one word copy,
-    /// no gate evaluation) and only the delta's changed cone is swept.
-    ///
-    /// `new_aig` must be the graph the delta was produced for (same node
-    /// count) and `patterns` the buffer `self` was simulated on. The result
-    /// is bit-identical to `Simulation::new(new_aig, patterns)` — the delta
-    /// is exact, not approximate (pinned by property tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta's node count disagrees with `new_aig` or the
-    /// pattern shape disagrees with `self`.
-    pub fn update(&self, new_aig: &Aig, delta: &SimDelta, patterns: &PatternBuffer) -> Simulation {
-        assert_eq!(delta.num_nodes(), new_aig.num_nodes(), "delta shape");
-        assert_eq!(patterns.num_words(), self.num_words, "pattern shape");
-        assert_eq!(
-            patterns.num_inputs(),
-            new_aig.num_inputs(),
-            "pattern buffer has {} inputs, graph has {}",
-            patterns.num_inputs(),
-            new_aig.num_inputs()
-        );
-        let num_words = self.num_words;
-        let mut values = vec![0u64; new_aig.num_nodes() * num_words];
-        let mut recomputed = 0usize;
-        for id in new_aig.iter_nodes() {
-            let base = id.index() * num_words;
-            match delta.source(id) {
-                SimSource::Copy { old, complement } => {
-                    let src = old.index() * num_words;
-                    if complement {
-                        kernel::not_into(
-                            &mut values[base..base + num_words],
-                            &self.values[src..src + num_words],
-                        );
-                    } else {
-                        values[base..base + num_words]
-                            .copy_from_slice(&self.values[src..src + num_words]);
-                    }
-                }
-                SimSource::Compute => {
-                    recomputed += 1;
-                    match *new_aig.node(id) {
-                        Node::Const => {}
-                        Node::Input { index } => {
-                            values[base..base + num_words]
-                                .copy_from_slice(patterns.input_words(index as usize));
-                        }
-                        Node::And { f0, f1 } => {
-                            let m0 = if f0.is_complement() { u64::MAX } else { 0 };
-                            let m1 = if f1.is_complement() { u64::MAX } else { 0 };
-                            let b0 = f0.node().index() * num_words;
-                            let b1 = f1.node().index() * num_words;
-                            let (lo, hi) = values.split_at_mut(base);
-                            kernel::and_into(
-                                &mut hi[..num_words],
-                                &lo[b0..b0 + num_words],
-                                &lo[b1..b1 + num_words],
-                                m0,
-                                m1,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        // Only recomputed nodes count as simulated work; carried-over nodes
-        // are the words the incremental path did not have to evaluate.
-        let copied = new_aig.num_nodes() - recomputed;
-        alsrac_rt::trace::add("sim_incremental_updates", 1);
-        alsrac_rt::trace::add("sim_node_words", (recomputed * num_words) as u64);
-        alsrac_rt::trace::add("sim_words_saved", (copied * num_words) as u64);
-        Simulation {
-            num_words,
-            num_patterns: self.num_patterns,
-            values,
-        }
-    }
-
     /// Number of 64-pattern words per node.
     pub fn num_words(&self) -> usize {
         self.num_words
@@ -233,6 +152,11 @@ impl Simulation {
     /// Number of valid patterns.
     pub fn num_patterns(&self) -> usize {
         self.num_patterns
+    }
+
+    /// Number of nodes simulated (the node count of the simulated graph).
+    pub fn num_nodes(&self) -> usize {
+        self.values.len() / self.num_words
     }
 
     /// The packed values of `node` (positive polarity).
@@ -370,6 +294,7 @@ mod tests {
         let aig = adder_bit();
         let patterns = PatternBuffer::random(3, 130, 5);
         let sim = Simulation::new(&aig, &patterns);
+        assert_eq!(sim.num_nodes(), aig.num_nodes());
         let outs = sim.output_words(&aig);
         assert_eq!(outs.num_outputs(), 2);
         assert_eq!(outs.num_words(), 3); // ceil(130/64)
@@ -401,30 +326,6 @@ mod tests {
         assert_eq!(out.num_words(), 2);
         assert_eq!(out.po(0), &[1, 2]);
         assert_eq!(out.po(1), &[3, 4]);
-    }
-
-    #[test]
-    fn update_matches_full_resimulation_after_substitution() {
-        use std::collections::HashMap;
-        let aig = adder_bit();
-        let patterns = PatternBuffer::random(3, 150, 11);
-        let base = Simulation::new(&aig, &patterns);
-        let fanouts = aig.fanout_map();
-        // Substitute the first AND node by constant 0 (an approximate
-        // change) and resimulate incrementally.
-        let node = aig.iter_ands().next().expect("has ands");
-        let (rebuilt, map) = aig
-            .rebuilt_with_substitutions_mapped(&HashMap::from([(node, alsrac_aig::Lit::FALSE)]))
-            .expect("no cycle");
-        let tfo = aig.tfo_cone(node, &fanouts);
-        let delta = SimDelta::from_rebuild_map(rebuilt.num_nodes(), &map, |old| !tfo.contains(old));
-        let incremental = base.update(&rebuilt, &delta, &patterns);
-        let full = Simulation::new(&rebuilt, &patterns);
-        for id in rebuilt.iter_nodes() {
-            assert_eq!(incremental.node_words(id), full.node_words(id), "node {id}");
-        }
-        // The incremental path must have carried over at least the inputs.
-        assert!(delta.num_compute() < rebuilt.num_nodes());
     }
 
     #[test]

@@ -1,50 +1,44 @@
-//! Property suite for the wide-word batched kernel path.
+//! Property suite for the word-row simulation kernels.
 //!
-//! The batched kernel (`alsrac_sim::kernel`, [`kernel::BATCH_WORDS`] words
-//! per inner-loop step) and the fused influence pass promise *bit identity*
-//! with the scalar recurrences they replace — the flow's determinism
-//! contract rests on it. This suite pins that promise on real circuit
-//! generators across ragged word counts:
+//! The word kernels (`alsrac_sim::kernel`) and the fused influence pass
+//! promise *bit identity* with the scalar recurrences they implement — the
+//! flow's determinism contract rests on it. This suite pins that promise
+//! on real circuit generators across ragged word counts:
 //!
-//! 1. **Batched simulation ≡ scalar reference.** Every node's packed words
-//!    equal a per-pattern boolean re-evaluation of the graph, at pattern
-//!    counts that exercise every remainder class of the batch width
-//!    (`num_words % BATCH_WORDS` ∈ {0, 1, 2, 3}) and a partial final word.
+//! 1. **Word-row simulation ≡ scalar reference.** Every node's packed
+//!    words equal a per-pattern boolean re-evaluation of the graph, at
+//!    pattern counts from one partial word to several words with a partial
+//!    final word.
 //! 2. **Event-driven ≡ full-cone influence.** `FlipInfluence::compute`
 //!    (touched outputs discovered during propagation) yields the same
 //!    masks as a whole-TFO resimulation kept in test code
 //!    (`support/full_cone.rs`), and its sparse layout stores exactly the
 //!    outputs whose driver ended the walk dirty, ascending.
 //! 3. **Both hold across random LAC applies.** After random node
-//!    substitutions — the structural edits the flow performs — fresh
-//!    batched simulation, the scalar reference, and the influence oracle
-//!    still agree on the rebuilt graph.
+//!    substitutions — the structural edits the flow performs — a fresh
+//!    simulation of the rebuilt graph, the scalar reference, and the
+//!    influence oracle still agree. The flow sweeps each rebuilt graph
+//!    afresh in the same way.
 
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, Lit, Node, NodeId};
 use alsrac_circuits::arith;
 use alsrac_rt::Rng;
-use alsrac_sim::{kernel, FlipInfluence, InfluenceScratch, OutputIndex, PatternBuffer, Simulation};
+use alsrac_sim::{FlipInfluence, InfluenceScratch, OutputIndex, PatternBuffer, Simulation};
 
 #[path = "support/full_cone.rs"]
 mod full_cone;
 
-/// Pattern counts covering one partial word, exact single words, and word
-/// counts in every remainder class modulo [`kernel::BATCH_WORDS`] (so both
-/// the batched inner loops and their scalar tails run).
+/// Pattern counts covering one partial word, exact single words, and
+/// multi-word rows with and without a partial final word.
 fn ragged_pattern_counts() -> Vec<usize> {
-    assert_eq!(
-        kernel::BATCH_WORDS,
-        4,
-        "counts below assume a width-4 batch"
-    );
     vec![1, 63, 64, 65, 130, 192, 256, 300]
 }
 
 /// Scalar reference: evaluates every node on every pattern with plain
 /// bools, then packs the results. No word-level ops — this is the
-/// specification the batched sweep must reproduce bit-for-bit.
+/// specification the word-row sweep must reproduce bit-for-bit.
 fn reference_node_words(aig: &Aig, patterns: &PatternBuffer) -> Vec<Vec<u64>> {
     let num_words = patterns.num_words();
     let mut words = vec![vec![0u64; num_words]; aig.num_nodes()];
@@ -154,7 +148,7 @@ fn equivalences_hold_across_random_lac_applies() {
     let mut aig = arith::ripple_carry_adder(4);
     let patterns_of = |aig: &Aig, round: u64| {
         // 130 patterns: two full words plus a partial third, so each round
-        // exercises both a batch tail and a masked final word.
+        // exercises a masked final word.
         PatternBuffer::random(aig.num_inputs(), 130, 100 + round)
     };
     let mut rng = Rng::from_seed(41);

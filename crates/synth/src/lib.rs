@@ -6,7 +6,8 @@
 //! reimplements the used subset from scratch:
 //!
 //! * **sweep** — constant propagation, structural-hash deduplication, and
-//!   dangling-node removal (this is [`Aig::cleaned`], re-exported here as
+//!   dangling-node removal (this is
+//!   [`Aig::cleaned`](alsrac_aig::Aig::cleaned), re-exported here as
 //!   [`sweep`] for discoverability);
 //! * **[`balance`]** — AND-tree height reduction by rebuilding conjunction
 //!   chains as balanced trees (ABC `balance`);

@@ -13,6 +13,8 @@
 # Steps (default `all` runs every one in order):
 #   fmt     cargo fmt --check
 #   clippy  cargo clippy with warnings denied
+#   doc     the whole workspace's rustdoc with warnings denied, so a doc
+#           link to a renamed or deleted item fails instead of going stale
 #   build   release build of the whole workspace (shared by every gate)
 #   test    the whole workspace's tests (every crate's unit, integration
 #           and doc tests, the fault-injection suite included) at the
@@ -57,18 +59,18 @@ cd "$(dirname "$0")/.."
 step="${1:-all}"
 
 # --------------------------------------------------------------------
-# Harness: per-step timing, fail-fast step naming, shared temp files,
-# and the one shared release build.
+# Harness: per-step timing, fail-fast step naming, one temp directory
+# for every step's files, and the one shared release build.
 
 STEP_NAMES=()
 STEP_SECS=()
 CURRENT_STEP=""
-TMP_FILES=()
+TMP_DIR="$(mktemp -d -t alsrac_ci_XXXXXX)"
 RELEASE_BUILT=0
 
 on_exit() {
     status=$?
-    rm -f ${TMP_FILES[@]+"${TMP_FILES[@]}"}
+    rm -rf "$TMP_DIR"
     if [[ ${#STEP_NAMES[@]} -gt 0 ]]; then
         echo
         echo "step timing:"
@@ -94,13 +96,6 @@ run_step() {
     CURRENT_STEP=""
 }
 
-tmpfile() {
-    local f
-    f="$(mktemp -t "$1")"
-    TMP_FILES+=("$f")
-    echo "$f"
-}
-
 # Every gate binary comes out of this one workspace build; the first
 # caller pays for it, the rest reuse it.
 ensure_release_build() {
@@ -122,6 +117,11 @@ run_fmt() {
 run_clippy() {
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+}
+
+run_doc() {
+    echo "==> cargo doc (deny warnings)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 }
 
 run_build() {
@@ -146,7 +146,7 @@ run_smoke() {
     ensure_release_build
 
     echo "==> trace smoke gate (schema + bit-exactness)"
-    smoke_trace="$(tmpfile alsrac_smoke_XXXXXX.jsonl)"
+    local smoke_trace="$TMP_DIR/smoke.jsonl"
     ALSRAC_TRACE="$smoke_trace" target/release/report --smoke
 
     echo "==> disabled-trace overhead gate (<= 2%)"
@@ -180,7 +180,7 @@ run_window_smoke() {
     ensure_release_build
 
     echo "==> windowed resubstitution gate (bit-exact + live counters)"
-    window_json="$(tmpfile alsrac_bench_window_XXXXXX.json)"
+    local window_json="$TMP_DIR/bench_window.json"
     # bench_window --smoke asserts: flow output bit-identical between the
     # windowed and whole-circuit paths on every bundled circuit, and
     # window_extracted > 0 on each windowed run.
@@ -196,8 +196,8 @@ run_cert_smoke() {
     ensure_release_build
 
     echo "==> certification gate (Wilson agreement + thread determinism)"
-    cert_t1="$(tmpfile alsrac_bench_cert1_XXXXXX.json)"
-    cert_t3="$(tmpfile alsrac_bench_cert3_XXXXXX.json)"
+    local cert_t1="$TMP_DIR/bench_cert1.json"
+    local cert_t3="$TMP_DIR/bench_cert3.json"
     # bench_cert --smoke asserts: every certified error rate agrees with an
     # independent sampled estimate within the Wilson interval, and every
     # WCE-constrained flow result is certified at or below its bound.
@@ -230,6 +230,7 @@ run_cert_smoke() {
 case "$step" in
 fmt) run_step fmt run_fmt ;;
 clippy) run_step clippy run_clippy ;;
+doc) run_step doc run_doc ;;
 build) run_step build run_build ;;
 test) run_step test run_test ;;
 smoke) run_step smoke run_smoke ;;
@@ -239,6 +240,7 @@ cert-smoke) run_step cert-smoke run_cert_smoke ;;
 all)
     run_step fmt run_fmt
     run_step clippy run_clippy
+    run_step doc run_doc
     run_step build run_build
     run_step test run_test
     run_step smoke run_smoke
@@ -247,7 +249,7 @@ all)
     run_step cert-smoke run_cert_smoke
     ;;
 *)
-    echo "unknown step '$step' (expected fmt|clippy|build|test|smoke|alsbench|window-smoke|cert-smoke|all)" >&2
+    echo "unknown step '$step' (expected fmt|clippy|doc|build|test|smoke|alsbench|window-smoke|cert-smoke|all)" >&2
     exit 2
     ;;
 esac

@@ -242,11 +242,11 @@ fn flow_estimates_match_exhaustive_measurement_at_every_thread_count() {
     // At <= 14 inputs estimation is exhaustive, so the estimate the flow
     // recorded for its last accepted LAC is the exact error of the circuit
     // it returns (optimize preserves function) and must equal the final
-    // exhaustive measurement bit for bit. That checks the carried
-    // simulation, its cone-local updates, the influence engine and both
-    // compare paths (ER's sparse compare, NMED's decode) against an
-    // independent resimulation, under every optimize schedule and at every
-    // thread count.
+    // exhaustive measurement bit for bit. That checks the estimate phase's
+    // sweep of the changed circuit, the influence engine and both compare
+    // paths (ER's sparse compare, NMED's decode) against an independent
+    // resimulation, under every optimize schedule and at every thread
+    // count.
     use alsrac_suite::core::flow::EXHAUSTIVE_ESTIMATION_LIMIT;
 
     for (name, metric, threshold) in [
@@ -273,8 +273,8 @@ fn flow_estimates_match_exhaustive_measurement_at_every_thread_count() {
             let reference =
                 alsrac_rt::pool::with_threads(1, || run(&circuit, &config).expect("flow"));
             // A second accept means the last estimate was taken on a
-            // circuit the flow itself changed (through the carried
-            // simulation when no optimize pass intervened).
+            // circuit the flow itself changed (an unoptimized rebuild when
+            // no optimize pass intervened).
             assert!(
                 reference.applied >= 2,
                 "{what}: {} accepted LACs, the check would be vacuous",
