@@ -77,11 +77,6 @@ impl FanoutMap {
         self.ref_counts[id.index()]
     }
 
-    /// Returns `true` if the node drives nothing (no fanouts, no outputs).
-    pub fn is_dangling(&self, id: NodeId) -> bool {
-        self.ref_counts[id.index()] == 0
-    }
-
     /// Logic level of `id` (0 for inputs and the constant).
     #[inline]
     pub fn level(&self, id: NodeId) -> u32 {
@@ -352,8 +347,8 @@ mod tests {
     fn dangling_detection() {
         let (aig, _a, _b, _c, ab, _bc, d) = sample();
         let fanouts = aig.fanout_map();
-        assert!(fanouts.is_dangling(d.node()));
-        assert!(!fanouts.is_dangling(ab.node()));
+        assert_eq!(fanouts.ref_count(d.node()), 0);
+        assert_ne!(fanouts.ref_count(ab.node()), 0);
     }
 
     #[test]

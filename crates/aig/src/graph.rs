@@ -31,12 +31,6 @@ impl Node {
         matches!(self, Node::And { .. })
     }
 
-    /// Returns `true` if this node is a primary input.
-    #[inline]
-    pub fn is_input(&self) -> bool {
-        matches!(self, Node::Input { .. })
-    }
-
     /// Returns the fanin literals if this node is an AND gate.
     #[inline]
     pub fn fanins(&self) -> Option<(Lit, Lit)> {

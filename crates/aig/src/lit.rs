@@ -98,12 +98,6 @@ impl Lit {
         self.0 & 1 != 0
     }
 
-    /// Returns this literal with the complement flag set to `complement`.
-    #[inline]
-    pub fn with_complement(self, complement: bool) -> Lit {
-        Lit(self.0 & !1 | complement as u32)
-    }
-
     /// Returns this literal complemented iff `condition` holds.
     ///
     /// This is the common "xor polarity" operation when propagating
@@ -111,12 +105,6 @@ impl Lit {
     #[inline]
     pub fn complement_if(self, condition: bool) -> Lit {
         Lit(self.0 ^ condition as u32)
-    }
-
-    /// Returns `true` if this is one of the two constant literals.
-    #[inline]
-    pub fn is_const(self) -> bool {
-        self.0 <= 1
     }
 }
 
@@ -162,9 +150,6 @@ mod tests {
         assert_eq!(Lit::TRUE.node(), NodeId::CONST);
         assert!(!Lit::FALSE.is_complement());
         assert!(Lit::TRUE.is_complement());
-        assert!(Lit::FALSE.is_const());
-        assert!(Lit::TRUE.is_const());
-        assert!(!NodeId::new(1).lit().is_const());
     }
 
     #[test]
@@ -181,14 +166,6 @@ mod tests {
         let a = NodeId::new(5).lit();
         assert_eq!(a.complement_if(false), a);
         assert_eq!(a.complement_if(true), !a);
-    }
-
-    #[test]
-    fn with_complement_sets_polarity() {
-        let a = NodeId::new(9).lit();
-        assert_eq!(a.with_complement(true), !a);
-        assert_eq!((!a).with_complement(false), a);
-        assert_eq!(a.with_complement(false), a);
     }
 
     #[test]

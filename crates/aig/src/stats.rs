@@ -1,8 +1,8 @@
-//! Summary statistics and DOT export for reports and debugging.
+//! Summary statistics for reports and debugging.
 
 use std::fmt;
 
-use crate::{Aig, Node};
+use crate::Aig;
 
 /// A snapshot of the headline metrics of an [`Aig`].
 ///
@@ -63,57 +63,6 @@ impl Aig {
             complemented_edges,
         }
     }
-
-    /// Renders the graph in Graphviz DOT format (dashed edges are
-    /// complemented).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut dot = String::new();
-        let _ = writeln!(dot, "digraph \"{}\" {{", self.name());
-        let _ = writeln!(dot, "  rankdir=BT;");
-        for id in self.iter_nodes() {
-            match self.node(id) {
-                Node::Const => {
-                    let _ = writeln!(dot, "  n0 [label=\"0\", shape=box];");
-                }
-                Node::Input { index } => {
-                    let _ = writeln!(
-                        dot,
-                        "  n{} [label=\"{}\", shape=triangle];",
-                        id.index(),
-                        self.input_name(*index as usize)
-                    );
-                }
-                Node::And { f0, f1 } => {
-                    let _ = writeln!(dot, "  n{} [label=\"and\"];", id.index());
-                    for f in [f0, f1] {
-                        let style = if f.is_complement() {
-                            " [style=dashed]"
-                        } else {
-                            ""
-                        };
-                        let _ =
-                            writeln!(dot, "  n{} -> n{}{};", f.node().index(), id.index(), style);
-                    }
-                }
-            }
-        }
-        for (i, output) in self.outputs().iter().enumerate() {
-            let style = if output.lit.is_complement() {
-                " [style=dashed]"
-            } else {
-                ""
-            };
-            let _ = writeln!(
-                dot,
-                "  o{i} [label=\"{}\", shape=invtriangle];",
-                output.name
-            );
-            let _ = writeln!(dot, "  n{} -> o{i}{};", output.lit.node().index(), style);
-        }
-        dot.push_str("}\n");
-        dot
-    }
 }
 
 #[cfg(test)]
@@ -128,19 +77,5 @@ mod tests {
         let s = aig.stats();
         assert_eq!(s.to_string(), "i/o = 1/1  and = 0  lev = 0");
         assert_eq!(s.complemented_edges, 1);
-    }
-
-    #[test]
-    fn dot_mentions_all_nodes() {
-        let mut aig = Aig::new("t");
-        let a = aig.add_input("a");
-        let b = aig.add_input("b");
-        let x = aig.and(a, !b);
-        aig.add_output("y", x);
-        let dot = aig.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("triangle"));
-        assert!(dot.contains("style=dashed"));
-        assert!(dot.contains("and"));
     }
 }

@@ -666,7 +666,7 @@ fn smoke(path_arg: Option<&str>) -> ExitCode {
     );
     // The ALSRAC run optimizes after every accepted change, so its
     // optimizer must have derived recipes: zero means the run's optimize
-    // calls bypass it (the liveness check `window-smoke` makes for
+    // calls bypass it (the liveness check `windowed_resub.rs` makes for
     // `window_extracted`).
     let recipes = trace::snapshot()
         .1

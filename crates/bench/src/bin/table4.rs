@@ -8,111 +8,37 @@
 //! paper's Table IV.
 
 use alsrac::baseline::su::{self, SuConfig};
-use alsrac::flow::{self, FlowConfig};
-use alsrac_bench::{
-    asic_cost, average_outcome, percent, print_table, within_budget, Options, Outcome,
-};
+use alsrac_bench::{asic_cost, Comparison, Options};
 use alsrac_circuits::catalog;
 use alsrac_metrics::ErrorMetric;
-use alsrac_rt::pool;
 
 fn main() {
     let options = Options::parse(std::env::args().skip(1));
-    options.init_trace("table4");
-    // Paper-scale circuits re-optimize in batches to keep runtimes sane.
-    let period = if options.scale == alsrac_circuits::catalog::Scale::Paper {
-        8
-    } else {
-        1
-    };
-    let thresholds: &[f64] = if options.full {
-        &[0.001, 0.003, 0.005, 0.008, 0.01, 0.03, 0.05]
-    } else {
-        &[0.01, 0.03, 0.05]
-    };
-
-    // One worker per circuit: each (circuit, threshold, seed) run is an
-    // independent seeded flow, so rows come out identical to the serial
-    // loop at any ALSRAC_THREADS.
-    let benches = catalog::iscas_and_arith(options.scale);
-    let rows = pool::par_map(&benches, |bench| {
-        let exact = &bench.aig;
-        let mut alsrac_avg = Outcome::default();
-        let mut su_avg = Outcome::default();
-        for &threshold in thresholds {
-            let a = average_outcome(
-                exact,
-                options.seeds,
-                asic_cost,
-                |seed| {
-                    let config = FlowConfig {
-                        metric: ErrorMetric::ErrorRate,
-                        threshold,
-                        seed,
-                        max_iterations: 600,
-                        est_rounds: 1024,
-                        optimize_period: period,
-                        ..FlowConfig::default()
-                    };
-                    flow::run(exact, &config).expect("ALSRAC flow")
-                },
-                within_budget(ErrorMetric::ErrorRate, threshold),
-            );
-            let s = average_outcome(
-                exact,
-                options.seeds,
-                asic_cost,
-                |seed| {
-                    let config = SuConfig {
-                        metric: ErrorMetric::ErrorRate,
-                        threshold,
-                        seed,
-                        max_iterations: if period > 1 { 150 } else { 400 },
-                        est_rounds: 1024,
-                        optimize_period: period,
-                        ..SuConfig::default()
-                    };
-                    su::run(exact, &config).expect("Su flow")
-                },
-                within_budget(ErrorMetric::ErrorRate, threshold),
-            );
-            alsrac_avg.area_ratio += a.area_ratio;
-            alsrac_avg.delay_ratio += a.delay_ratio;
-            alsrac_avg.seconds += a.seconds;
-            alsrac_avg.violations += a.violations;
-            su_avg.area_ratio += s.area_ratio;
-            su_avg.delay_ratio += s.delay_ratio;
-            su_avg.seconds += s.seconds;
-            su_avg.violations += s.violations;
-        }
-        let n = thresholds.len() as f64;
-        let row = vec![
-            bench.paper_name.to_string(),
-            percent(alsrac_avg.area_ratio / n),
-            percent(su_avg.area_ratio / n),
-            percent(alsrac_avg.delay_ratio / n),
-            percent(su_avg.delay_ratio / n),
-            format!("{:.1}", alsrac_avg.seconds / n),
-            format!("{:.1}", su_avg.seconds / n),
-            format!("{}/{}", alsrac_avg.violations, su_avg.violations),
-        ];
-        eprintln!("done: {} {:?}", bench.paper_name, row);
-        row
+    let metric = ErrorMetric::ErrorRate;
+    Comparison {
+        binary: "table4",
+        title: "Table IV: ALSRAC vs Su under ER constraint (ASIC)",
+        baseline: "Su",
+        baseline_seconds: true,
+        metric,
+        thresholds: if options.full {
+            &[0.001, 0.003, 0.005, 0.008, 0.01, 0.03, 0.05]
+        } else {
+            &[0.01, 0.03, 0.05]
+        },
+        benches: catalog::iscas_and_arith(options.scale),
+        cost: asic_cost,
+    }
+    .run(&options, |exact, threshold, seed, period| {
+        let config = SuConfig {
+            metric,
+            threshold,
+            seed,
+            max_iterations: if period > 1 { 150 } else { 400 },
+            est_rounds: 1024,
+            optimize_period: period,
+            ..SuConfig::default()
+        };
+        su::run(exact, &config).expect("Su flow")
     });
-    print_table(
-        "Table IV: ALSRAC vs Su under ER constraint (ASIC)",
-        &[
-            "Circuit",
-            "ALSRAC area",
-            "Su area",
-            "ALSRAC delay",
-            "Su delay",
-            "ALSRAC t(s)",
-            "Su t(s)",
-            "viol A/S",
-        ],
-        &rows,
-        &[1, 2, 3, 4, 5, 6],
-    );
-    options.finish_trace();
 }

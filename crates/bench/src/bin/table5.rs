@@ -6,111 +6,40 @@
 //! subset (default).
 
 use alsrac::baseline::su::{self, SuConfig};
-use alsrac::flow::{self, FlowConfig};
-use alsrac_bench::{
-    asic_cost, average_outcome, percent, print_table, within_budget, Options, Outcome,
-};
+use alsrac_bench::{asic_cost, Comparison, Options};
 use alsrac_circuits::catalog;
 use alsrac_metrics::ErrorMetric;
-use alsrac_rt::pool;
 
 fn main() {
     let options = Options::parse(std::env::args().skip(1));
-    options.init_trace("table5");
-    // Paper-scale circuits re-optimize in batches to keep runtimes sane.
-    let period = if options.scale == alsrac_circuits::catalog::Scale::Paper {
-        8
-    } else {
-        1
-    };
-    let thresholds: &[f64] = if options.full {
-        &[
-            0.0000153, 0.0000305, 0.0000610, 0.0001221, 0.0002441, 0.0004883, 0.0009766, 0.0019531,
-        ]
-    } else {
-        &[0.0001221, 0.0004883, 0.0019531]
-    };
-
-    // Per-circuit fan-out on the hermetic pool; deterministic per seed.
-    let benches = catalog::arithmetic_subset(options.scale);
-    let rows = pool::par_map(&benches, |bench| {
-        let exact = &bench.aig;
-        let mut alsrac_avg = Outcome::default();
-        let mut su_avg = Outcome::default();
-        for &threshold in thresholds {
-            let a = average_outcome(
-                exact,
-                options.seeds,
-                asic_cost,
-                |seed| {
-                    let config = FlowConfig {
-                        metric: ErrorMetric::Nmed,
-                        threshold,
-                        seed,
-                        max_iterations: 600,
-                        est_rounds: 1024,
-                        optimize_period: period,
-                        ..FlowConfig::default()
-                    };
-                    flow::run(exact, &config).expect("ALSRAC flow")
-                },
-                within_budget(ErrorMetric::Nmed, threshold),
-            );
-            let s = average_outcome(
-                exact,
-                options.seeds,
-                asic_cost,
-                |seed| {
-                    let config = SuConfig {
-                        metric: ErrorMetric::Nmed,
-                        threshold,
-                        seed,
-                        max_iterations: if period > 1 { 150 } else { 400 },
-                        est_rounds: 1024,
-                        optimize_period: period,
-                        ..SuConfig::default()
-                    };
-                    su::run(exact, &config).expect("Su flow")
-                },
-                within_budget(ErrorMetric::Nmed, threshold),
-            );
-            alsrac_avg.area_ratio += a.area_ratio;
-            alsrac_avg.delay_ratio += a.delay_ratio;
-            alsrac_avg.seconds += a.seconds;
-            alsrac_avg.violations += a.violations;
-            su_avg.area_ratio += s.area_ratio;
-            su_avg.delay_ratio += s.delay_ratio;
-            su_avg.seconds += s.seconds;
-            su_avg.violations += s.violations;
-        }
-        let n = thresholds.len() as f64;
-        let row = vec![
-            bench.paper_name.to_string(),
-            percent(alsrac_avg.area_ratio / n),
-            percent(su_avg.area_ratio / n),
-            percent(alsrac_avg.delay_ratio / n),
-            percent(su_avg.delay_ratio / n),
-            format!("{:.1}", alsrac_avg.seconds / n),
-            format!("{:.1}", su_avg.seconds / n),
-            format!("{}/{}", alsrac_avg.violations, su_avg.violations),
-        ];
-        eprintln!("done: {} {:?}", bench.paper_name, row);
-        row
+    let metric = ErrorMetric::Nmed;
+    Comparison {
+        binary: "table5",
+        title: "Table V: ALSRAC vs Su under NMED constraint (ASIC)",
+        baseline: "Su",
+        baseline_seconds: true,
+        metric,
+        thresholds: if options.full {
+            &[
+                0.0000153, 0.0000305, 0.0000610, 0.0001221, 0.0002441, 0.0004883, 0.0009766,
+                0.0019531,
+            ]
+        } else {
+            &[0.0001221, 0.0004883, 0.0019531]
+        },
+        benches: catalog::arithmetic_subset(options.scale),
+        cost: asic_cost,
+    }
+    .run(&options, |exact, threshold, seed, period| {
+        let config = SuConfig {
+            metric,
+            threshold,
+            seed,
+            max_iterations: if period > 1 { 150 } else { 400 },
+            est_rounds: 1024,
+            optimize_period: period,
+            ..SuConfig::default()
+        };
+        su::run(exact, &config).expect("Su flow")
     });
-    print_table(
-        "Table V: ALSRAC vs Su under NMED constraint (ASIC)",
-        &[
-            "Circuit",
-            "ALSRAC area",
-            "Su area",
-            "ALSRAC delay",
-            "Su delay",
-            "ALSRAC t(s)",
-            "Su t(s)",
-            "viol A/S",
-        ],
-        &rows,
-        &[1, 2, 3, 4, 5, 6],
-    );
-    options.finish_trace();
 }

@@ -5,85 +5,31 @@
 //! delay = LUT depth. The paper runs one threshold (ER = 1%).
 
 use alsrac::baseline::liu::{self, LiuConfig};
-use alsrac::flow::{self, FlowConfig};
-use alsrac_bench::{average_outcome, fpga_cost, percent, print_table, within_budget, Options};
+use alsrac_bench::{fpga_cost, Comparison, Options};
 use alsrac_circuits::catalog;
 use alsrac_metrics::ErrorMetric;
-use alsrac_rt::pool;
 
 fn main() {
     let options = Options::parse(std::env::args().skip(1));
-    options.init_trace("table6");
-    let period = if options.scale == alsrac_circuits::catalog::Scale::Paper {
-        8
-    } else {
-        1
-    };
-    let threshold = 0.01;
-
-    // Per-circuit fan-out on the hermetic pool; deterministic per seed.
-    let benches = catalog::epfl_control(options.scale);
-    let rows = pool::par_map(&benches, |bench| {
-        let exact = &bench.aig;
-        let a = average_outcome(
-            exact,
-            options.seeds,
-            fpga_cost,
-            |seed| {
-                let config = FlowConfig {
-                    metric: ErrorMetric::ErrorRate,
-                    threshold,
-                    seed,
-                    max_iterations: 600,
-                    est_rounds: 1024,
-                    optimize_period: period,
-                    ..FlowConfig::default()
-                };
-                flow::run(exact, &config).expect("ALSRAC flow")
-            },
-            within_budget(ErrorMetric::ErrorRate, threshold),
-        );
-        let l = average_outcome(
-            exact,
-            options.seeds,
-            fpga_cost,
-            |seed| {
-                let config = LiuConfig {
-                    metric: ErrorMetric::ErrorRate,
-                    threshold,
-                    seed,
-                    steps: if options.full { 600 } else { 200 },
-                    ..LiuConfig::default()
-                };
-                liu::run(exact, &config).expect("Liu flow")
-            },
-            within_budget(ErrorMetric::ErrorRate, threshold),
-        );
-        let row = vec![
-            bench.paper_name.to_string(),
-            percent(a.area_ratio),
-            percent(l.area_ratio),
-            percent(a.delay_ratio),
-            percent(l.delay_ratio),
-            format!("{:.1}", a.seconds),
-            format!("{}/{}", a.violations, l.violations),
-        ];
-        eprintln!("done: {} {:?}", bench.paper_name, row);
-        row
+    let metric = ErrorMetric::ErrorRate;
+    Comparison {
+        binary: "table6",
+        title: "Table VI: ALSRAC vs Liu under ER = 1% (FPGA, 6-LUT)",
+        baseline: "Liu",
+        baseline_seconds: false,
+        metric,
+        thresholds: &[0.01],
+        benches: catalog::epfl_control(options.scale),
+        cost: fpga_cost,
+    }
+    .run(&options, |exact, threshold, seed, _period| {
+        let config = LiuConfig {
+            metric,
+            threshold,
+            seed,
+            steps: if options.full { 600 } else { 200 },
+            ..LiuConfig::default()
+        };
+        liu::run(exact, &config).expect("Liu flow")
     });
-    print_table(
-        "Table VI: ALSRAC vs Liu under ER = 1% (FPGA, 6-LUT)",
-        &[
-            "Circuit",
-            "ALSRAC area",
-            "Liu area",
-            "ALSRAC delay",
-            "Liu delay",
-            "ALSRAC t(s)",
-            "viol A/L",
-        ],
-        &rows,
-        &[1, 2, 3, 4, 5],
-    );
-    options.finish_trace();
 }

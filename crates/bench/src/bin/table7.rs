@@ -6,95 +6,38 @@
 //! `max` as ALSRAC's one loss).
 
 use alsrac::baseline::liu::{self, LiuConfig};
-use alsrac::flow::{self, FlowConfig};
-use alsrac_bench::{average_outcome, fpga_cost, percent, print_table, within_budget, Options};
+use alsrac_bench::{fpga_cost, percent, Comparison, Options};
 use alsrac_circuits::catalog;
 use alsrac_metrics::ErrorMetric;
-use alsrac_rt::pool;
 
 fn main() {
     let options = Options::parse(std::env::args().skip(1));
-    options.init_trace("table7");
-    let period = if options.scale == alsrac_circuits::catalog::Scale::Paper {
-        8
-    } else {
-        1
-    };
-    let threshold = 0.0019531;
-
-    // Per-circuit fan-out on the hermetic pool; deterministic per seed.
-    // Each worker also reports its circuit's area pair for the no-`max`
-    // arithmetic mean, folded after the parallel section.
-    let benches = catalog::epfl_arith(options.scale);
-    let outcomes = pool::par_map(&benches, |bench| {
-        let exact = &bench.aig;
-        let a = average_outcome(
-            exact,
-            options.seeds,
-            fpga_cost,
-            |seed| {
-                let config = FlowConfig {
-                    metric: ErrorMetric::Mred,
-                    threshold,
-                    seed,
-                    max_iterations: 600,
-                    est_rounds: 1024,
-                    optimize_period: period,
-                    ..FlowConfig::default()
-                };
-                flow::run(exact, &config).expect("ALSRAC flow")
-            },
-            within_budget(ErrorMetric::Mred, threshold),
-        );
-        let l = average_outcome(
-            exact,
-            options.seeds,
-            fpga_cost,
-            |seed| {
-                let config = LiuConfig {
-                    metric: ErrorMetric::Mred,
-                    threshold,
-                    seed,
-                    steps: if options.full { 600 } else { 200 },
-                    ..LiuConfig::default()
-                };
-                liu::run(exact, &config).expect("Liu flow")
-            },
-            within_budget(ErrorMetric::Mred, threshold),
-        );
-        let area_pair = (bench.paper_name != "max").then_some((a.area_ratio, l.area_ratio));
-        let row = vec![
-            bench.paper_name.to_string(),
-            percent(a.area_ratio),
-            percent(l.area_ratio),
-            percent(a.delay_ratio),
-            percent(l.delay_ratio),
-            format!("{:.1}", a.seconds),
-            format!("{}/{}", a.violations, l.violations),
-        ];
-        eprintln!("done: {} {:?}", bench.paper_name, row);
-        (row, area_pair)
-    });
-    let mut rows = Vec::new();
-    let mut without_max: Vec<(f64, f64)> = Vec::new();
-    for (row, area_pair) in outcomes {
-        rows.push(row);
-        without_max.extend(area_pair);
+    let metric = ErrorMetric::Mred;
+    let outcomes = Comparison {
+        binary: "table7",
+        title: "Table VII: ALSRAC vs Liu under MRED = 0.19531% (FPGA, 6-LUT)",
+        baseline: "Liu",
+        baseline_seconds: false,
+        metric,
+        thresholds: &[0.0019531],
+        benches: catalog::epfl_arith(options.scale),
+        cost: fpga_cost,
     }
-    print_table(
-        "Table VII: ALSRAC vs Liu under MRED = 0.19531% (FPGA, 6-LUT)",
-        &[
-            "Circuit",
-            "ALSRAC area",
-            "Liu area",
-            "ALSRAC delay",
-            "Liu delay",
-            "ALSRAC t(s)",
-            "viol A/L",
-        ],
-        &rows,
-        &[1, 2, 3, 4, 5],
-    );
+    .run(&options, |exact, threshold, seed, _period| {
+        let config = LiuConfig {
+            metric,
+            threshold,
+            seed,
+            steps: if options.full { 600 } else { 200 },
+            ..LiuConfig::default()
+        };
+        liu::run(exact, &config).expect("Liu flow")
+    });
+    let without_max: Vec<(f64, f64)> = outcomes
+        .iter()
+        .filter(|(name, ..)| *name != "max")
+        .map(|(_, a, l)| (a.area_ratio, l.area_ratio))
+        .collect();
     if !without_max.is_empty() {
         let n = without_max.len() as f64;
         let a: f64 = without_max.iter().map(|(a, _)| a).sum::<f64>() / n;
@@ -105,5 +48,4 @@ fn main() {
             percent(l)
         );
     }
-    options.finish_trace();
 }

@@ -3,13 +3,14 @@
 //! Each table of §IV has a binary in `src/bin` (`table3` … `table7`,
 //! `ablation`); this library holds the common machinery: cost evaluation
 //! through the two technology mappers, multi-seed averaging (the paper runs
-//! everything three times), and fixed-width table printing.
+//! everything three times), fixed-width table printing, and the
+//! ALSRAC-versus-baseline [`Comparison`] that Tables IV–VII share.
 //!
 //! All binaries accept:
 //!
 //! * `--scale test|paper` — circuit sizes (default `test`, CI-friendly;
 //!   `paper` approaches Table III sizes),
-//! * `--seeds N` — averaging runs (default 1; the paper uses 3),
+//! * `--seeds N` — averaging runs, at least 1 (default 1; the paper uses 3),
 //! * `--quick` / `--full` — threshold sweep density,
 //! * `--trace PATH` — write a JSONL run report (also honoured via the
 //!   `ALSRAC_TRACE` environment variable; the flag wins). See DESIGN.md
@@ -20,11 +21,12 @@
 
 use std::time::Instant;
 
-use alsrac::flow::FlowResult;
+use alsrac::flow::{self, FlowConfig, FlowResult};
 use alsrac_aig::Aig;
-use alsrac_circuits::catalog::Scale;
+use alsrac_circuits::catalog::{Benchmark, Scale};
 use alsrac_map::cell::{map_cells, Library};
 use alsrac_map::lut::map_luts;
+use alsrac_metrics::ErrorMetric;
 
 /// Confidence width (in standard normal z-units) of the Wilson interval
 /// used by the certification gates: `bench_cert` records agreement
@@ -49,9 +51,13 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `std::env::args`-style arguments; unknown flags abort with a
-    /// usage message.
+    /// Parses `std::env::args`-style arguments; an unknown flag or a bad
+    /// value aborts with a usage message (exit status 2).
     pub fn parse(args: impl Iterator<Item = String>) -> Options {
+        Options::parse_args(args).unwrap_or_else(|problem| usage(&problem))
+    }
+
+    fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
         let mut options = Options {
             scale: Scale::Test,
             seeds: 1,
@@ -66,26 +72,30 @@ impl Options {
                     options.scale = match value.as_str() {
                         "test" => Scale::Test,
                         "paper" => Scale::Paper,
-                        other => usage(&format!("unknown scale {other:?}")),
+                        other => return Err(format!("unknown scale {other:?}")),
                     };
                 }
                 "--seeds" => {
+                    // Zero seeds would average nothing and print ratios of 0.
                     let value = args.next().unwrap_or_default();
-                    options.seeds = value.parse().unwrap_or_else(|_| usage("bad --seeds"));
+                    options.seeds = match value.parse() {
+                        Ok(seeds) if seeds > 0 => seeds,
+                        _ => return Err(format!("bad --seeds {value:?} (need a count >= 1)")),
+                    };
                 }
                 "--quick" => options.full = false,
                 "--full" => options.full = true,
                 "--trace" => {
                     let value = args.next().unwrap_or_default();
                     if value.is_empty() {
-                        usage("--trace needs a path");
+                        return Err("--trace needs a path".to_string());
                     }
                     options.trace = Some(value);
                 }
-                other => usage(&format!("unknown flag {other:?}")),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        options
+        Ok(options)
     }
 
     /// Installs the trace sink requested by `--trace` (or, failing that,
@@ -170,6 +180,10 @@ pub struct Outcome {
 /// `cost` as the technology cost model. `check` receives each run's
 /// measurement and says whether it honours the error budget (used for the
 /// violation count).
+///
+/// # Panics
+///
+/// Panics if `seeds` is 0: there would be nothing to average.
 pub fn average_outcome(
     exact: &Aig,
     seeds: u64,
@@ -177,6 +191,7 @@ pub fn average_outcome(
     mut method: impl FnMut(u64) -> FlowResult,
     check: impl Fn(&FlowResult) -> bool,
 ) -> Outcome {
+    assert!(seeds > 0, "averaging needs at least one seed");
     let (base_area, base_delay) = cost(exact);
     let mut total = Outcome::default();
     for seed in 1..=seeds {
@@ -191,12 +206,134 @@ pub fn average_outcome(
             total.violations += 1;
         }
     }
-    let n = seeds.max(1) as f64;
+    let n = seeds as f64;
     Outcome {
         area_ratio: total.area_ratio / n,
         delay_ratio: total.delay_ratio / n,
         seconds: total.seconds / n,
         violations: total.violations,
+    }
+}
+
+/// One method comparison of §IV (Tables IV–VII): ALSRAC against a
+/// baseline on one circuit suite. Each row averages a circuit's outcomes
+/// over the seeds, then over the thresholds; the table's last row is the
+/// arithmetic mean of the rows.
+pub struct Comparison<'a> {
+    /// Experiment binary, named in the trace's `process` record.
+    pub binary: &'static str,
+    /// Table title.
+    pub title: &'a str,
+    /// Column label of the baseline method (`Su` or `Liu`).
+    pub baseline: &'a str,
+    /// Whether the table also reports the baseline's runtime.
+    pub baseline_seconds: bool,
+    /// The constrained error metric.
+    pub metric: ErrorMetric,
+    /// The thresholds each row averages over.
+    pub thresholds: &'a [f64],
+    /// The circuits, one row each.
+    pub benches: Vec<Benchmark>,
+    /// Technology cost model: [`asic_cost`] or [`fpga_cost`].
+    pub cost: fn(&Aig) -> (f64, f64),
+}
+
+impl Comparison<'_> {
+    /// Runs the comparison, one worker per circuit, and prints its table
+    /// between the trace's `process` and `totals` records. `baseline`
+    /// runs the baseline as `baseline(exact, threshold, seed,
+    /// optimize_period)`. Returns each circuit's name and its ALSRAC and
+    /// baseline outcomes, averaged over the thresholds.
+    ///
+    /// Each (circuit, threshold, seed) run is an independent seeded flow,
+    /// so rows come out identical to the serial loop at any
+    /// `ALSRAC_THREADS`.
+    pub fn run(
+        &self,
+        options: &Options,
+        baseline: impl Fn(&Aig, f64, u64, usize) -> FlowResult + Sync,
+    ) -> Vec<(&'static str, Outcome, Outcome)> {
+        options.init_trace(self.binary);
+        // Paper-scale circuits re-optimize in batches to keep runtimes sane.
+        let period = if options.scale == Scale::Paper { 8 } else { 1 };
+        let n = self.thresholds.len() as f64;
+        let rows = alsrac_rt::pool::par_map(&self.benches, |bench| {
+            let exact = &bench.aig;
+            let mut ours = Outcome::default();
+            let mut theirs = Outcome::default();
+            for &threshold in self.thresholds {
+                let a = average_outcome(
+                    exact,
+                    options.seeds,
+                    self.cost,
+                    |seed| {
+                        let config = FlowConfig {
+                            metric: self.metric,
+                            threshold,
+                            seed,
+                            max_iterations: 600,
+                            est_rounds: 1024,
+                            optimize_period: period,
+                            ..FlowConfig::default()
+                        };
+                        flow::run(exact, &config).expect("ALSRAC flow")
+                    },
+                    within_budget(self.metric, threshold),
+                );
+                let b = average_outcome(
+                    exact,
+                    options.seeds,
+                    self.cost,
+                    |seed| baseline(exact, threshold, seed, period),
+                    within_budget(self.metric, threshold),
+                );
+                for (sum, outcome) in [(&mut ours, a), (&mut theirs, b)] {
+                    sum.area_ratio += outcome.area_ratio;
+                    sum.delay_ratio += outcome.delay_ratio;
+                    sum.seconds += outcome.seconds;
+                    sum.violations += outcome.violations;
+                }
+            }
+            let [ours, theirs] = [ours, theirs].map(|sum| Outcome {
+                area_ratio: sum.area_ratio / n,
+                delay_ratio: sum.delay_ratio / n,
+                seconds: sum.seconds / n,
+                violations: sum.violations,
+            });
+            let mut row = vec![
+                bench.paper_name.to_string(),
+                percent(ours.area_ratio),
+                percent(theirs.area_ratio),
+                percent(ours.delay_ratio),
+                percent(theirs.delay_ratio),
+                format!("{:.1}", ours.seconds),
+            ];
+            if self.baseline_seconds {
+                row.push(format!("{:.1}", theirs.seconds));
+            }
+            row.push(format!("{}/{}", ours.violations, theirs.violations));
+            eprintln!("done: {} {:?}", bench.paper_name, row);
+            (row, (bench.paper_name, ours, theirs))
+        });
+        let b = self.baseline;
+        let mut header = vec![
+            "Circuit".to_string(),
+            "ALSRAC area".to_string(),
+            format!("{b} area"),
+            "ALSRAC delay".to_string(),
+            format!("{b} delay"),
+            "ALSRAC t(s)".to_string(),
+        ];
+        if self.baseline_seconds {
+            header.push(format!("{b} t(s)"));
+        }
+        header.push(format!("viol A/{}", &b[..1]));
+        let header: Vec<&str> = header.iter().map(String::as_str).collect();
+        let (rows, outcomes): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+        let mean_over: Vec<usize> = (1..header.len() - 1).collect();
+        print_table(self.title, &header, &rows, &mean_over);
+        options.finish_trace();
+        outcomes
     }
 }
 
@@ -296,6 +433,22 @@ mod tests {
         assert_eq!(o.scale, Scale::Paper);
         assert_eq!(o.seeds, 3);
         assert!(o.full);
+    }
+
+    #[test]
+    fn parse_rejects_zero_seeds_and_bad_values() {
+        let parse = |args: &[&str]| Options::parse_args(args.iter().map(|s| s.to_string()));
+        assert_eq!(parse(&["--seeds", "2"]).map(|o| o.seeds), Ok(2));
+        for bad in [
+            &["--seeds", "0"][..],
+            &["--seeds", "-1"],
+            &["--seeds"],
+            &["--scale", "huge"],
+            &["--trace"],
+            &["--fast"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]

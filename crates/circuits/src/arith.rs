@@ -6,7 +6,8 @@
 //! EPFL arithmetic set (`adder`, `shifter`, `divisor`, `log2`, `max`,
 //! `mult`, `sine`, `sqrt`, `square`). Bit-widths are parameters so test
 //! suites can use small instances and the experiment harness can use
-//! paper-scale ones.
+//! paper-scale ones; the scale suite's `mtp48` is
+//! [`array_multiplier`]`(48)` (see [`crate::catalog::scale_benchmarks`]).
 
 use alsrac_aig::{Aig, Lit};
 
@@ -553,78 +554,6 @@ pub fn hypotenuse(n: usize) -> Aig {
         aig.add_output(format!("h{i}"), bit);
     }
     aig
-}
-
-/// `mac{n}x{taps}`: multiply-accumulate datapath `Σᵢ aᵢ·bᵢ` over `taps`
-/// products of `n`-bit unsigned operands (an FIR-filter-style kernel),
-/// accumulated with ripple adders. `2n·taps` inputs and
-/// `2n + ceil(log2(taps))` outputs; the AND count grows as `taps · n²`,
-/// which is how the scale suite reaches 10k–100k nodes (see
-/// [`crate::catalog::scale_benchmarks`]).
-pub fn multiply_accumulate(n: usize, taps: usize) -> Aig {
-    assert!(n >= 1 && taps >= 1, "degenerate MAC");
-    let mut aig = Aig::new(format!("mac{n}x{taps}"));
-    let extra = usize::BITS as usize - (taps - 1).leading_zeros() as usize;
-    let width = 2 * n + extra;
-    let mut acc: Vec<Lit> = vec![Lit::FALSE; width];
-    for t in 0..taps {
-        let a = aig.add_inputs(&format!("a{t}_"), n);
-        let b = aig.add_inputs(&format!("b{t}_"), n);
-        let mut product = words::array_multiply(&mut aig, &a, &b);
-        product.resize(width, Lit::FALSE);
-        let (sum, _overflow) = words::ripple_add(&mut aig, &acc, &product, Lit::FALSE);
-        acc = sum;
-    }
-    for (i, &s) in acc.iter().enumerate() {
-        aig.add_output(format!("y{i}"), s);
-    }
-    aig
-}
-
-/// Reference model for [`multiply_accumulate`]: `inputs[t]` is the
-/// `(a, b)` operand pair of tap `t`.
-pub fn multiply_accumulate_model(inputs: &[(u64, u64)]) -> u128 {
-    inputs.iter().map(|&(a, b)| a as u128 * b as u128).sum()
-}
-
-#[cfg(test)]
-mod mac_tests {
-    use super::*;
-
-    #[test]
-    fn multiply_accumulate_matches_model() {
-        let n = 3;
-        let taps = 3;
-        let aig = multiply_accumulate(n, taps);
-        assert_eq!(aig.num_inputs(), 2 * n * taps);
-        let mut rng = alsrac_rt::Rng::from_seed(5);
-        for _ in 0..200 {
-            let pairs: Vec<(u64, u64)> = (0..taps)
-                .map(|_| (rng.gen_range(0..8) as u64, rng.gen_range(0..8) as u64))
-                .collect();
-            let mut bits = Vec::with_capacity(2 * n * taps);
-            for &(a, b) in &pairs {
-                bits.extend((0..n).map(|i| a >> i & 1 != 0));
-                bits.extend((0..n).map(|i| b >> i & 1 != 0));
-            }
-            let got: u128 = aig
-                .evaluate(&bits)
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v as u128) << i)
-                .sum();
-            assert_eq!(got, multiply_accumulate_model(&pairs), "pairs {pairs:?}");
-        }
-    }
-
-    #[test]
-    fn single_tap_mac_is_a_multiplier() {
-        let aig = multiply_accumulate(2, 1);
-        // 3 * 2 = 6.
-        let out = aig.evaluate(&[true, true, false, true]);
-        let got: u64 = out.iter().enumerate().map(|(i, &v)| (v as u64) << i).sum();
-        assert_eq!(got, 6);
-    }
 }
 
 #[cfg(test)]

@@ -201,17 +201,12 @@ pub fn epfl_arith(scale: Scale) -> Vec<Benchmark> {
 }
 
 /// Large generated circuits for the windowed-resubstitution scale
-/// experiments (`bench_window` / BENCH_scale.json): scaled array
-/// multipliers and EPFL-style arithmetic datapaths in the 10k–100k AND
-/// range. These are not part of the paper's tables — whole-circuit
-/// resubstitution does not finish on them, which is the point.
+/// workload: `mtp48`, a 48-bit array multiplier of 22,368 ANDs, which the
+/// repository benchmark runs as `scale_engine`. It is not part of the
+/// paper's tables; at that size per-pivot cost must stop tracking circuit
+/// size, which is what the window bound is for.
 pub fn scale_benchmarks() -> Vec<Benchmark> {
-    vec![
-        Benchmark::new("wal32", arith::wallace_multiplier(32)),
-        Benchmark::new("mtp48", arith::array_multiplier(48)),
-        Benchmark::new("mac16x8", arith::multiply_accumulate(16, 8)),
-        Benchmark::new("mac24x16", arith::multiply_accumulate(24, 16)),
-    ]
+    vec![Benchmark::new("mtp48", arith::array_multiplier(48))]
 }
 
 /// Looks up a single benchmark by its paper name across all suites.

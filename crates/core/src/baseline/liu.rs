@@ -18,7 +18,7 @@ use alsrac_sim::Simulation;
 use crate::estimate::Estimator;
 use crate::flow::FlowResult;
 use crate::lac::{generate_lacs, LacConfig};
-use crate::skeleton::{invalid, Iteration, Run, Spec};
+use crate::skeleton::{Iteration, Run, Spec};
 use crate::FlowError;
 
 /// Parameters for [`run`].
@@ -30,12 +30,6 @@ pub struct LiuConfig {
     pub threshold: f64,
     /// MCMC proposal steps.
     pub steps: usize,
-    /// Initial Metropolis temperature (in AND-node units).
-    pub initial_temperature: f64,
-    /// Multiplicative cooling per step.
-    pub cooling: f64,
-    /// Care-simulation rounds used when proposing resubstitution moves.
-    pub proposal_rounds: usize,
     /// Patterns for error estimation (exhaustive under 14 inputs).
     pub est_rounds: usize,
     /// Patterns for the final certification measurement.
@@ -53,9 +47,6 @@ impl Default for LiuConfig {
             metric: ErrorMetric::ErrorRate,
             threshold: 0.01,
             steps: 300,
-            initial_temperature: 4.0,
-            cooling: 0.995,
-            proposal_rounds: 16,
             est_rounds: 2048,
             measure_rounds: 50_000,
             seed: 1,
@@ -64,16 +55,21 @@ impl Default for LiuConfig {
     }
 }
 
+/// Initial Metropolis temperature (in AND-node units).
+const INITIAL_TEMPERATURE: f64 = 4.0;
+
+/// Multiplicative cooling per step.
+const COOLING: f64 = 0.995;
+
+/// Care-simulation rounds used when proposing resubstitution moves.
+const PROPOSAL_ROUNDS: usize = 16;
+
 /// Runs the stochastic baseline on `original`.
 ///
 /// # Errors
 ///
-/// Same contract as [`crate::flow::run`], plus
-/// [`FlowError::InvalidConfig`] for zero `proposal_rounds`.
+/// Same contract as [`crate::flow::run`].
 pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> {
-    if config.proposal_rounds == 0 {
-        return Err(invalid("proposal_rounds", "must be positive"));
-    }
     let spec = Spec {
         flow: "liu",
         metric: config.metric,
@@ -93,15 +89,15 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
     let original_outputs = Simulation::new(original, &est_patterns).output_words(original);
     let mut current = original.cleaned();
     let mut best = current.clone();
-    let mut temperature = config.initial_temperature;
+    let mut temperature = INITIAL_TEMPERATURE;
 
     for step in 0..config.steps {
-        let mut it = Iteration::new(step + 1, config.proposal_rounds);
-        temperature *= config.cooling;
+        let mut it = Iteration::new(step + 1, PROPOSAL_ROUNDS);
+        temperature *= COOLING;
         // Propose: random LACs from a fresh small care simulation.
         let (care_patterns, care_sim) = it.time("care_sim", || {
             let seed = derive_indexed(config.seed, Stream::Care, step as u64);
-            let patterns = spec.draw(current.num_inputs(), config.proposal_rounds, seed);
+            let patterns = spec.draw(current.num_inputs(), PROPOSAL_ROUNDS, seed);
             let sim = Simulation::new(&current, &patterns);
             (patterns, sim)
         });
@@ -285,13 +281,6 @@ mod tests {
                     ..LiuConfig::default()
                 },
                 "measure_rounds",
-            ),
-            (
-                LiuConfig {
-                    proposal_rounds: 0,
-                    ..LiuConfig::default()
-                },
-                "proposal_rounds",
             ),
         ] {
             let err = run(&exact, &cfg).expect_err(param);

@@ -29,8 +29,6 @@ pub struct SuConfig {
     pub metric: ErrorMetric,
     /// The error threshold.
     pub threshold: f64,
-    /// Similar signals considered per node (each in both polarities).
-    pub candidates_per_node: usize,
     /// Patterns for batch error estimation (exhaustive under 14 inputs).
     pub est_rounds: usize,
     /// Patterns for the final measurement.
@@ -39,10 +37,8 @@ pub struct SuConfig {
     pub seed: u64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Re-optimize after each accepted substitution.
-    pub optimize_after_apply: bool,
-    /// Re-optimize only every this many accepted substitutions (1 = after
-    /// each; larger trades area for speed). The final result is always
+    /// Re-optimize every this many accepted substitutions (1 = after each;
+    /// larger trades area for speed). The final result is always
     /// optimized.
     pub optimize_period: usize,
 }
@@ -52,12 +48,10 @@ impl Default for SuConfig {
         SuConfig {
             metric: ErrorMetric::ErrorRate,
             threshold: 0.01,
-            candidates_per_node: 3,
             est_rounds: 2048,
             measure_rounds: 50_000,
             seed: 1,
             max_iterations: 10_000,
-            optimize_after_apply: true,
             optimize_period: 1,
         }
     }
@@ -95,6 +89,9 @@ fn constant_lac(node: NodeId, one: bool, saved: usize) -> Lac {
     }
 }
 
+/// Most similar signals kept per node (each in both polarities).
+const CANDIDATES_PER_NODE: usize = 3;
+
 /// Candidate-search window: each node is compared against this many
 /// popcount-neighbouring signals per polarity. Signals with similar
 /// simulated behaviour have similar on-counts, so sorting by signature
@@ -110,7 +107,6 @@ fn generate_candidates(
     sim: &Simulation,
     patterns: &PatternBuffer,
     fanouts: &alsrac_aig::FanoutMap,
-    per_node: usize,
 ) -> Vec<Lac> {
     let masks = patterns.word_masks();
     let total_bits: u32 = masks.iter().map(|m| m.count_ones()).sum();
@@ -171,7 +167,7 @@ fn generate_candidates(
         }
         ranked.sort_unstable();
         ranked.dedup();
-        for &(_d, signal, complement) in ranked.iter().take(per_node) {
+        for &(_d, signal, complement) in ranked.iter().take(CANDIDATES_PER_NODE) {
             lacs.push(substitution_lac(node, signal, complement, saved));
         }
         // Constant candidates (Shin/Gupta-style, part of SASIMI's space).
@@ -197,9 +193,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         measure_rounds: config.measure_rounds,
         measure_seed: config.seed ^ 0x3EA5,
         input_bias: None,
-        optimize_period: config
-            .optimize_after_apply
-            .then_some(config.optimize_period.max(1)),
+        optimize_period: Some(config.optimize_period.max(1)),
     };
     spec.check(original)?;
     let est_patterns = spec.estimation_patterns(original);
@@ -216,13 +210,7 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
         // the error estimates.
         let sim = it.time("estimate", || Simulation::new(&current, &est_patterns));
         let lacs = it.time("lac_gen", || {
-            generate_candidates(
-                &current,
-                &sim,
-                &est_patterns,
-                &fanouts,
-                config.candidates_per_node,
-            )
+            generate_candidates(&current, &sim, &est_patterns, &fanouts)
         });
         if lacs.is_empty() {
             run.reject(&it, "no_candidates", 0);
@@ -320,7 +308,7 @@ mod tests {
         let patterns = PatternBuffer::exhaustive(6);
         let fanouts = exact.fanout_map();
         let sim = Simulation::new(&exact, &patterns);
-        let lacs = generate_candidates(&exact, &sim, &patterns, &fanouts, 3);
+        let lacs = generate_candidates(&exact, &sim, &patterns, &fanouts);
         for lac in &lacs {
             for &d in &lac.divisors {
                 let tfo = exact.tfo_cone(lac.node.node(), &fanouts);

@@ -16,32 +16,17 @@ use std::collections::HashMap;
 
 use alsrac_aig::{Aig, Lit, NodeId};
 use alsrac_sat::cec::exact_resub_function;
-use alsrac_truthtable::{isop, minimize, sop_to_aig, Sop, Tt};
+use alsrac_truthtable::{isop, sop_to_aig, Tt};
 
 use crate::divisors::{select_divisor_sets, DivisorConfig};
 
-/// Configuration for [`exact_resub_pass`].
-#[derive(Clone, Debug)]
-pub struct ExactResubConfig {
-    /// Divisor-set selection options (Algorithm 1, same as the approximate
-    /// flow).
-    pub divisors: DivisorConfig,
-    /// Try at most this many feasible divisor sets per node.
-    pub attempts_per_node: usize,
-    /// Only consider nodes whose MFFC has at least this many nodes (a
-    /// 1-node MFFC can at best break even).
-    pub min_mffc: usize,
-}
+/// Try at most this many divisor sets (Algorithm 1, with the approximate
+/// flow's default options) per node.
+const ATTEMPTS_PER_NODE: usize = 4;
 
-impl Default for ExactResubConfig {
-    fn default() -> ExactResubConfig {
-        ExactResubConfig {
-            divisors: DivisorConfig::default(),
-            attempts_per_node: 4,
-            min_mffc: 2,
-        }
-    }
-}
+/// Only consider nodes whose MFFC has at least this many nodes (a 1-node
+/// MFFC can at best break even).
+const MIN_MFFC: usize = 2;
 
 /// Statistics from one [`exact_resub_pass`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,11 +43,12 @@ pub struct ExactResubStats {
 ///
 /// For each node (largest MFFC first), Algorithm-1 divisor sets are tried;
 /// the exact function of the node over a divisor set — when one exists for
-/// all reachable patterns — is derived with SAT queries, minimized, and
-/// substituted if it costs fewer nodes than the node's MFFC frees. The
-/// returned circuit is **functionally equivalent** to the input (verified
-/// by property tests and CEC in the test suite).
-pub fn exact_resub_pass(aig: &Aig, config: &ExactResubConfig) -> (Aig, ExactResubStats) {
+/// all reachable patterns — is derived with SAT queries, covered by its
+/// ISOP (prime and irredundant), and substituted if it costs fewer nodes
+/// than the node's MFFC frees. The returned circuit is **functionally
+/// equivalent** to the input (verified by property tests and CEC in the
+/// test suite).
+pub fn exact_resub_pass(aig: &Aig) -> (Aig, ExactResubStats) {
     let mut stats = ExactResubStats::default();
     let work = aig.cleaned();
     let fanouts = work.fanout_map();
@@ -74,7 +60,7 @@ pub fn exact_resub_pass(aig: &Aig, config: &ExactResubConfig) -> (Aig, ExactResu
     let mut nodes: Vec<(usize, NodeId)> = work
         .iter_ands()
         .map(|id| (work.mffc(id, &fanouts).len(), id))
-        .filter(|&(m, _)| m >= config.min_mffc)
+        .filter(|&(m, _)| m >= MIN_MFFC)
         .collect();
     nodes.sort_by_key(|&(m, id)| (std::cmp::Reverse(m), id));
 
@@ -83,9 +69,9 @@ pub fn exact_resub_pass(aig: &Aig, config: &ExactResubConfig) -> (Aig, ExactResu
             continue;
         }
         stats.examined += 1;
-        for divisors in select_divisor_sets(&work, node, &config.divisors)
+        for divisors in select_divisor_sets(&work, node, &DivisorConfig::default())
             .into_iter()
-            .take(config.attempts_per_node)
+            .take(ATTEMPTS_PER_NODE)
         {
             stats.sat_queries += 1;
             let divisor_lits: Vec<Lit> = divisors.iter().map(|&d| d.lit()).collect();
@@ -103,13 +89,13 @@ pub fn exact_resub_pass(aig: &Aig, config: &ExactResubConfig) -> (Aig, ExactResu
                     None => dc.set(pattern, true),
                 }
             }
-            let cover = minimize(&isop(&on, &on.or(&dc)), &on, &dc);
+            let cover = isop(&on, &on.or(&dc));
             // Standalone cost must beat the freed MFFC.
             let cost = alsrac_truthtable::factored_aig_cost(&cover, k);
             if cost >= mffc_size {
                 continue;
             }
-            let replacement = materialize(&mut appended, &cover, &divisor_lits);
+            let replacement = sop_to_aig(&mut appended, &cover, &divisor_lits);
             let mffc = work.mffc(node, &fanouts);
             for n in mffc {
                 claimed[n.index()] = true;
@@ -129,10 +115,6 @@ pub fn exact_resub_pass(aig: &Aig, config: &ExactResubConfig) -> (Aig, ExactResu
         // rare; fall back to the unmodified circuit rather than panic.
         Err(_) => (work, stats),
     }
-}
-
-fn materialize(aig: &mut Aig, cover: &Sop, divisors: &[Lit]) -> Lit {
-    sop_to_aig(aig, cover, divisors)
 }
 
 #[cfg(test)]
@@ -165,7 +147,7 @@ mod tests {
         let f = aig.or(o1, t3);
         aig.add_output("f", f);
         let before = aig.num_ands();
-        let (after, stats) = exact_resub_pass(&aig, &ExactResubConfig::default());
+        let (after, stats) = exact_resub_pass(&aig);
         assert_equivalent(&aig, &after);
         assert!(stats.examined > 0);
         assert!(
@@ -182,7 +164,7 @@ mod tests {
             alsrac_circuits::arith::alu(3),
             alsrac_circuits::catalog::ecc_network(6, 2),
         ] {
-            let (after, _) = exact_resub_pass(&aig, &ExactResubConfig::default());
+            let (after, _) = exact_resub_pass(&aig);
             assert_equivalent(&aig, &after);
         }
     }
@@ -199,7 +181,7 @@ mod tests {
                     seed: seed + 400,
                 },
             );
-            let (after, _) = exact_resub_pass(&aig, &ExactResubConfig::default());
+            let (after, _) = exact_resub_pass(&aig);
             assert_equivalent(&aig, &after);
         }
     }
@@ -208,7 +190,7 @@ mod tests {
     fn sat_equivalence_check_confirms_a_larger_case() {
         use alsrac_sat::cec::{equivalent, CecResult};
         let aig = alsrac_circuits::arith::wallace_multiplier(4);
-        let (after, stats) = exact_resub_pass(&aig, &ExactResubConfig::default());
+        let (after, stats) = exact_resub_pass(&aig);
         assert_eq!(equivalent(&aig, &after), CecResult::Equivalent);
         assert!(stats.sat_queries > 0);
     }
@@ -216,7 +198,7 @@ mod tests {
     #[test]
     fn stats_track_work() {
         let aig = alsrac_circuits::arith::ripple_carry_adder(3);
-        let (_, stats) = exact_resub_pass(&aig, &ExactResubConfig::default());
+        let (_, stats) = exact_resub_pass(&aig);
         assert!(stats.sat_queries >= stats.applied);
         assert!(stats.examined >= stats.applied);
     }

@@ -213,10 +213,11 @@ impl CareRounds {
 
     /// The give-up test: `6·t` fruitless iterations in a row with `N` at
     /// its floor or ceiling, or `20·t` anywhere (shrink/grow ping-pong
-    /// must not loop forever).
+    /// must not loop forever). The products saturate, so a patience no run
+    /// reaches (a fixed `N`) never gives up.
     fn goes_on(&self, config: &FlowConfig, at_limit: bool) -> bool {
         let limit = if at_limit { 6 } else { 20 };
-        self.stuck_streak < config.patience * limit
+        self.stuck_streak < config.patience.saturating_mul(limit)
     }
 }
 
@@ -947,6 +948,24 @@ mod tests {
             _ => !care.over_budget(&config),
         });
         assert_eq!((anywhere, care.rounds), (Some(40), 4));
+    }
+
+    #[test]
+    fn a_patience_no_run_reaches_keeps_n_fixed_and_never_gives_up() {
+        // The ablation's fixed-`N` arm: `20·t` must saturate, not overflow.
+        let config = FlowConfig {
+            patience: usize::MAX / 8,
+            ..FlowConfig::default()
+        };
+        let mut care = CareRounds::new(&config);
+        (0..50).for_each(|_| assert!(care.no_candidates(&config)));
+        (0..50).for_each(|_| assert!(care.over_budget(&config)));
+        assert_eq!(care.rounds, config.initial_rounds);
+        let mut floor = CareRounds {
+            rounds: 1,
+            ..CareRounds::default()
+        };
+        assert!(floor.no_candidates(&config));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, RebuildError, WindowExtractor};
 use alsrac_sim::{PatternBuffer, Signatures, Simulation};
-use alsrac_truthtable::{factored_aig_cost, isop, minimize, sop_to_aig, Sop};
+use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
 use crate::divisors::{select_divisor_sets_with, DivisorConfig, DivisorSet};
@@ -105,9 +105,9 @@ impl Default for LacConfig {
 ///
 /// `sim` must be a simulation of `aig` on `patterns` (the `N`-round care
 /// simulation of the flow). For each node, divisor sets are tried in
-/// Algorithm 1 order; each feasible set contributes one candidate (ISOP of
-/// its approximate care truth table, improved by the Espresso-style
-/// minimizer) until the per-node limit is reached.
+/// Algorithm 1 order; each feasible set contributes one candidate (the ISOP
+/// of its approximate care truth table, prime and irredundant) until the
+/// per-node limit is reached.
 pub fn generate_lacs(
     aig: &Aig,
     sim: &Simulation,
@@ -194,7 +194,7 @@ pub fn generate_lacs_with(
             };
             let on = care.on_set();
             let dc = care.dont_care_set();
-            let cover = minimize(&isop(on, &on.or(&dc)), on, &dc);
+            let cover = isop(on, &on.or(&dc));
             let est_cost = factored_aig_cost(&cover, divisors.len());
             lacs.push(Lac {
                 node: node.lit(),
@@ -221,6 +221,7 @@ pub fn generate_lacs_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alsrac_truthtable::minimize;
 
     /// The Fig. 1a circuit of the paper (see `care::tests` for the
     /// derivation of the node functions from Table I).

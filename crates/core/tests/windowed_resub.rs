@@ -6,8 +6,11 @@
 //!    tracked complement flag) exactly when their simulation words agree
 //!    (up to complement) on every valid pattern bit.
 //! 2. **Flow bit-identity** — the windowed flow equals the whole-circuit
-//!    flow bit for bit on every bundled Test-scale circuit, at worker
-//!    counts 1, 3, and 7.
+//!    flow bit for bit on every bundled Test-scale circuit over 12
+//!    iterations, at worker counts 1, 3, and 7, and its window counters
+//!    are live (the whole-circuit flow's read 0).
+
+use std::io;
 
 use alsrac::flow::{run, FlowConfig, FlowResult};
 use alsrac::window::WindowConfig;
@@ -16,6 +19,7 @@ use alsrac_circuits::catalog::{iscas_and_arith, Scale};
 use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
 use alsrac_metrics::ErrorMetric;
 use alsrac_rt::pool::with_threads;
+use alsrac_rt::trace;
 use alsrac_sim::{PatternBuffer, Signatures, Simulation};
 
 fn random_circuit(seed: u64, num_gates: usize) -> Aig {
@@ -68,7 +72,7 @@ fn flow_config(window: WindowConfig) -> FlowConfig {
     FlowConfig {
         metric: ErrorMetric::ErrorRate,
         threshold: 0.10,
-        max_iterations: 3,
+        max_iterations: 12,
         seed: 42,
         window,
         ..FlowConfig::default()
@@ -106,20 +110,46 @@ fn assert_flows_identical(name: &str, threads: usize, reference: &FlowResult, go
     );
 }
 
+/// Runs the flow at `threads` workers with the trace on (into a sink that
+/// drops the records) and returns its result and its `window_extracted`
+/// and `window_nodes` counters. Counters are process-wide; this binary's
+/// other test adds neither.
+fn traced_run(aig: &Aig, window: WindowConfig, threads: usize) -> (FlowResult, u64, u64) {
+    trace::reset();
+    trace::enable_writer(Box::new(io::sink()));
+    let result = with_threads(threads, || run(aig, &flow_config(window)).expect("flow"));
+    trace::disable();
+    let (_, counters) = trace::snapshot();
+    let counter = |name: &str| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, value)| value)
+    };
+    (result, counter("window_extracted"), counter("window_nodes"))
+}
+
 #[test]
 fn windowed_flow_is_bit_identical_on_all_bundled_circuits() {
     for bench in &iscas_and_arith(Scale::Test) {
+        let name = bench.paper_name;
         // Whole-circuit reference at one worker; windowed runs must match
         // it at every worker count (worker count must never leak into
         // results — see the flow's determinism contract).
-        let reference = with_threads(1, || {
-            run(&bench.aig, &flow_config(WindowConfig::disabled())).expect("flow")
-        });
+        let (reference, extracted, _) = traced_run(&bench.aig, WindowConfig::disabled(), 1);
+        assert_eq!(
+            extracted, 0,
+            "{name}: the whole-circuit run extracted windows"
+        );
         for threads in [1usize, 3, 7] {
-            let windowed = with_threads(threads, || {
-                run(&bench.aig, &flow_config(WindowConfig::default())).expect("flow")
-            });
-            assert_flows_identical(bench.paper_name, threads, &reference, &windowed);
+            let (windowed, extracted, nodes) =
+                traced_run(&bench.aig, WindowConfig::default(), threads);
+            assert_flows_identical(name, threads, &reference, &windowed);
+            assert!(extracted > 0, "{name}@{threads}: no window extracted");
+            assert!(
+                nodes >= extracted,
+                "{name}@{threads}: {nodes} window nodes over {extracted} windows"
+            );
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   batches, warmup, median/min/mean report) for `harness = false` bench
 //!   targets.
 //! * [`pool`] — a data-parallel executor over scoped std threads
-//!   (`ALSRAC_THREADS`-sized, order-preserving `par_map`/`par_chunks`)
+//!   (`ALSRAC_THREADS`-sized, order-preserving `par_map`/`par_indices`)
 //!   whose results are bit-identical to serial execution at any thread
 //!   count.
 //! * [`trace`] — flow telemetry: nestable thread-aware wall-clock spans,

@@ -16,7 +16,7 @@
 //!   negligible against the millisecond-scale loops this wraps, and the
 //!   primitives fall back to inline execution for tiny inputs.
 //! * **Deterministic.** Results are collected by item index, so
-//!   [`par_map`] / [`par_chunks`] return exactly what the serial loop
+//!   [`par_map`] / [`par_indices`] return exactly what the serial loop
 //!   would: output is **bit-identical regardless of thread count**. Work
 //!   items must themselves be pure (same input → same output), which
 //!   every caller in this workspace guarantees by construction.
@@ -217,27 +217,6 @@ pub fn par_map_init<T: Sync, S, U: Send>(
     par_indices_init(items.len(), init, |scratch, i| f(scratch, &items[i]))
 }
 
-/// Maps `f` over contiguous chunks of at most `chunk_size` items,
-/// preserving chunk order.
-///
-/// `f` receives the chunk index and the chunk slice. The chunk
-/// decomposition depends only on `items.len()` and `chunk_size` — never on
-/// the thread count — so blocked reductions that fold the returned partial
-/// results in order are bit-identical to their serial counterparts.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_chunks<T: Sync, U: Send>(
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(usize, &[T]) -> U + Sync,
-) -> Vec<U> {
-    assert!(chunk_size > 0, "chunk size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_indices(chunks.len(), |i| f(i, chunks[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,23 +237,6 @@ mod tests {
             let parallel = with_threads(threads, || par_map(&items, f));
             assert_eq!(parallel, serial, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn par_chunks_decomposition_is_thread_count_independent() {
-        let items: Vec<u32> = (0..130).collect();
-        let sums = |threads| {
-            with_threads(threads, || {
-                par_chunks(&items, 64, |index, chunk| {
-                    (index, chunk.len(), chunk.iter().sum::<u32>())
-                })
-            })
-        };
-        let serial = sums(1);
-        assert_eq!(serial.len(), 3);
-        assert_eq!(serial[0].1, 64);
-        assert_eq!(serial[2].1, 2);
-        assert_eq!(sums(5), serial);
     }
 
     #[test]
@@ -365,11 +327,5 @@ mod tests {
             })
         });
         assert!(result.is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn par_chunks_rejects_zero_chunk() {
-        par_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
     }
 }

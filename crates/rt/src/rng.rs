@@ -177,14 +177,6 @@ impl Rng {
         range.start + (m >> 64) as usize
     }
 
-    /// Fills `words` with random 64-bit words.
-    #[inline]
-    pub fn fill_words(&mut self, words: &mut [u64]) {
-        for w in words {
-            *w = self.next_u64();
-        }
-    }
-
     /// Splits off an independent child generator.
     ///
     /// The child is seeded from the parent's stream (advancing the parent
@@ -312,17 +304,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let freq = f64::from(c) / f64::from(n);
             assert!((freq - 0.125).abs() < 0.01, "bucket {i}: {freq}");
-        }
-    }
-
-    #[test]
-    fn fill_words_matches_next_u64() {
-        let mut a = Rng::from_seed(9);
-        let mut b = Rng::from_seed(9);
-        let mut buf = [0u64; 16];
-        a.fill_words(&mut buf);
-        for &w in &buf {
-            assert_eq!(w, b.next_u64());
         }
     }
 

@@ -232,11 +232,6 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of clauses (original + learned).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-
     #[inline]
     fn lit_value(&self, lit: SatLit) -> u8 {
         match self.assign[lit.var().index()] {

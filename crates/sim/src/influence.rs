@@ -398,11 +398,6 @@ impl FlipInfluence {
         self.num_outputs
     }
 
-    /// Number of outputs the flip actually reached (stored rows).
-    pub fn num_touched_outputs(&self) -> usize {
-        self.touched.len()
-    }
-
     /// Output indices with a stored row, ascending (parallel to row slots).
     ///
     /// Together with [`row`](FlipInfluence::row) this exposes the sparse
@@ -673,13 +668,13 @@ mod tests {
         // The dangling node reaches no output: zero stored rows, but the
         // mask accessors still answer for every output index.
         let inf = fresh(&aig, &sim, &fanouts, dangling.node());
-        assert_eq!(inf.num_touched_outputs(), 0);
+        assert_eq!(inf.touched().len(), 0);
         assert_eq!(inf.num_outputs(), 2);
         assert!(inf.po_mask(0).iter().all(|&w| w == 0));
         assert!(inf.po_mask(1).iter().all(|&w| w == 0));
         // The y-driver reaches exactly one of the two outputs.
         let inf = fresh(&aig, &sim, &fanouts, x.node());
-        assert_eq!(inf.num_touched_outputs(), 1);
+        assert_eq!(inf.touched().len(), 1);
         assert_eq!(inf.po_mask(0), inf.any_mask());
         assert!(inf.po_mask(1).iter().all(|&w| w == 0));
     }

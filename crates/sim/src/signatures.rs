@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Lit, NodeId};
+use alsrac_aig::{Aig, NodeId};
 
 use crate::{PatternBuffer, Simulation};
 
@@ -83,26 +83,10 @@ impl Signatures {
         self.complemented[id.index()]
     }
 
-    /// Whether `id` is constant (up to complement) under the patterns.
-    #[inline]
-    pub fn is_constant(&self, id: NodeId) -> bool {
-        self.class_of[id.index()] == 0
-    }
-
     /// Whether two nodes carry the same signature up to complement.
     #[inline]
     pub fn same_class(&self, a: NodeId, b: NodeId) -> bool {
         self.class_of[a.index()] == self.class_of[b.index()]
-    }
-
-    /// Whether two *literals* carry identical signatures on the valid
-    /// lanes (complements folded in: `!a` has equal signature to `b` iff
-    /// `a` and `b` are same-class with opposite polarities).
-    #[inline]
-    pub fn lits_equal(&self, a: Lit, b: Lit) -> bool {
-        self.same_class(a.node(), b.node())
-            && (self.is_complemented(a.node()) ^ a.is_complement())
-                == (self.is_complemented(b.node()) ^ b.is_complement())
     }
 }
 
@@ -122,11 +106,16 @@ mod tests {
         let dead = aig.and(a, !a); // constant 0 behavior
         let x = aig.xor(a, b);
         let y = aig.or(ab, c);
+        // (!a & !c) | (!b & !c) = !y, built from other nodes.
+        let nanc = aig.and(!a, !c);
+        let nbnc = aig.and(!b, !c);
+        let q = aig.or(nanc, nbnc);
         aig.add_output("y", y);
         aig.add_output("y2", ab2);
         aig.add_output("y3", nand);
         aig.add_output("d", dead);
         aig.add_output("x", x);
+        aig.add_output("q", q);
         aig
     }
 
@@ -149,8 +138,12 @@ mod tests {
                 );
                 // Polarity refinement: identical (not complemented)
                 // signatures iff same class and same polarity flag.
-                let lits_equal = sigs.lits_equal(a.lit(), b.lit());
-                assert_eq!(lits_equal, wa == wb, "lits {a} / {b}");
+                let same_polarity = sigs.is_complemented(a) == sigs.is_complemented(b);
+                assert_eq!(
+                    sigs.same_class(a, b) && same_polarity,
+                    wa == wb,
+                    "polarity {a} / {b}"
+                );
             }
         }
     }
@@ -162,10 +155,9 @@ mod tests {
         let sim = Simulation::new(&aig, &patterns);
         let sigs = Signatures::build(&aig, &sim, &patterns);
         assert_eq!(sigs.class(NodeId::CONST), 0);
-        assert!(sigs.is_constant(NodeId::CONST));
         // `dead = a & !a` simulates to constant 0 too.
         let dead = aig.outputs()[3].lit.node();
-        assert!(sigs.is_constant(dead));
+        assert_eq!(sigs.class(dead), 0);
         assert!(sigs.same_class(dead, NodeId::CONST));
     }
 
@@ -175,13 +167,17 @@ mod tests {
         let patterns = PatternBuffer::exhaustive(3);
         let sim = Simulation::new(&aig, &patterns);
         let sigs = Signatures::build(&aig, &sim, &patterns);
-        let ab = aig.outputs()[1].lit.node();
-        // `nand` output is the complemented edge of the same node, so the
-        // literal comparison must distinguish polarity.
-        let nand_lit = aig.outputs()[2].lit;
-        assert_eq!(nand_lit.node(), ab);
-        assert!(sigs.lits_equal(ab.lit(), ab.lit()));
-        assert!(!sigs.lits_equal(ab.lit(), nand_lit));
-        assert!(sigs.lits_equal(!ab.lit(), nand_lit));
+        // `y = ab | c` is the complemented edge of AND(!ab, !c), and `q`
+        // (= !y) the complemented edge of another AND that computes `y`:
+        // the two nodes share a class with opposite polarities.
+        let y = aig.outputs()[0].lit;
+        let q = aig.outputs()[5].lit;
+        assert!(y.is_complement() && q.is_complement());
+        assert_ne!(y.node(), q.node());
+        assert!(sigs.same_class(y.node(), q.node()));
+        assert_ne!(
+            sigs.is_complemented(y.node()),
+            sigs.is_complemented(q.node())
+        );
     }
 }

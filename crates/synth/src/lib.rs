@@ -12,7 +12,7 @@
 //! * **[`balance`]** — AND-tree height reduction by rebuilding conjunction
 //!   chains as balanced trees (ABC `balance`);
 //! * **[`rewrite`]** — 4-feasible-cut resynthesis: each cut function is
-//!   re-derived as a minimized factored form and substituted when it saves
+//!   re-derived as the factored form of its ISOP and substituted when it saves
 //!   nodes (ABC `rewrite`);
 //! * **[`refactor`]** — large-cone resynthesis seeded at maximum
 //!   fanout-free cones (ABC `refactor`);
@@ -21,7 +21,7 @@
 //!   ALSRAC flow calls.
 //!
 //! `rewrite` and `refactor` derive each replacement from a truth table; the
-//! derivation (ISOP, minimization, factored cost) is memoized in a recipe
+//! derivation (ISOP of both polarities, factored cost) is memoized in a recipe
 //! cache shared by both. The free functions start from an empty cache; an
 //! [`Optimizer`] keeps one across calls, so a flow run that holds one
 //! memoizes its recipes per run. Either way the output is the same.

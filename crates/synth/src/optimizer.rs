@@ -2,7 +2,7 @@
 //! cache for as long as the optimizer lives.
 //!
 //! `rewrite` and `refactor` both turn a cone's truth table into a
-//! replacement: the cheaper of the minimized covers of `f` and `!f`,
+//! replacement: the cheaper of the ISOP covers of `f` and `!f`,
 //! priced by [`factored_aig_cost`]. That derivation is a pure function of
 //! the truth table, and the same small functions recur in every pass of
 //! every call, so an [`Optimizer`] memoizes it. Results are identical to a
@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use alsrac_aig::Aig;
-use alsrac_truthtable::{factored_aig_cost, isop, minimize, Sop, Tt};
+use alsrac_truthtable::{factored_aig_cost, isop, Sop, Tt};
 
 use crate::{balance, sweep, RefactorConfig, RewriteConfig};
 
@@ -28,9 +28,9 @@ impl Recipe {
     /// to `f`).
     fn of(tt: &Tt) -> Recipe {
         let n = tt.nvars();
-        let pos = minimize(&isop(tt, tt), tt, &Tt::zero(n));
+        let pos = isop(tt, tt);
         let neg_tt = tt.not();
-        let neg = minimize(&isop(&neg_tt, &neg_tt), &neg_tt, &Tt::zero(n));
+        let neg = isop(&neg_tt, &neg_tt);
         let pos_cost = factored_aig_cost(&pos, n);
         let neg_cost = factored_aig_cost(&neg, n);
         let (cover, complemented, cost) = if neg_cost < pos_cost {
@@ -119,16 +119,10 @@ impl Optimizer {
     /// rounds, with zero-gain variants in the later rounds, mirroring
     /// ABC's `resyn2` (`b; rw; rf; b; rw; rwz; b; rfz; rwz; b`).
     pub fn resyn2_lite(&mut self, aig: &Aig) -> Aig {
-        let rw = RewriteConfig::default();
-        let rwz = RewriteConfig {
-            zero_gain: true,
-            ..RewriteConfig::default()
-        };
-        let rf = RefactorConfig::default();
-        let rfz = RefactorConfig {
-            zero_gain: true,
-            ..RefactorConfig::default()
-        };
+        let rw = RewriteConfig { zero_gain: false };
+        let rwz = RewriteConfig { zero_gain: true };
+        let rf = RefactorConfig { zero_gain: false };
+        let rfz = RefactorConfig { zero_gain: true };
 
         let mut g = balance(aig);
         g = self.rewrite(&g, &rw);

@@ -3,7 +3,7 @@
 //! Rewriting works on 4-feasible cuts; refactoring attacks larger
 //! structures: for each node whose maximum fanout-free cone (MFFC) is big
 //! enough, the whole cone is collapsed to a truth table over its leaves and
-//! re-synthesized as a minimized factored form, substituted when smaller
+//! re-synthesized as the factored form of its ISOP, substituted when smaller
 //! (ABC's `refactor`). Recipes come from the [`Optimizer`]'s cache, shared
 //! with `rewrite`.
 
@@ -14,25 +14,17 @@ use alsrac_truthtable::{cone_tt, sop_to_aig, Sop};
 
 use crate::Optimizer;
 
+/// Only refactor nodes whose MFFC has at least this many nodes.
+const MIN_CONE: usize = 3;
+
+/// Skip cones with more than this many leaves (truth-table width).
+const MAX_LEAVES: usize = 10;
+
 /// Options for [`refactor`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RefactorConfig {
-    /// Only refactor nodes whose MFFC has at least this many nodes.
-    pub min_cone: usize,
-    /// Skip cones with more than this many leaves (truth-table width).
-    pub max_leaves: usize,
     /// Accept replacements with zero gain.
     pub zero_gain: bool,
-}
-
-impl Default for RefactorConfig {
-    fn default() -> RefactorConfig {
-        RefactorConfig {
-            min_cone: 3,
-            max_leaves: 10,
-            zero_gain: false,
-        }
-    }
 }
 
 /// One refactoring pass with a fresh recipe cache. Returns the refactored
@@ -65,7 +57,7 @@ impl Optimizer {
                 continue;
             }
             let mffc = work.mffc_with(id, &fanouts, &mut scratch);
-            if mffc.len() < config.min_cone || mffc.iter().any(|n| claimed[n.index()]) {
+            if mffc.len() < MIN_CONE || mffc.iter().any(|n| claimed[n.index()]) {
                 continue;
             }
             // Leaves: fanins of MFFC members that are not themselves members.
@@ -85,7 +77,7 @@ impl Optimizer {
                     }
                 }
             }
-            if leaves.len() > config.max_leaves || leaves.is_empty() {
+            if leaves.len() > MAX_LEAVES || leaves.is_empty() {
                 continue;
             }
             leaves.sort_unstable();
@@ -182,16 +174,5 @@ mod tests {
             let refactored = refactor(&aig, &RefactorConfig::default());
             assert_equivalent(&aig, &refactored);
         }
-    }
-
-    #[test]
-    fn respects_max_leaves() {
-        let aig = alsrac_circuits::arith::wallace_multiplier(3);
-        let config = RefactorConfig {
-            max_leaves: 4,
-            ..RefactorConfig::default()
-        };
-        let refactored = refactor(&aig, &config);
-        assert_equivalent(&aig, &refactored);
     }
 }

@@ -1,7 +1,7 @@
 //! Cut-based rewriting.
 //!
 //! For every AND node, enumerate its 4-feasible cuts, derive each cut's
-//! truth table, re-synthesize the function as a minimized factored form,
+//! truth table, re-synthesize the function as the factored form of its ISOP,
 //! and substitute when the replacement is smaller than the logic it frees
 //! (the node's MFFC restricted to the cut cone). Replacement recipes are
 //! memoized per truth table by the [`Optimizer`] running the pass — across
@@ -23,23 +23,15 @@ use crate::Optimizer;
 /// at most 6 leaves.
 const CUT_SIZE: usize = 4;
 
+/// Cuts kept per node during enumeration.
+const MAX_CUTS: usize = 8;
+
 /// Options for [`rewrite`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RewriteConfig {
-    /// Cuts kept per node during enumeration.
-    pub max_cuts: usize,
     /// Accept replacements with zero gain (ABC's `rewrite -z`); useful for
     /// escaping local minima between passes.
     pub zero_gain: bool,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> RewriteConfig {
-        RewriteConfig {
-            max_cuts: 8,
-            zero_gain: false,
-        }
-    }
 }
 
 /// One rewriting pass over the graph with a fresh recipe cache. Returns
@@ -55,7 +47,7 @@ impl Optimizer {
     /// equivalent to the input.
     pub fn rewrite(&mut self, aig: &Aig, config: &RewriteConfig) -> Aig {
         let mut work = aig.clone();
-        let cut_sets = work.enumerate_cuts(CUT_SIZE, config.max_cuts);
+        let cut_sets = work.enumerate_cuts(CUT_SIZE, MAX_CUTS);
         let fanouts = work.fanout_map();
         let mut scratch = CutScratch::new(&work);
         // Decisions are collected first and materialized after the scan, so
@@ -318,7 +310,7 @@ mod tests {
     /// scratch serves the whole graph, as in a pass.
     fn assert_cut_evaluation_matches_oracle(aig: &Aig) {
         let fanouts = aig.fanout_map();
-        let cut_sets = aig.enumerate_cuts(CUT_SIZE, RewriteConfig::default().max_cuts);
+        let cut_sets = aig.enumerate_cuts(CUT_SIZE, MAX_CUTS);
         let mut scratch = CutScratch::new(aig);
         let mut evaluated = 0;
         for id in aig.iter_ands() {
@@ -418,11 +410,7 @@ mod tests {
     #[test]
     fn zero_gain_mode_preserves_function() {
         let aig = alsrac_circuits::arith::kogge_stone_adder(4);
-        let config = RewriteConfig {
-            zero_gain: true,
-            ..RewriteConfig::default()
-        };
-        let rewritten = rewrite(&aig, &config);
+        let rewritten = rewrite(&aig, &RewriteConfig { zero_gain: true });
         assert_equivalent(&aig, &rewritten);
         assert!(rewritten.num_ands() <= aig.num_ands());
     }

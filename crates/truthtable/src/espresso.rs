@@ -1,10 +1,12 @@
 //! Espresso-style two-level minimization: expand / irredundant / reduce.
 //!
-//! [`isop`](crate::isop) already produces an irredundant prime cover, but —
-//! like Espresso — iterating EXPAND, IRREDUNDANT_COVER and REDUCE can escape
-//! local minima and trade cubes against literals. This module implements a
-//! truth-table-backed version of that loop, sufficient for the small
-//! (≤ ~12 input) functions the synthesis flows manipulate.
+//! Iterating EXPAND, IRREDUNDANT_COVER and REDUCE, as Espresso does, trades
+//! cubes against literals on covers that are not yet prime and
+//! irredundant. This module implements a truth-table-backed version of
+//! that loop for small (≤ ~12 input) functions. On an
+//! [`isop`](crate::isop) cover, which is already prime and irredundant,
+//! the first round changes nothing and the cover comes back unchanged
+//! (this module's tests pin that), so the synthesis flows skip the loop.
 
 use crate::{Cube, Sop, Tt};
 
@@ -211,6 +213,77 @@ mod tests {
                 check_interval(&min, &on, &dc);
                 assert!(cost(&min) <= cost(&initial));
             }
+        }
+    }
+
+    /// `minimize` hands an ISOP back unchanged: a Minato–Morreale cover is
+    /// prime and irredundant, so EXPAND, the containment sweep and
+    /// IRREDUNDANT find nothing to improve. The synthesis flows rely on
+    /// this and use `isop` alone.
+    fn assert_isop_is_a_fixed_point(on: &Tt, dc: &Tt) {
+        let cover = isop(on, &on.or(dc));
+        assert_eq!(minimize(&cover, on, dc), cover, "on {on:?} dc {dc:?}");
+    }
+
+    #[test]
+    fn isop_is_a_fixed_point_on_every_interval_up_to_3_vars() {
+        for nvars in 0..=3 {
+            let patterns = 1u32 << nvars;
+            for on_bits in 0..1u64 << patterns {
+                for dc_bits in (0..1u64 << patterns).filter(|dc| dc & on_bits == 0) {
+                    let on = Tt::from_bits(nvars, on_bits);
+                    let dc = Tt::from_bits(nvars, dc_bits);
+                    assert_isop_is_a_fixed_point(&on, &dc);
+                }
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream without a dependency.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The rewrite pass's cut functions: 4 variables, no don't-cares. All
+    /// 65,536 take about 10 s under the debug profile, so a seeded sample.
+    #[test]
+    fn isop_is_a_fixed_point_on_completely_specified_4_var_functions() {
+        let mut next = splitmix(0x4F4);
+        let dc = Tt::zero(4);
+        for _ in 0..4096 {
+            assert_isop_is_a_fixed_point(&Tt::from_bits(4, next()), &dc);
+        }
+    }
+
+    /// Refactor cones have up to 10 leaves.
+    #[test]
+    fn isop_is_a_fixed_point_on_random_intervals_up_to_10_vars() {
+        let mut next = splitmix(0x1505);
+        for round in 0..70 {
+            let nvars = 4 + round % 7;
+            // Vary the densities so sparse, dense and don't-care-heavy
+            // intervals all occur: an entry is on with probability
+            // `on_in_16 / 16`, else a don't-care with `dc_in_16 / 16`.
+            let on_in_16 = next() % 17;
+            let dc_in_16 = next() % 17;
+            let mut on = Tt::zero(nvars);
+            let mut dc = Tt::zero(nvars);
+            for p in 0..on.num_patterns() {
+                let draw = next();
+                if draw % 16 < on_in_16 {
+                    on.set(p, true);
+                } else if (draw >> 8) % 16 < dc_in_16 {
+                    dc.set(p, true);
+                }
+            }
+            assert_isop_is_a_fixed_point(&on, &dc);
         }
     }
 

@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use alsrac_suite::circuits::arith;
-use alsrac_suite::core::exact::{exact_resub_pass, ExactResubConfig};
+use alsrac_suite::core::exact::exact_resub_pass;
 use alsrac_suite::core::flow::{run, FlowConfig};
 use alsrac_suite::metrics::{wilson_interval, ErrorMetric};
 use alsrac_suite::sat::cec::{equivalent, CecResult};
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Stage 1: exact resubstitution (zero error, SAT-powered).
     let start = Instant::now();
-    let (lossless, stats) = exact_resub_pass(&exact, &ExactResubConfig::default());
+    let (lossless, stats) = exact_resub_pass(&exact);
     let exact_time = start.elapsed();
     println!(
         "exact resubstitution + sweep: {} -> {} ands in {:.2?} \

@@ -32,16 +32,11 @@
 #           its smoke tests: every workload at smoke size reports exactly
 #           the metrics BENCHMARK.json declares. Then each workload runs
 #           once traced at smoke size (`--seed 3 --seconds 1 --trace 1
-#           --smoke`) and must report `correct`, no failed job, and
-#           `lac_gen.probe_agree` equal to `attempted`: the production
+#           --smoke`) and must report `correct`, no failed job,
+#           `lac_gen.probe_agree` equal to `attempted` (the production
 #           `lac_gen` agrees with Algorithm 1 plus the care harvest
-#           re-run stage by stage on every job
-#   window-smoke
-#           windowed-resubstitution gate: `bench_window --smoke` runs the
-#           flow on every bundled Test-scale circuit with windowing on and
-#           off and asserts the results bit-identical with live window
-#           counters (the scale-circuit generator self-checks run in the
-#           `test` step)
+#           re-run stage by stage on every job) and a positive
+#           `lac_gen.window_nodes` (the windowed path extracted windows)
 #   cert-smoke
 #           certification gate: `bench_cert --smoke` certifies the exact
 #           error rate of every bundled circuit's optimized output (the
@@ -159,37 +154,28 @@ run_alsbench() {
     # than in the benchmark run.
     cargo test --release --offline --manifest-path alsbench/Cargo.toml
 
-    echo "==> every workload is correct and its lac_gen probe agrees"
-    local workload result attempted agree
+    echo "==> every workload is correct, its lac_gen probe agrees and it extracts windows"
+    local workload result attempted agree window_nodes
     for workload in er_suite distance scale_engine; do
         result="$(cargo run --release --offline --quiet --manifest-path alsbench/Cargo.toml -- \
             --workload "$workload" --seed 3 --seconds 1 --trace 1 --smoke | tail -n 1)"
         attempted="$(grep -o '"attempted":[0-9]*' <<<"$result" | cut -d: -f2)"
         agree="$(grep -o '"lac_gen.probe_agree":{"value":[0-9.]*' <<<"$result" | cut -d: -f3)"
+        window_nodes="$(grep -o '"lac_gen.window_nodes":{"value":[0-9.]*' <<<"$result" | cut -d: -f3)"
         if ! grep -q '"correct":true' <<<"$result" || ! grep -q '"failed":0,' <<<"$result" ||
             [[ -z "$attempted" || "$agree" != "$attempted" ]]; then
             echo "alsbench: $workload must be correct with no failed job and" \
                 "lac_gen.probe_agree ($agree) equal to attempted ($attempted)" >&2
             exit 1
         fi
-        echo "  $workload: correct, $attempted attempted, lac_gen.probe_agree $agree"
+        if [[ -z "$window_nodes" || "$window_nodes" == 0 ]]; then
+            echo "alsbench: $workload extracted no window" \
+                "(lac_gen.window_nodes is ${window_nodes:-missing})" >&2
+            exit 1
+        fi
+        echo "  $workload: correct, $attempted attempted, lac_gen.probe_agree $agree," \
+            "lac_gen.window_nodes $window_nodes"
     done
-}
-
-run_window_smoke() {
-    ensure_release_build
-
-    echo "==> windowed resubstitution gate (bit-exact + live counters)"
-    local window_json="$TMP_DIR/bench_window.json"
-    # bench_window --smoke asserts: flow output bit-identical between the
-    # windowed and whole-circuit paths on every bundled circuit, and
-    # window_extracted > 0 on each windowed run.
-    target/release/bench_window --smoke "$window_json"
-    grep -q '"window_extracted": \?0[,}]' "$window_json" && {
-        echo "window-smoke: window_extracted is zero" >&2
-        exit 1
-    }
-    echo "window-smoke gate passed."
 }
 
 run_cert_smoke() {
@@ -235,7 +221,6 @@ build) run_step build run_build ;;
 test) run_step test run_test ;;
 smoke) run_step smoke run_smoke ;;
 alsbench) run_step alsbench run_alsbench ;;
-window-smoke) run_step window-smoke run_window_smoke ;;
 cert-smoke) run_step cert-smoke run_cert_smoke ;;
 all)
     run_step fmt run_fmt
@@ -245,11 +230,10 @@ all)
     run_step test run_test
     run_step smoke run_smoke
     run_step alsbench run_alsbench
-    run_step window-smoke run_window_smoke
     run_step cert-smoke run_cert_smoke
     ;;
 *)
-    echo "unknown step '$step' (expected fmt|clippy|doc|build|test|smoke|alsbench|window-smoke|cert-smoke|all)" >&2
+    echo "unknown step '$step' (expected fmt|clippy|doc|build|test|smoke|alsbench|cert-smoke|all)" >&2
     exit 2
     ;;
 esac

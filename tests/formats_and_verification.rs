@@ -4,7 +4,7 @@
 //! certification of measured errors.
 
 use alsrac_suite::circuits::{aiger, arith, blif, verilog};
-use alsrac_suite::core::exact::{exact_resub_pass, ExactResubConfig};
+use alsrac_suite::core::exact::exact_resub_pass;
 use alsrac_suite::core::flow::{run, FlowConfig};
 use alsrac_suite::metrics::ErrorMetric;
 use alsrac_suite::metrics::{error_rate_upper_bound, samples_for_certification};
@@ -69,7 +69,7 @@ fn cec_catches_an_injected_bug() {
 #[test]
 fn exact_resub_then_alsrac_composes() {
     let exact = arith::kogge_stone_adder(5);
-    let (lossless, _) = exact_resub_pass(&exact, &ExactResubConfig::default());
+    let (lossless, _) = exact_resub_pass(&exact);
     assert_eq!(equivalent(&exact, &lossless), CecResult::Equivalent);
     let result = run(
         &lossless,
