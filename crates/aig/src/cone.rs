@@ -256,39 +256,6 @@ impl Aig {
         mffc
     }
 
-    /// Collects the leaves (non-complemented node references) of the cone of
-    /// `root` bounded by the cut `leaves`: all paths from `root` towards the
-    /// inputs stop at nodes in `leaves`. Returns the interior AND nodes in
-    /// topological order.
-    ///
-    /// Returns `None` if the cone escapes past an input or the constant that
-    /// is not listed as a leaf (i.e. `leaves` is not a valid cut of `root`).
-    pub fn cone_interior(&self, root: NodeId, leaves: &[NodeId]) -> Option<Vec<NodeId>> {
-        let mut is_leaf = vec![false; self.num_nodes()];
-        for &l in leaves {
-            is_leaf[l.index()] = true;
-        }
-        let mut seen = vec![false; self.num_nodes()];
-        let mut interior = Vec::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if is_leaf[id.index()] || std::mem::replace(&mut seen[id.index()], true) {
-                continue;
-            }
-            match *self.node(id) {
-                Node::And { f0, f1 } => {
-                    interior.push(id);
-                    stack.push(f0.node());
-                    stack.push(f1.node());
-                }
-                // Hit an input or the constant that is not a leaf: not a cut.
-                _ => return None,
-            }
-        }
-        interior.sort_unstable();
-        Some(interior)
-    }
-
     /// Returns the literal-level fanins of an AND node as an array, panicking
     /// on non-AND nodes. Convenience for cone walkers.
     ///
@@ -386,24 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn cone_interior_accepts_valid_cut() {
-        let (aig, a, b, c, ab, bc, _d) = sample();
-        let y = aig.outputs()[0].lit.node();
-        let interior = aig
-            .cone_interior(y, &[a.node(), b.node(), c.node()])
-            .expect("valid cut");
-        assert_eq!(interior, vec![ab.node(), bc.node(), y]);
-    }
-
-    #[test]
-    fn cone_interior_rejects_non_cut() {
-        let (aig, a, _b, _c, _ab, _bc, _d) = sample();
-        let y = aig.outputs()[0].lit.node();
-        // Leaving out b and c means the walk escapes to inputs not in the cut.
-        assert!(aig.cone_interior(y, &[a.node()]).is_none());
-    }
-
-    #[test]
     fn fanout_map_levels_match_graph_levels() {
         let (aig, ..) = sample();
         let fanouts = aig.fanout_map();
@@ -454,12 +403,5 @@ mod tests {
         for id in b.iter_nodes() {
             assert_eq!(b.mffc_with(id, &fb, &mut scratch), b.mffc(id, &fb));
         }
-    }
-
-    #[test]
-    fn cone_interior_root_as_leaf_is_empty() {
-        let (aig, _a, _b, _c, ab, ..) = sample();
-        let interior = aig.cone_interior(ab.node(), &[ab.node()]).expect("cut");
-        assert!(interior.is_empty());
     }
 }

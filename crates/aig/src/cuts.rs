@@ -204,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn cuts_are_cuts() {
-        // Every enumerated cut must be a valid cut (cone_interior succeeds).
-        let (aig, ..) = sample();
-        let sets = aig.enumerate_cuts(4, 8);
-        for id in aig.iter_ands() {
-            for cut in sets[id.index()].nontrivial() {
-                assert!(
-                    aig.cone_interior(id, cut.leaves()).is_some(),
-                    "cut {cut:?} of {id} is not a cut"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn k_limit_is_respected() {
         let mut aig = Aig::new("wide");
         let xs = aig.add_inputs("x", 8);

@@ -1,13 +1,11 @@
 //! Trace-report reader: turns a JSONL run trace (`--trace` /
 //! `ALSRAC_TRACE`, schema in DESIGN.md "Telemetry") into a human-readable
-//! per-phase time breakdown and error-trajectory summary, plus a compact
-//! `RUN_SUMMARY.json` for downstream tooling.
+//! per-phase time breakdown and error-trajectory summary.
 //!
 //! Four modes:
 //!
-//! * `report <trace.jsonl> [--summary PATH]` — validate every record
-//!   against the schema, print the breakdown, write the summary JSON
-//!   (default `RUN_SUMMARY.json` next to the trace).
+//! * `report <trace.jsonl>` — validate every record against the schema
+//!   and print the breakdown.
 //! * `report --smoke [PATH]` — run one tiny seeded ALSRAC, Su and Liu run
 //!   each with tracing into `PATH` (or `ALSRAC_TRACE`, or a tempfile under
 //!   `target/`), then validate each run's records *against its in-process
@@ -34,7 +32,7 @@ use alsrac::baseline::su::{self, SuConfig};
 use alsrac::flow::{self, FlowConfig};
 use alsrac_metrics::ErrorMetric;
 use alsrac_rt::bench::{format_ns, Options as BenchOptions, Runner};
-use alsrac_rt::json::{Arr, Json, Obj};
+use alsrac_rt::json::Json;
 use alsrac_rt::{trace, Rng};
 
 fn main() -> ExitCode {
@@ -46,17 +44,10 @@ fn main() -> ExitCode {
             Some(path) => cert_check(path),
             None => usage("--cert needs a path"),
         },
-        Some(path) if !path.starts_with("--") => {
-            let summary = match args.get(1).map(String::as_str) {
-                Some("--summary") => match args.get(2) {
-                    Some(p) => p.clone(),
-                    None => return usage("--summary needs a path"),
-                },
-                Some(other) => return usage(&format!("unknown flag {other:?}")),
-                None => sibling_summary_path(path),
-            };
-            analyze(path, &summary)
-        }
+        Some(path) if !path.starts_with("--") => match args.get(1) {
+            Some(other) => usage(&format!("unknown flag {other:?}")),
+            None => analyze(path),
+        },
         _ => usage("missing trace path"),
     }
 }
@@ -64,18 +55,10 @@ fn main() -> ExitCode {
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: report <trace.jsonl> [--summary PATH] | report --smoke [PATH] | \
-         report --overhead | report --cert PATH"
+        "usage: report <trace.jsonl> | report --smoke [PATH] | report --overhead | \
+         report --cert PATH"
     );
     ExitCode::from(2)
-}
-
-/// `RUN_SUMMARY.json` in the same directory as the trace file.
-fn sibling_summary_path(trace_path: &str) -> String {
-    match trace_path.rfind('/') {
-        Some(i) => format!("{}/RUN_SUMMARY.json", &trace_path[..i]),
-        None => "RUN_SUMMARY.json".to_string(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +381,7 @@ fn req_str<'a>(rec: &'a Json, path: &str, line: usize, key: &str) -> Result<&'a 
 }
 
 // ---------------------------------------------------------------------------
-// Default mode: breakdown + RUN_SUMMARY.json
+// Default mode: breakdown
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
@@ -423,8 +406,8 @@ struct RunDigest {
     degraded_cert: bool,
 }
 
-fn analyze(path: &str, summary_path: &str) -> ExitCode {
-    match try_analyze(path, summary_path) {
+fn analyze(path: &str) -> ExitCode {
+    match try_analyze(path) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
@@ -433,7 +416,7 @@ fn analyze(path: &str, summary_path: &str) -> ExitCode {
     }
 }
 
-fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
+fn try_analyze(path: &str) -> Result<ExitCode, String> {
     let records = load(path)?;
 
     let mut runs: BTreeMap<u64, RunDigest> = BTreeMap::new();
@@ -580,58 +563,6 @@ fn try_analyze(path: &str, summary_path: &str) -> Result<ExitCode, String> {
         );
     }
 
-    let mut run_arr = Arr::new();
-    for (id, d) in &runs {
-        let mut traj = Arr::new();
-        for &e in &d.trajectory {
-            traj = traj.f64(e);
-        }
-        let mut run_obj = Obj::new()
-            .u64("run", *id)
-            .str("flow", &d.flow)
-            .str("circuit", &d.circuit)
-            .u64("start_ands", d.start_ands)
-            .u64("end_ands", d.end_ands)
-            .u64("iterations", d.iterations)
-            .u64("applied", d.applied)
-            .u64("wall_ns", d.wall_ns)
-            .opt_f64("error_rate", d.error_rate)
-            .arr("est_error_trajectory", traj);
-        if let Some(outcome) = &d.outcome {
-            run_obj = run_obj.str("outcome", outcome);
-        }
-        if let Some(reason) = &d.interrupt_reason {
-            run_obj = run_obj.str("interrupt_reason", reason);
-        }
-        if let Some(from) = d.resumed_from {
-            run_obj = run_obj.u64("resumed_from", from);
-        }
-        if d.degraded_cert {
-            run_obj = run_obj.bool("degraded_certificate", true);
-        }
-        run_arr = run_arr.obj(run_obj);
-    }
-    let mut phases_obj = Obj::new();
-    for (name, &ns) in &phase_ns {
-        phases_obj = phases_obj.u64(name, ns);
-    }
-    let mut counters_obj = Obj::new();
-    for (name, &v) in &counters {
-        counters_obj = counters_obj.u64(name, v);
-    }
-    let summary = Obj::new()
-        .str("trace", path)
-        .u64("records", records.len() as u64)
-        .u64("interrupted_runs", interrupted as u64)
-        .u64("resumed_runs", resumed as u64)
-        .u64("degraded_certificates", degraded as u64)
-        .obj("phase_ns", phases_obj)
-        .obj("counters", counters_obj)
-        .arr("runs", run_arr)
-        .finish();
-    std::fs::write(summary_path, summary + "\n")
-        .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
-    println!("\nwrote {summary_path}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1220,8 +1151,7 @@ mod tests {
 "reason":"no_candidates","candidates":0,"rounds":64,"phase_ns":{"care_sim":18000000000000000000}}"#
             .replace('\n', "");
         let t = TempTrace::write("overflow", &format!("{rec}\n{rec}\n"));
-        let summary = TempTrace::write("overflow_summary", "");
-        let err = try_analyze(&t.0, &summary.0).expect_err("a wrapped total must fail");
+        let err = try_analyze(&t.0).expect_err("a wrapped total must fail");
         assert!(err.contains(":2:"), "no line number: {err}");
         assert!(err.contains("care_sim"), "wrong diagnostic: {err}");
     }

@@ -241,6 +241,57 @@ mod tests {
         }
     }
 
+    /// Every output of the random-logic control stand-ins takes both
+    /// values: over every input pattern up to 20 inputs, over 65,536 seeded
+    /// samples above that (one pattern of each value is a proof).
+    #[test]
+    fn control_stand_ins_have_no_constant_outputs() {
+        let mut rng = alsrac_rt::Rng::from_seed(1);
+        for scale in [Scale::Test, Scale::Paper] {
+            for bench in epfl_control(scale) {
+                let stand_in = ["cavlc", "alu ctrl", "i2c ctrl", "mem ctrl"];
+                if !stand_in.contains(&bench.paper_name) {
+                    continue;
+                }
+                let aig = &bench.aig;
+                let n = aig.num_inputs();
+                assert!((6..=64).contains(&n), "{}", bench.paper_name);
+                let num_words = if n <= 20 { 1 << (n - 6) } else { 1024 };
+                let mut ones = vec![0; aig.num_outputs()];
+                let mut zeros = ones.clone();
+                let mut values = vec![0u64; aig.num_nodes()];
+                let lit = |values: &[u64], l: alsrac_aig::Lit| {
+                    values[l.node().index()] ^ 0u64.wrapping_sub(u64::from(l.is_complement()))
+                };
+                for w in 0..num_words {
+                    for (i, input) in aig.inputs().iter().enumerate() {
+                        values[input.index()] = match i {
+                            _ if n > 20 => rng.next_u64(),
+                            0..=5 => (0..64).filter(|b| b >> i & 1 == 1).map(|b| 1 << b).sum(),
+                            _ => 0u64.wrapping_sub((w >> (i - 6) & 1) as u64),
+                        };
+                    }
+                    for id in aig.iter_ands() {
+                        let [f0, f1] = aig.and_fanins(id);
+                        values[id.index()] = lit(&values, f0) & lit(&values, f1);
+                    }
+                    for (o, output) in aig.outputs().iter().enumerate() {
+                        ones[o] |= lit(&values, output.lit);
+                        zeros[o] |= !lit(&values, output.lit);
+                    }
+                }
+                for (o, output) in aig.outputs().iter().enumerate() {
+                    assert!(
+                        ones[o] != 0 && zeros[o] != 0,
+                        "{scale:?} {}: output {} is constant",
+                        bench.paper_name,
+                        output.name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn paper_scale_is_larger_than_test_scale() {
         let small: usize = iscas_and_arith(Scale::Test)

@@ -78,17 +78,62 @@ pub fn random_network(config: &RandomNetworkConfig) -> Aig {
     aig
 }
 
-/// Convenience: a random network sized to mimic a mid-size control
-/// benchmark (`i2c`/`cavlc` class).
+/// A seeded random network sized to mimic a mid-size control benchmark
+/// (`i2c`/`cavlc` class).
+///
+/// Gates and outputs are drawn as in [`random_network`], but randomly
+/// polarized ANDs drift towards constant signals with depth. So each gate
+/// takes the fanin polarities that bring its probability of being 1,
+/// estimated as if its fanins were independent, nearest ½ (ties broken at
+/// random), among the polarities whose value is not constant on 256
+/// simulated patterns (every pattern of the first 8 inputs, seeded random
+/// values for the rest); a gate with no such polarity is dropped. Every
+/// output is then a function of the inputs.
 pub fn control_like(name: &str, num_inputs: usize, num_gates: usize, seed: u64) -> Aig {
-    let mut aig = random_network(&RandomNetworkConfig {
-        num_inputs,
-        num_outputs: (num_inputs / 2).max(1),
-        num_gates,
-        locality: num_gates / 4 + 8,
-        seed,
-    });
-    aig.set_name(name.to_string());
+    let mut rng = Rng::from_seed(seed);
+    let mut aig = Aig::new(name.to_string());
+    let inputs = aig.add_inputs("x", num_inputs);
+    // Each signal with its probability of being 1 and its simulated words.
+    let mut signals: Vec<(Lit, f64, [u64; 4])> = Vec::with_capacity(num_inputs + num_gates);
+    for (i, x) in inputs.into_iter().enumerate() {
+        let words = std::array::from_fn(|w| match i {
+            0..=5 => (0..64).filter(|b| b >> i & 1 == 1).map(|b| 1 << b).sum(),
+            6 | 7 => 0u64.wrapping_sub((w >> (i - 6) & 1) as u64),
+            _ => rng.next_u64(),
+        });
+        signals.push((x, 0.5, words));
+    }
+    let locality = num_gates / 4 + 8;
+    for _ in 0..num_gates {
+        let lo = signals.len().saturating_sub(locality);
+        let i = rng.gen_range(lo..signals.len());
+        let mut j = rng.gen_range(lo..signals.len());
+        if i == j {
+            j = if j + 1 < signals.len() { j + 1 } else { lo };
+        }
+        let ((a, pa, wa), (b, pb, wb)) = (signals[i], signals[j]);
+        let first = rng.gen_range(0..4);
+        let best = (first..first + 4)
+            .map(|k| {
+                let (ca, cb) = (k & 1 == 1, k & 2 == 2);
+                let p = if ca { 1.0 - pa } else { pa } * if cb { 1.0 - pb } else { pb };
+                let flip = |c: bool| 0u64.wrapping_sub(u64::from(c));
+                let words: [u64; 4] =
+                    std::array::from_fn(|w| (wa[w] ^ flip(ca)) & (wb[w] ^ flip(cb)));
+                (ca, cb, p, words)
+            })
+            .filter(|(.., words)| words.iter().any(|&w| w != 0) && words.iter().any(|&w| w != !0))
+            .min_by(|x, y| (x.2 - 0.5).abs().total_cmp(&(y.2 - 0.5).abs()));
+        if let Some((ca, cb, p, words)) = best {
+            signals.push((aig.and(a.complement_if(ca), b.complement_if(cb)), p, words));
+        }
+    }
+    let num_outputs = (num_inputs / 2).max(1);
+    let tail = signals.len().saturating_sub(num_outputs * 2);
+    for o in 0..num_outputs {
+        let (lit, ..) = signals[rng.gen_range(tail..signals.len())];
+        aig.add_output(format!("y{o}"), lit.complement_if(rng.gen_bool(0.5)));
+    }
     aig
 }
 

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, Node, NodeId};
-use alsrac_truthtable::{cone_tt, Tt};
+use alsrac_truthtable::{CutEvaluator, Tt};
 
 /// One library gate: a named function with area and pin-to-output delay.
 #[derive(Clone, Debug)]
@@ -216,6 +216,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
     let mut cost = vec![[f64::INFINITY; 2]; num];
     let mut arrival = vec![[f64::INFINITY; 2]; num];
     let mut choice = vec![[Choice::None, Choice::None]; num];
+    let mut eval = CutEvaluator::new();
 
     fn better(mode: MapMode, c1: f64, a1: f64, c2: f64, a2: f64) -> bool {
         match mode {
@@ -237,11 +238,11 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
             }
             Node::And { .. } => {
                 for cut in cut_sets[i].nontrivial() {
-                    let Some(tt) = cone_tt(aig, id.lit(), cut.leaves()) else {
+                    let Some(bits) = eval.word(aig, id.lit(), cut.leaves()) else {
                         continue;
                     };
-                    for phase in 0..2 {
-                        let key = if phase == 0 { tt.clone() } else { tt.not() };
+                    for (phase, bits) in [bits, !bits].into_iter().enumerate() {
+                        let key = Tt::from_bits(cut.len(), bits);
                         let Some(candidates) = library.matches.get(&key) else {
                             continue;
                         };

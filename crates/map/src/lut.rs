@@ -1,7 +1,7 @@
 //! K-input LUT mapping.
 
 use alsrac_aig::{Aig, Node, NodeId};
-use alsrac_truthtable::{cone_tt, Tt};
+use alsrac_truthtable::{CutEvaluator, Tt};
 
 /// One mapped LUT.
 #[derive(Clone, Debug)]
@@ -98,12 +98,15 @@ pub fn map_luts(aig: &Aig, k: usize) -> LutMapping {
         }
     }
     let mut luts = Vec::new();
+    let mut eval = CutEvaluator::new();
     while let Some(id) = stack.pop() {
         if std::mem::replace(&mut needed[id.index()], true) {
             continue;
         }
         let cut = &cut_sets[id.index()].cuts()[best_cut[id.index()]];
-        let tt = cone_tt(aig, id.lit(), cut.leaves()).expect("enumerated cuts are valid cuts");
+        let tt = eval
+            .tt(aig, id.lit(), cut.leaves())
+            .expect("enumerated cuts are valid cuts");
         for &leaf in cut.leaves() {
             if aig.node(leaf).is_and() {
                 stack.push(leaf);

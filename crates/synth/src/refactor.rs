@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, Lit, MffcScratch, Node, NodeId};
-use alsrac_truthtable::{cone_tt, sop_to_aig, Sop};
+use alsrac_truthtable::{sop_to_aig, CutEvaluator, Sop};
 
 use crate::Optimizer;
 
@@ -46,6 +46,7 @@ impl Optimizer {
         let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
         let mut claimed = vec![false; work.num_nodes()];
         let mut scratch = MffcScratch::new();
+        let mut eval = CutEvaluator::new();
         // `in_mffc[i] == stamp`: node `i` is in the MFFC of the node with
         // that stamp.
         let mut in_mffc = vec![0u32; work.num_nodes()];
@@ -81,7 +82,7 @@ impl Optimizer {
                 continue;
             }
             leaves.sort_unstable();
-            let Some(tt) = cone_tt(&work, id.lit(), &leaves) else {
+            let Some(tt) = eval.tt(&work, id.lit(), &leaves) else {
                 continue;
             };
             let recipe = self.recipe(&tt);

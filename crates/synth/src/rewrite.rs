@@ -8,14 +8,15 @@
 //! every pass of a run when the run holds one optimizer — and shared with
 //! `refactor`, playing the role of ABC's precomputed NPN library.
 //!
-//! A cut is evaluated in one walk of its cone over a scratch that lives for
-//! the pass ([`CutScratch`]): the truth table is one `u64` per cone node,
-//! and the cut-local MFFC falls out of one reverse-topological sweep.
+//! A cut is evaluated over a scratch that lives for the pass
+//! ([`CutScratch`]): a [`CutEvaluator`] gives the truth table as one word
+//! and the cone's interior, and the cut-local MFFC falls out of one
+//! reverse-topological sweep of that interior.
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, FanoutMap, Lit, Node, NodeId};
-use alsrac_truthtable::{sop_to_aig, Sop};
+use alsrac_aig::{Aig, FanoutMap, Lit, NodeId};
+use alsrac_truthtable::{sop_to_aig, CutEvaluator, Sop};
 
 use crate::Optimizer;
 
@@ -116,34 +117,17 @@ impl Optimizer {
     }
 }
 
-/// The truth tables of the variables of a cut, one word each.
-const VAR_WORDS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-const _: () = assert!(CUT_SIZE <= VAR_WORDS.len(), "cuts must fit one word");
-
-/// Scratch for evaluating the cuts of one pass without allocating:
+/// Scratch for evaluating the cuts of one pass without allocating: the
+/// cut function comes from a [`CutEvaluator`], and the cut-local MFFC from
 /// epoch-stamped per-node marks (the [`alsrac_aig::MffcScratch`] idiom),
 /// so each cut costs time proportional to its cone, not the graph.
 struct CutScratch {
-    /// `cone[i] == epoch`: node `i` is a leaf or interior node of the cut
-    /// being evaluated.
-    cone: Vec<u32>,
+    eval: CutEvaluator,
     /// `freed[i] == epoch`: node `i` dangles once the root is replaced.
     freed: Vec<u32>,
     epoch: u32,
-    /// The truth-table word of each node of the current cone.
-    words: Vec<u64>,
     /// Whether each node drives a primary output, which keeps it alive.
     drives_output: Vec<bool>,
-    stack: Vec<NodeId>,
-    /// The current cone's interior AND nodes, ascending.
-    interior: Vec<NodeId>,
     /// The current cut's MFFC: the interior nodes that dangle once the
     /// root is replaced, ascending.
     mffc: Vec<NodeId>,
@@ -157,22 +141,17 @@ impl CutScratch {
             drives_output[output.lit.node().index()] = true;
         }
         CutScratch {
-            cone: vec![0; n],
+            eval: CutEvaluator::new(),
             freed: vec![0; n],
             epoch: 0,
-            words: vec![0; n],
             drives_output,
-            stack: Vec::new(),
-            interior: Vec::new(),
             mffc: Vec::new(),
         }
     }
 
-    /// Evaluates the cut `leaves` (at most 6) of `root`: returns the cut's
-    /// truth table as one tail-masked word (leaf `i` is variable `i`) and
-    /// leaves the cut-local MFFC in `self.mffc`. `None` when `leaves` is
-    /// not a cut of `root` (the cone reaches an input or the constant that
-    /// is not a leaf).
+    /// Evaluates the cut `leaves` of `root`: returns the cut's truth table
+    /// as [`CutEvaluator::word`] does and leaves the cut-local MFFC in
+    /// `self.mffc`. `None` when `leaves` is not a cut of `root`.
     fn evaluate(
         &mut self,
         aig: &Aig,
@@ -180,45 +159,17 @@ impl CutScratch {
         root: NodeId,
         leaves: &[NodeId],
     ) -> Option<u64> {
+        let bits = self.eval.word(aig, root.lit(), leaves)?;
         if self.epoch == u32::MAX {
-            self.cone.fill(0);
             self.freed.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
         let epoch = self.epoch;
-        for (&leaf, &word) in leaves.iter().zip(&VAR_WORDS) {
-            self.cone[leaf.index()] = epoch;
-            self.words[leaf.index()] = word;
-        }
-        self.interior.clear();
-        self.stack.clear();
-        self.stack.push(root);
-        while let Some(id) = self.stack.pop() {
-            if std::mem::replace(&mut self.cone[id.index()], epoch) == epoch {
-                continue;
-            }
-            let Node::And { f0, f1 } = *aig.node(id) else {
-                return None;
-            };
-            self.interior.push(id);
-            self.stack.push(f0.node());
-            self.stack.push(f1.node());
-        }
-        self.interior.sort_unstable();
-
-        let word = |words: &[u64], lit: Lit| {
-            words[lit.node().index()] ^ 0u64.wrapping_sub(lit.is_complement() as u64)
-        };
-        for &id in &self.interior {
-            let [f0, f1] = aig.and_fanins(id);
-            self.words[id.index()] = word(&self.words, f0) & word(&self.words, f1);
-        }
-
         // Fanouts come after their fanins, so one reverse-topological sweep
         // decides every interior node after all of its consumers.
         self.mffc.clear();
-        for &n in self.interior.iter().rev() {
+        for &n in self.eval.interior().iter().rev() {
             let is_freed = n == root
                 || (!self.drives_output[n.index()]
                     && fanouts
@@ -231,12 +182,7 @@ impl CutScratch {
             }
         }
         self.mffc.reverse();
-
-        let tail = match leaves.len() {
-            n @ 0..=5 => (1u64 << (1 << n)) - 1,
-            _ => u64::MAX,
-        };
-        Some(self.words[root.index()] & tail)
+        Some(bits)
     }
 }
 
@@ -245,20 +191,21 @@ mod tests {
     use super::*;
     use alsrac_circuits::catalog::{self, Scale};
     use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
-    use alsrac_truthtable::{cone_tt, Tt};
 
-    /// The per-cut evaluation [`CutScratch`] replaced, kept as its oracle:
-    /// the truth table by `cone_tt`, the interior by `cone_interior`, and
-    /// the cut-local MFFC by [`cut_local_mffc`]'s fixed point.
+    /// The per-cut evaluation of a pass-long [`CutScratch`], by its
+    /// definition: the truth table and interior from a fresh
+    /// [`CutEvaluator`] (whose tables `tests/equivalence_props.rs` pins to
+    /// exhaustive simulation), and the cut-local MFFC by
+    /// [`cut_local_mffc`]'s fixed point.
     fn oracle(
         aig: &Aig,
         fanouts: &FanoutMap,
         root: NodeId,
         leaves: &[NodeId],
-    ) -> Option<(Tt, Vec<NodeId>)> {
-        let tt = cone_tt(aig, root.lit(), leaves)?;
-        let interior = aig.cone_interior(root, leaves)?;
-        Some((tt, cut_local_mffc(aig, root, &interior, fanouts)))
+    ) -> Option<(u64, Vec<NodeId>)> {
+        let mut eval = CutEvaluator::new();
+        let bits = eval.word(aig, root.lit(), leaves)?;
+        Some((bits, cut_local_mffc(aig, root, eval.interior(), fanouts)))
     }
 
     /// The nodes of `interior` (a cone of `root`) that become dangling when
@@ -322,7 +269,7 @@ mod tests {
                         .collect();
                     let fast = scratch
                         .evaluate(aig, &fanouts, id, &leaves)
-                        .map(|bits| (Tt::from_bits(leaves.len(), bits), scratch.mffc.clone()));
+                        .map(|bits| (bits, scratch.mffc.clone()));
                     let slow = oracle(aig, &fanouts, id, &leaves);
                     evaluated += usize::from(slow.is_some());
                     assert_eq!(fast, slow, "{}: node {id}, leaves {leaves:?}", aig.name());

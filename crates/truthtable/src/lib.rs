@@ -17,7 +17,9 @@
 //!   that improves an initial cover; it returns an ISOP unchanged (pinned
 //!   by this crate's tests), so the synthesis flows call [`isop`] alone,
 //! * [`sop_to_aig`] — conversion of a cover to AIG nodes with quick
-//!   literal factoring (used when a LAC is materialized in the circuit).
+//!   literal factoring (used when a LAC is materialized in the circuit),
+//! * [`CutEvaluator`] — the truth table of an AIG node over a cut, shared
+//!   by rewriting, refactoring and both technology mappers.
 //!
 //! # Example: cover an incompletely specified function
 //!
@@ -47,5 +49,5 @@ pub use cube::{Cube, Sop};
 pub use espresso::minimize;
 pub use factor::{factored_aig_cost, sop_to_aig};
 pub use isop::isop;
-pub use network::cone_tt;
+pub use network::CutEvaluator;
 pub use tt::{Tt, MAX_VARS};

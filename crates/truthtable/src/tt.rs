@@ -41,7 +41,8 @@ pub struct Tt {
 }
 
 impl Tt {
-    fn words_for(nvars: usize) -> usize {
+    /// Number of words in a table of `nvars` variables.
+    pub(crate) fn words_for(nvars: usize) -> usize {
         assert!(nvars <= MAX_VARS, "at most {MAX_VARS} variables supported");
         if nvars <= 6 {
             1
@@ -51,7 +52,7 @@ impl Tt {
     }
 
     /// Mask of the bits of the last word that are meaningful.
-    fn tail_mask(nvars: usize) -> u64 {
+    pub(crate) fn tail_mask(nvars: usize) -> u64 {
         if nvars >= 6 {
             u64::MAX
         } else {
@@ -73,12 +74,7 @@ impl Tt {
 
     /// The constant-1 function of `nvars` variables.
     pub fn ones(nvars: usize) -> Tt {
-        let mut t = Tt {
-            nvars: nvars as u8,
-            words: vec![u64::MAX; Tt::words_for(nvars)],
-        };
-        *t.words.last_mut().expect("at least one word") &= Tt::tail_mask(nvars);
-        t
+        Tt::from_words(nvars, vec![u64::MAX; Tt::words_for(nvars)])
     }
 
     /// The projection function of variable `var` among `nvars` variables.
@@ -88,24 +84,18 @@ impl Tt {
     /// Panics if `var >= nvars`.
     pub fn var(var: usize, nvars: usize) -> Tt {
         assert!(var < nvars, "variable {var} out of range for {nvars} vars");
-        let mut t = Tt::zero(nvars);
-        if var < 6 {
-            let mask = WORD_MASKS[var] & Tt::tail_mask(nvars);
-            for w in &mut t.words {
-                *w = mask;
-            }
-            if var < 6 && nvars < 6 {
-                t.words[0] = WORD_MASKS[var] & Tt::tail_mask(nvars);
-            }
-        } else {
-            let block = 1usize << (var - 6);
-            for (i, w) in t.words.iter_mut().enumerate() {
-                if i / block % 2 == 1 {
-                    *w = u64::MAX;
-                }
-            }
+        Tt::from_words(
+            nvars,
+            (0..Tt::words_for(nvars)).map(|j| Tt::var_word(var, j)),
+        )
+    }
+
+    /// Word `j` of the projection table of variable `var`.
+    pub(crate) fn var_word(var: usize, j: usize) -> u64 {
+        match WORD_MASKS.get(var) {
+            Some(&mask) => mask,
+            None => 0u64.wrapping_sub((j >> (var - 6) & 1) as u64),
         }
-        t
     }
 
     /// Builds a table over ≤ 6 variables from the low `2^nvars` bits of
@@ -116,10 +106,18 @@ impl Tt {
     /// Panics if `nvars > 6`.
     pub fn from_bits(nvars: usize, bits: u64) -> Tt {
         assert!(nvars <= 6, "from_bits supports at most 6 variables");
-        Tt {
+        Tt::from_words(nvars, [bits])
+    }
+
+    /// A table from its words, clearing the bits past the last pattern.
+    pub(crate) fn from_words(nvars: usize, words: impl IntoIterator<Item = u64>) -> Tt {
+        let mut t = Tt {
             nvars: nvars as u8,
-            words: vec![bits & Tt::tail_mask(nvars)],
-        }
+            words: words.into_iter().collect(),
+        };
+        debug_assert_eq!(t.words.len(), Tt::words_for(nvars));
+        *t.words.last_mut().expect("at least one word") &= Tt::tail_mask(nvars);
+        t
     }
 
     /// Builds a table by evaluating `f` on every pattern index.
@@ -216,12 +214,7 @@ impl Tt {
 
     /// Bitwise complement.
     pub fn not(&self) -> Tt {
-        let mut t = Tt {
-            nvars: self.nvars,
-            words: self.words.iter().map(|&w| !w).collect(),
-        };
-        *t.words.last_mut().expect("at least one word") &= Tt::tail_mask(self.nvars());
-        t
+        Tt::from_words(self.nvars(), self.words.iter().map(|&w| !w))
     }
 
     /// Returns `true` if the function is constant 0.

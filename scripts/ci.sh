@@ -23,7 +23,9 @@
 #           splits are exercised)
 #   smoke   telemetry gate: one seeded ALSRAC, Su and Liu run under
 #           ALSRAC_TRACE must produce schema-valid JSONL that matches each
-#           run's returned stats bit for bit, and the disabled-trace
+#           run's returned stats bit for bit, the trace reader
+#           (`report <trace>`, the mode users read traces with) must exit
+#           0 on that trace and list its three runs, and the disabled-trace
 #           overhead on a hot loop must stay within 2% (see
 #           `report --smoke|--overhead`)
 #   alsbench
@@ -143,6 +145,21 @@ run_smoke() {
     echo "==> trace smoke gate (schema + bit-exactness)"
     local smoke_trace="$TMP_DIR/smoke.jsonl"
     ALSRAC_TRACE="$smoke_trace" target/release/report --smoke
+
+    echo "==> trace reader gate (report <trace> lists the ALSRAC, Su and Liu runs)"
+    local breakdown flow
+    breakdown="$(target/release/report "$smoke_trace")"
+    echo "$breakdown"
+    if ! grep -q ' records, 3 runs$' <<<"$breakdown"; then
+        echo "report: the smoke trace must read as 3 runs" >&2
+        exit 1
+    fi
+    for flow in alsrac su liu; do
+        if ! grep -q "^  run [0-9]*: $flow " <<<"$breakdown"; then
+            echo "report: the smoke trace's breakdown lists no $flow run" >&2
+            exit 1
+        fi
+    done
 
     echo "==> disabled-trace overhead gate (<= 2%)"
     target/release/report --overhead

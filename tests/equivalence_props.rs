@@ -1,13 +1,14 @@
 //! Property-based tests: functional-equivalence invariants of the exact
-//! transformations (optimizer passes, mappers, BLIF) over random circuits,
-//! and interval invariants of the two-level minimization engine.
+//! transformations (optimizer passes, mappers, BLIF) and of the cut-function
+//! evaluator they share over random circuits, and interval invariants of the
+//! two-level minimization engine.
 //!
 //! Runs on the `alsrac-rt` property harness. Circuit-valued properties
 //! generate a [`RandomNetworkConfig`] (sizes + seed) and build the network
 //! inside the property, so failures shrink toward smaller circuits.
 
 use alsrac_rt::{check, prop_assert, prop_assert_eq, u64s, usizes, Config, Gen};
-use alsrac_suite::aig::{Aig, Lit, Node};
+use alsrac_suite::aig::{Aig, Lit, Node, NodeId};
 use alsrac_suite::circuits::{
     blif,
     catalog::{self, Scale},
@@ -17,7 +18,7 @@ use alsrac_suite::map::cell::{evaluate_mapping as eval_cells, map_cells, Library
 use alsrac_suite::map::lut::{evaluate_mapping as eval_luts, map_luts};
 use alsrac_suite::sat::cec::{self, CecResult};
 use alsrac_suite::synth;
-use alsrac_suite::truthtable::{isop, minimize, sop_to_aig, Tt};
+use alsrac_suite::truthtable::{isop, minimize, sop_to_aig, CutEvaluator, Tt};
 
 /// The proptest suite ran 48 cases per property; keep that budget.
 fn config() -> Config {
@@ -65,6 +66,137 @@ fn optimize_preserves_function() {
             Ok(())
         },
     );
+}
+
+/// Every node's value under every input pattern, 64 patterns a word.
+fn simulate_exhaustively(aig: &Aig) -> Vec<Vec<u64>> {
+    let num_words = (1usize << aig.num_inputs()).div_ceil(64);
+    let mut values = vec![vec![0; num_words]; aig.num_nodes()];
+    for (i, input) in aig.inputs().iter().enumerate() {
+        for (w, word) in values[input.index()].iter_mut().enumerate() {
+            *word = (0..64).map(|b| ((w * 64 + b) as u64 >> i & 1) << b).sum();
+        }
+    }
+    let lit_word = |values: &[Vec<u64>], lit: Lit, w: usize| {
+        values[lit.node().index()][w] ^ 0u64.wrapping_sub(u64::from(lit.is_complement()))
+    };
+    for id in aig.iter_ands() {
+        let [f0, f1] = aig.and_fanins(id);
+        values[id.index()] = (0..num_words)
+            .map(|w| lit_word(&values, f0, w) & lit_word(&values, f1, w))
+            .collect();
+    }
+    values
+}
+
+/// The cuts whose functions the optimizer and both mappers read: every
+/// enumerated cut of every AND node at `rewrite`'s, `map_cells`' and
+/// `map_luts`' sizes, and every cone `refactor` collapses (an MFFC over at
+/// most 10 leaves, the constant excluded).
+fn evaluated_cuts(aig: &Aig) -> Vec<(NodeId, Vec<NodeId>)> {
+    let mut cuts = Vec::new();
+    for (k, max_cuts) in [(4, 8), (4, 10), (6, 12)] {
+        let sets = aig.enumerate_cuts(k, max_cuts);
+        for id in aig.iter_ands() {
+            for cut in sets[id.index()].nontrivial() {
+                cuts.push((id, cut.leaves().to_vec()));
+            }
+        }
+    }
+    let fanouts = aig.fanout_map();
+    for id in aig.iter_ands() {
+        let mffc = aig.mffc(id, &fanouts);
+        let mut leaves: Vec<NodeId> = mffc
+            .iter()
+            .flat_map(|&n| aig.and_fanins(n).map(Lit::node))
+            .filter(|n| *n != NodeId::CONST && !mffc.contains(n))
+            .collect();
+        leaves.sort_unstable();
+        leaves.dedup();
+        if leaves.len() <= 10 {
+            cuts.push((id, leaves));
+        }
+    }
+    cuts
+}
+
+/// `tt` read at the leaves' values, 64 patterns a word: a multiplexer tree
+/// over the table's entries whose select lines are the leaf words.
+fn read_table(tt: &Tt, leaf_words: &[u64]) -> u64 {
+    let mut entries: Vec<u64> = (0..tt.num_patterns())
+        .map(|m| 0u64.wrapping_sub(u64::from(tt.get(m))))
+        .collect();
+    for (i, &select) in leaf_words.iter().enumerate().rev() {
+        for m in 0..1 << i {
+            entries[m] = entries[m] & !select | entries[m + (1 << i)] & select;
+        }
+    }
+    entries[0]
+}
+
+/// Pins [`CutEvaluator`] to the definition of a cut function: every cut of
+/// [`evaluated_cuts`] evaluates (so every enumerated cut is a cut), its
+/// table read at the leaves' simulated values is the root's simulated value
+/// under every input pattern, in both polarities and through the one-word
+/// path too, and its interior is the cone's AND nodes that are not leaves.
+fn cut_functions_match_simulation(aig: &Aig) -> Result<(), String> {
+    let values = simulate_exhaustively(aig);
+    let valid = u64::MAX >> (64 - (1usize << aig.num_inputs()).min(64));
+    let mut eval = CutEvaluator::new();
+    for (root, leaves) in evaluated_cuts(aig) {
+        let Some(tt) = eval.tt(aig, root.lit(), &leaves) else {
+            return Err(format!("{leaves:?} is not a cut of {root}"));
+        };
+        for (w, &root_word) in values[root.index()].iter().enumerate() {
+            let leaf_words: Vec<u64> = leaves.iter().map(|l| values[l.index()][w]).collect();
+            prop_assert!(
+                (read_table(&tt, &leaf_words) ^ root_word) & valid == 0,
+                "node {root} over {leaves:?}, patterns {}..",
+                w * 64
+            );
+        }
+        let mut inside = vec![false; aig.num_nodes()];
+        inside[root.index()] = true;
+        let mut interior = Vec::new();
+        for id in aig.iter_ands().rev().skip_while(|&id| id != root) {
+            if inside[id.index()] && !leaves.contains(&id) {
+                interior.push(id);
+                for fanin in aig.and_fanins(id) {
+                    inside[fanin.node().index()] = true;
+                }
+            }
+        }
+        interior.reverse();
+        prop_assert_eq!(eval.interior(), &interior[..]);
+        prop_assert_eq!(eval.tt(aig, !root.lit(), &leaves), Some(tt.not()));
+        if leaves.len() <= 6 {
+            prop_assert_eq!(eval.word(aig, root.lit(), &leaves), Some(tt.to_bits()));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn cut_functions_match_simulation_on_random_networks() {
+    check(
+        "cut functions match simulation",
+        &config(),
+        &networks(),
+        |cfg| cut_functions_match_simulation(&build(cfg)),
+    );
+}
+
+#[test]
+fn cut_functions_match_simulation_on_the_test_catalog() {
+    for bench in catalog::iscas_and_arith(Scale::Test)
+        .into_iter()
+        .chain(catalog::epfl_control(Scale::Test))
+        .chain(catalog::epfl_arith(Scale::Test))
+    {
+        if let Err(e) = cut_functions_match_simulation(&bench.aig) {
+            panic!("{}: {e}", bench.paper_name);
+        }
+    }
 }
 
 /// An AIG node for node: its nodes, input names and outputs.
