@@ -1,4 +1,4 @@
-//! K-feasible cut enumeration.
+//! Node sets and k-feasible cut enumeration.
 //!
 //! A *cut* of a node is a set of nodes (leaves) such that every path from
 //! the primary inputs to the node passes through a leaf; a cut is
@@ -8,159 +8,165 @@
 //! matched against standard cells).
 //!
 //! The enumeration is the standard bottom-up merge with per-node priority
-//! pruning: each node keeps its trivial cut `{node}` plus up to
-//! `max_cuts` smallest merged cuts, with dominated cuts (supersets of
-//! another kept cut) filtered out.
+//! pruning: each node keeps up to `max_cuts - 1` smallest merged cuts, with
+//! dominated cuts (supersets of another kept cut) filtered out. The trivial
+//! cut `{node}` is implied rather than stored: a fanin's `{fanin}` joins
+//! the merge ahead of its stored cuts.
+//!
+//! A cut's leaves and a node's resubstitution divisors are both the support
+//! of a replacement function, so both are held as a [`NodeSet`].
+
+use std::ops::Deref;
 
 use crate::{Aig, Node, NodeId};
 
-/// A sorted set of leaf nodes forming a cut.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Cut {
-    leaves: Vec<NodeId>,
+/// Up to [`NodeSet::CAPACITY`] distinct nodes in ascending order, held
+/// inline, so a set is `Copy` and costs no allocation. Reads as a
+/// `[NodeId]` slice through `Deref`. Unused slots hold the constant node,
+/// so the derived equality compares sets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NodeSet {
+    len: u8,
+    nodes: [NodeId; NodeSet::CAPACITY],
 }
 
-impl Cut {
-    /// The trivial cut of a node: the node itself.
-    pub fn trivial(node: NodeId) -> Cut {
-        Cut { leaves: vec![node] }
+impl NodeSet {
+    /// Most nodes in one set: the largest cut enumerated (a 6-LUT's
+    /// inputs), and the most leaves one 64-bit truth table covers.
+    pub const CAPACITY: usize = 6;
+
+    const EMPTY: NodeSet = NodeSet {
+        len: 0,
+        nodes: [NodeId::CONST; NodeSet::CAPACITY],
+    };
+
+    /// The set of the given nodes, which must be strictly ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`NodeSet::CAPACITY`] nodes.
+    pub fn new(sorted: &[NodeId]) -> NodeSet {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "{sorted:?}");
+        let mut set = NodeSet::EMPTY;
+        set.nodes[..sorted.len()].copy_from_slice(sorted);
+        set.len = sorted.len() as u8;
+        set
     }
 
-    /// The leaves in ascending id order.
-    pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
-    }
-
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// `true` for the (never-produced) empty cut.
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
-    }
-
-    /// Merges two sorted leaf sets; `None` if the union exceeds `k`.
-    fn merge(a: &Cut, b: &Cut, k: usize) -> Option<Cut> {
-        let mut leaves = Vec::with_capacity(k);
+    /// The union of two sets; `None` if it has more than `k` nodes.
+    fn union(&self, other: &NodeSet, k: usize) -> Option<NodeSet> {
+        let (a, b) = (&**self, &**other);
+        let mut set = NodeSet::EMPTY;
         let (mut i, mut j) = (0, 0);
-        while i < a.leaves.len() || j < b.leaves.len() {
-            let next = match (a.leaves.get(i), b.leaves.get(j)) {
-                (Some(&x), Some(&y)) if x == y => {
+        while i < a.len() || j < b.len() {
+            let next = if j == b.len() || (i < a.len() && a[i] < b[j]) {
+                i += 1;
+                a[i - 1]
+            } else {
+                if i < a.len() && a[i] == b[j] {
                     i += 1;
-                    j += 1;
-                    x
                 }
-                (Some(&x), Some(&y)) if x < y => {
-                    i += 1;
-                    x
-                }
-                (Some(_), Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (Some(&x), None) => {
-                    i += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (None, None) => unreachable!(),
+                j += 1;
+                b[j - 1]
             };
-            if leaves.len() == k {
+            if usize::from(set.len) == k {
                 return None;
             }
-            leaves.push(next);
+            set.nodes[usize::from(set.len)] = next;
+            set.len += 1;
         }
-        Some(Cut { leaves })
+        Some(set)
     }
 
-    /// `true` if `self`'s leaves are a subset of `other`'s (so `self`
-    /// dominates `other`).
-    fn dominates(&self, other: &Cut) -> bool {
-        if self.leaves.len() > other.leaves.len() {
+    /// `true` if every node of `self` is in `other`.
+    fn is_subset(&self, other: &NodeSet) -> bool {
+        if self.len > other.len {
             return false;
         }
-        let mut j = 0;
-        for &leaf in &self.leaves {
-            while j < other.leaves.len() && other.leaves[j] < leaf {
-                j += 1;
-            }
-            if j == other.leaves.len() || other.leaves[j] != leaf {
-                return false;
-            }
-            j += 1;
-        }
-        true
+        let mut rest = other.iter();
+        self.iter().all(|n| rest.find(|m| *m >= n) == Some(n))
     }
 }
 
-/// All kept cuts of one node. The trivial cut is always `cuts()[0]`.
-#[derive(Clone, Debug, Default)]
-pub struct CutSet {
-    cuts: Vec<Cut>,
+impl Deref for NodeSet {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        &self.nodes[..usize::from(self.len)]
+    }
 }
 
-impl CutSet {
-    /// The kept cuts, trivial first.
-    pub fn cuts(&self) -> &[Cut] {
-        &self.cuts
-    }
+/// Every node's kept cuts in one flat table, fewest leaves first per node.
+/// The trivial cut `{node}` is not stored, so inputs and the constant have
+/// no cuts.
+#[derive(Debug)]
+pub struct CutTable {
+    /// Node `i`'s cuts are `cuts[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    cuts: Vec<NodeSet>,
+}
 
-    /// The non-trivial cuts.
-    pub fn nontrivial(&self) -> &[Cut] {
-        &self.cuts[1.min(self.cuts.len())..]
+impl CutTable {
+    /// The kept cuts of `node`, fewest leaves first.
+    pub fn cuts(&self, node: NodeId) -> &[NodeSet] {
+        &self.cuts[self.offsets[node.index()]..self.offsets[node.index() + 1]]
     }
 }
 
 impl Aig {
-    /// Enumerates up to `max_cuts` k-feasible cuts per node.
+    /// Enumerates up to `max_cuts - 1` k-feasible cuts per AND node, the
+    /// trivial cut aside.
     ///
-    /// Returns one [`CutSet`] per node id. The constant node gets only its
-    /// trivial cut; inputs get their trivial cut; AND nodes get the trivial
-    /// cut plus merged, dominance-filtered cuts preferring fewer leaves.
+    /// Each AND node merges every cut of its first fanin (its `{fanin}`
+    /// first) with every cut of its second, drops the cuts over `k` leaves
+    /// and those that are supersets of another, and keeps the smallest,
+    /// ties in merge order.
     ///
     /// # Panics
     ///
-    /// Panics if `k < 2` or `max_cuts == 0`.
-    pub fn enumerate_cuts(&self, k: usize, max_cuts: usize) -> Vec<CutSet> {
+    /// Panics if `k < 2`, if `k` exceeds [`NodeSet::CAPACITY`] (6), or if
+    /// `max_cuts == 0`.
+    pub fn enumerate_cuts(&self, k: usize, max_cuts: usize) -> CutTable {
         assert!(k >= 2, "cut size must be at least 2");
+        assert!(
+            k <= NodeSet::CAPACITY,
+            "cut size {k} exceeds the limit of {} leaves",
+            NodeSet::CAPACITY
+        );
         assert!(max_cuts > 0, "must keep at least one cut");
-        let mut sets: Vec<CutSet> = Vec::with_capacity(self.num_nodes());
+        let mut table = CutTable {
+            offsets: Vec::with_capacity(self.num_nodes() + 1),
+            cuts: Vec::new(),
+        };
+        table.offsets.push(0);
+        // Surviving merged cuts of the current node, kept ordered by size
+        // and, within a size, by merge order.
+        let mut merged: Vec<NodeSet> = Vec::new();
         for id in self.iter_nodes() {
-            let set = match *self.node(id) {
-                Node::Const | Node::Input { .. } => CutSet {
-                    cuts: vec![Cut::trivial(id)],
-                },
-                Node::And { f0, f1 } => {
-                    let mut merged: Vec<Cut> = Vec::new();
-                    let set0 = &sets[f0.node().index()];
-                    let set1 = &sets[f1.node().index()];
-                    for c0 in &set0.cuts {
-                        for c1 in &set1.cuts {
-                            let Some(cut) = Cut::merge(c0, c1, k) else {
-                                continue;
-                            };
-                            if merged.iter().any(|m| m.dominates(&cut)) {
-                                continue;
-                            }
-                            merged.retain(|m| !cut.dominates(m));
-                            merged.push(cut);
+            if let Node::And { f0, f1 } = *self.node(id) {
+                merged.clear();
+                let cuts_of = |n: NodeId| {
+                    std::iter::once(NodeSet::new(&[n])).chain(table.cuts(n).iter().copied())
+                };
+                for c0 in cuts_of(f0.node()) {
+                    for c1 in cuts_of(f1.node()) {
+                        let Some(cut) = c0.union(&c1, k) else {
+                            continue;
+                        };
+                        if merged.iter().any(|m| m.is_subset(&cut)) {
+                            continue;
                         }
+                        merged.retain(|m| !cut.is_subset(m));
+                        let at = merged.partition_point(|m| m.len() <= cut.len());
+                        merged.insert(at, cut);
                     }
-                    merged.sort_by_key(Cut::len);
-                    merged.truncate(max_cuts.saturating_sub(1));
-                    let mut cuts = vec![Cut::trivial(id)];
-                    cuts.extend(merged);
-                    CutSet { cuts }
                 }
-            };
-            sets.push(set);
+                let kept = merged.len().min(max_cuts - 1);
+                table.cuts.extend_from_slice(&merged[..kept]);
+            }
+            table.offsets.push(table.cuts.len());
         }
-        sets
+        table
     }
 }
 
@@ -179,26 +185,28 @@ mod tests {
         (aig, a, b, c, y)
     }
 
+    fn set(ids: &[usize]) -> NodeSet {
+        NodeSet::new(&ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>())
+    }
+
     #[test]
-    fn trivial_cut_comes_first() {
-        let (aig, ..) = sample();
-        let sets = aig.enumerate_cuts(4, 8);
-        for id in aig.iter_nodes() {
-            let set = &sets[id.index()];
-            assert_eq!(set.cuts()[0], Cut::trivial(id));
+    fn only_and_nodes_have_cuts() {
+        let (aig, a, b, _c, y) = sample();
+        let table = aig.enumerate_cuts(4, 8);
+        for id in [NodeId::CONST, a.node(), b.node()] {
+            assert!(table.cuts(id).is_empty(), "{id}");
         }
+        assert!(!table.cuts(y.node()).is_empty());
     }
 
     #[test]
     fn top_node_sees_input_cut() {
         let (aig, a, b, c, y) = sample();
-        let sets = aig.enumerate_cuts(4, 8);
-        let top = &sets[y.node().index()];
-        let expect = vec![a.node(), b.node(), c.node()];
+        let table = aig.enumerate_cuts(4, 8);
+        let top = table.cuts(y.node());
+        let expect = [a.node(), b.node(), c.node()];
         assert!(
-            top.cuts()
-                .iter()
-                .any(|cut| cut.leaves() == expect.as_slice()),
+            top.iter().any(|cut| **cut == expect),
             "missing {expect:?} in {top:?}"
         );
     }
@@ -210,33 +218,37 @@ mod tests {
         let root = aig.and_all(&xs);
         aig.add_output("y", root);
         for k in [2, 3, 4, 6] {
-            let sets = aig.enumerate_cuts(k, 32);
+            let table = aig.enumerate_cuts(k, 32);
             for id in aig.iter_ands() {
-                for cut in sets[id.index()].cuts() {
-                    assert!(cut.len() <= k.max(1), "k={k}, cut {cut:?}");
+                for cut in table.cuts(id) {
+                    assert!(cut.len() <= k, "k={k}, cut {cut:?}");
                 }
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "limit of 6 leaves")]
+    fn k_over_the_set_capacity_panics() {
+        let (aig, ..) = sample();
+        aig.enumerate_cuts(7, 12);
+    }
+
+    #[test]
     fn dominated_cuts_are_removed() {
-        let (aig, _a, _b, c, y) = sample();
-        let sets = aig.enumerate_cuts(4, 16);
-        // {x, c} is dominated by nothing, but any cut that is a superset of
-        // another kept cut must not appear.
-        let top = &sets[y.node().index()];
-        for (i, ci) in top.cuts().iter().enumerate() {
-            for (j, cj) in top.cuts().iter().enumerate() {
-                if i != j {
-                    assert!(
-                        !(ci.dominates(cj) && cj.len() > ci.len()),
-                        "cut {cj:?} dominated by {ci:?}"
-                    );
+        let mut aig = Aig::new("wide");
+        let xs = aig.add_inputs("x", 6);
+        let root = aig.and_all(&xs);
+        aig.add_output("y", root);
+        let table = aig.enumerate_cuts(4, 16);
+        for id in aig.iter_ands() {
+            let cuts = table.cuts(id);
+            for (i, ci) in cuts.iter().enumerate() {
+                for (j, cj) in cuts.iter().enumerate() {
+                    assert!(i == j || !ci.is_subset(cj), "{cj:?} dominated by {ci:?}");
                 }
             }
         }
-        let _ = c;
     }
 
     #[test]
@@ -245,22 +257,27 @@ mod tests {
         let xs = aig.add_inputs("x", 10);
         let root = aig.and_all(&xs);
         aig.add_output("y", root);
-        let sets = aig.enumerate_cuts(4, 3);
+        let table = aig.enumerate_cuts(4, 3);
         for id in aig.iter_nodes() {
-            assert!(sets[id.index()].cuts().len() <= 3);
+            assert!(table.cuts(id).len() <= 2);
         }
     }
 
     #[test]
-    fn merge_deduplicates_shared_leaves() {
-        let a = Cut {
-            leaves: vec![NodeId::new(1), NodeId::new(2)],
-        };
-        let b = Cut {
-            leaves: vec![NodeId::new(2), NodeId::new(3)],
-        };
-        let m = Cut::merge(&a, &b, 4).expect("fits");
-        assert_eq!(m.leaves().len(), 3);
-        assert!(Cut::merge(&a, &b, 2).is_none());
+    fn union_deduplicates_shared_nodes() {
+        let (a, b) = (set(&[1, 2]), set(&[2, 3]));
+        assert_eq!(a.union(&b, 4), Some(set(&[1, 2, 3])));
+        assert_eq!(b.union(&a, 3), Some(set(&[1, 2, 3])));
+        assert_eq!(a.union(&a, 2), Some(a));
+        assert!(a.union(&b, 2).is_none());
+    }
+
+    #[test]
+    fn subsets_are_recognized() {
+        assert!(set(&[2]).is_subset(&set(&[1, 2, 3])));
+        assert!(set(&[1, 3]).is_subset(&set(&[1, 2, 3])));
+        assert!(set(&[1, 3]).is_subset(&set(&[1, 3])));
+        assert!(!set(&[1, 4]).is_subset(&set(&[1, 2, 3])));
+        assert!(!set(&[1, 2, 3]).is_subset(&set(&[1, 3])));
     }
 }

@@ -85,11 +85,6 @@ impl Aig {
         &self.name
     }
 
-    /// Sets the circuit name.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Total number of nodes including the constant and the inputs.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()

@@ -67,7 +67,7 @@ mod stats;
 mod window;
 
 pub use cone::{Cone, FanoutMap, MffcScratch};
-pub use cuts::{Cut, CutSet};
+pub use cuts::{CutTable, NodeSet};
 pub use error::{AigError, RebuildError};
 pub use graph::{Aig, Node};
 pub use lit::{Lit, NodeId};

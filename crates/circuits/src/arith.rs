@@ -518,71 +518,3 @@ mod tests {
         assert!((300..1500).contains(&m), "mtp8 size {m}");
     }
 }
-
-/// `hyp{n}`: integer hypotenuse `floor(sqrt(x^2 + y^2))` (`2n` inputs,
-/// `n + 1` outputs) — the EPFL `hyp` analogue (listed in Table III; the
-/// paper's flow does not finish the original within 24 hours, and the
-/// experiment harness likewise omits it).
-pub fn hypotenuse(n: usize) -> Aig {
-    let mut aig = Aig::new(format!("hyp{n}"));
-    let x = aig.add_inputs("x", n);
-    let y = aig.add_inputs("y", n);
-    let xx = words::wallace_multiply(&mut aig, &x.clone(), &x); // 2n bits
-    let yy = words::wallace_multiply(&mut aig, &y.clone(), &y);
-    let (sum, carry) = words::ripple_add(&mut aig, &xx, &yy, Lit::FALSE);
-    let mut radicand = sum;
-    radicand.push(carry); // 2n + 1 bits
-    radicand.push(Lit::FALSE); // even width for the sqrt recurrence
-                               // Restoring square root over 2n+2 bits -> n+1 result bits.
-    let w = (radicand.len() / 2) + 3;
-    let half = radicand.len() / 2;
-    let mut rem: Vec<Lit> = vec![Lit::FALSE; w];
-    let mut root: Vec<Lit> = Vec::new();
-    for step in 0..half {
-        let i = half - 1 - step;
-        let mut shifted = vec![radicand[2 * i], radicand[2 * i + 1]];
-        shifted.extend(rem.iter().take(w - 2).copied());
-        let mut trial = vec![Lit::TRUE, Lit::FALSE];
-        trial.extend(root.iter().rev().copied());
-        trial.resize(w, Lit::FALSE);
-        let (diff, borrow) = words::subtract(&mut aig, &shifted, &trial);
-        let accept = !borrow;
-        rem = words::mux_word(&mut aig, accept, &diff, &shifted);
-        root.push(accept);
-    }
-    for (i, &bit) in root.iter().rev().enumerate() {
-        aig.add_output(format!("h{i}"), bit);
-    }
-    aig
-}
-
-#[cfg(test)]
-mod hyp_tests {
-    use super::*;
-
-    #[test]
-    fn hypotenuse_matches_model() {
-        let n = 4;
-        let aig = hypotenuse(n);
-        assert_eq!(aig.num_outputs(), n + 1);
-        for x in 0..16u64 {
-            for y in 0..16u64 {
-                let bits: Vec<bool> = (0..2 * n).map(|i| (x | y << n) >> i & 1 != 0).collect();
-                let got: u64 = aig
-                    .evaluate(&bits)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| (v as u64) << i)
-                    .sum();
-                let want = ((x * x + y * y) as f64).sqrt().floor() as u64;
-                assert_eq!(got, want, "x={x} y={y}");
-            }
-        }
-    }
-
-    #[test]
-    fn hypotenuse_is_large() {
-        // Substantial circuit: two squarers, an adder, and a rooter.
-        assert!(hypotenuse(8).num_ands() > 500);
-    }
-}

@@ -21,8 +21,9 @@
 //! TFI yields a bit-identical pool, which is what keeps the windowed flow
 //! bit-identical on small circuits.
 //!
-//! Sets are [`DivisorSet`]s: at most three node ids held inline, so a set
-//! is `Copy` and costs no allocation. The pool is only partially sorted.
+//! Sets are [`NodeSet`]s, the inline `Copy` node set that also holds
+//! enumerated cuts' leaves: a divisor set has at most three nodes and costs
+//! no allocation. The pool is only partially sorted.
 //! Fanin 0's removal and its replacements come first and stop at
 //! `max_sets`, so the walk reads at most the `max_sets` lowest pool
 //! entries: a partial selection picks those, and only they are sorted.
@@ -32,9 +33,7 @@
 //! differ in size or in their pool member, and are distinct by
 //! construction.
 
-use std::ops::Deref;
-
-use alsrac_aig::{Aig, Node, NodeId, Window};
+use alsrac_aig::{Aig, Node, NodeId, NodeSet, Window};
 
 /// Configuration for [`select_divisor_sets`].
 #[derive(Clone, Debug)]
@@ -57,41 +56,6 @@ impl Default for DivisorConfig {
     }
 }
 
-/// One candidate divisor set: one to three distinct nodes in ascending
-/// order, held inline. Reads as a `[NodeId]` slice through `Deref`.
-/// Unused slots hold the constant node, so the derived equality compares
-/// sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DivisorSet {
-    len: u8,
-    nodes: [NodeId; DivisorSet::CAPACITY],
-}
-
-impl DivisorSet {
-    /// Most nodes in one set: an extension set's two fanins plus one pool
-    /// node.
-    pub(crate) const CAPACITY: usize = 3;
-
-    /// The set of the given nodes, which must be ascending.
-    fn new(sorted: &[NodeId]) -> DivisorSet {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "{sorted:?}");
-        let mut nodes = [NodeId::CONST; DivisorSet::CAPACITY];
-        nodes[..sorted.len()].copy_from_slice(sorted);
-        DivisorSet {
-            len: sorted.len() as u8,
-            nodes,
-        }
-    }
-}
-
-impl Deref for DivisorSet {
-    type Target = [NodeId];
-
-    fn deref(&self) -> &[NodeId] {
-        &self.nodes[..self.len as usize]
-    }
-}
-
 /// Computes candidate divisor sets for `node`, in Algorithm 1's order:
 /// per removed fanin, first the bare removal, then each TFI replacement in
 /// ascending level order.
@@ -103,7 +67,7 @@ impl Deref for DivisorSet {
 /// Convenience wrapper over [`select_divisor_sets_with`] that recomputes
 /// levels and walks the full TFI cone; per-iteration callers (the flow)
 /// should hoist both.
-pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<DivisorSet> {
+pub fn select_divisor_sets(aig: &Aig, node: NodeId, config: &DivisorConfig) -> Vec<NodeSet> {
     select_divisor_sets_with(aig, node, &aig.levels(), None, config)
 }
 
@@ -117,7 +81,7 @@ pub fn select_divisor_sets_with(
     levels: &[u32],
     window: Option<&Window>,
     config: &DivisorConfig,
-) -> Vec<DivisorSet> {
+) -> Vec<NodeSet> {
     let Node::And { f0, f1 } = *aig.node(node) else {
         return Vec::new();
     };
@@ -156,8 +120,8 @@ pub fn select_divisor_sets_with(
         // (lines 7-9).
         let replacements = pool
             .iter()
-            .map(|&u| DivisorSet::new(&[kept.min(u), kept.max(u)]));
-        for set in std::iter::once(DivisorSet::new(&[kept])).chain(replacements) {
+            .map(|&u| NodeSet::new(&[kept.min(u), kept.max(u)]));
+        for set in std::iter::once(NodeSet::new(&[kept])).chain(replacements) {
             if sets.len() >= config.max_sets {
                 return sets;
             }
@@ -171,13 +135,13 @@ pub fn select_divisor_sets_with(
             }
             let mut set = [fanins[0], fanins[1], u];
             set.sort_unstable();
-            sets.push(DivisorSet::new(&set));
+            sets.push(NodeSet::new(&set));
         }
     }
     sets
 }
 
-/// Algorithm 1 as it read before [`DivisorSet`]: one `Vec` per set, a
+/// Algorithm 1 as it read before inline node sets: one `Vec` per set, a
 /// fully sorted pool and a `contains` check per pushed set. Kept as the
 /// reference the partial selection is tested against.
 #[cfg(test)]

@@ -8,12 +8,12 @@
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, RebuildError, WindowExtractor};
+use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, NodeSet, RebuildError, WindowExtractor};
 use alsrac_sim::{PatternBuffer, Signatures, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
-use crate::divisors::{select_divisor_sets_with, DivisorConfig, DivisorSet};
+use crate::divisors::{select_divisor_sets_with, DivisorConfig};
 use crate::window::{provably_infeasible, WindowConfig};
 
 /// One candidate local approximate change.
@@ -183,7 +183,7 @@ pub fn generate_lacs_with(
                     continue;
                 }
             }
-            let mut lits = [Lit::FALSE; DivisorSet::CAPACITY];
+            let mut lits = [Lit::FALSE; NodeSet::CAPACITY];
             for (lit, d) in lits.iter_mut().zip(set.iter()) {
                 *lit = d.lit();
             }

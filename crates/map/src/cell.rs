@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Node, NodeId};
+use alsrac_aig::{Aig, Node, NodeId, NodeSet};
 use alsrac_truthtable::{CutEvaluator, Tt};
 
 /// One library gate: a named function with area and pin-to-output delay.
@@ -181,18 +181,16 @@ pub struct CellMapping {
     pub delay: f64,
 }
 
-#[derive(Clone, Debug)]
-enum Choice {
+#[derive(Clone, Copy, Debug)]
+enum Choice<'a> {
     /// Input or constant: available for free in positive polarity.
     Wire,
     /// Realized by an inverter from the opposite polarity.
     Inverter,
     /// Realized by one gate over a cut.
     Mapped {
-        leaves: Vec<NodeId>,
-        gate: usize,
-        pin_leaf: Vec<u8>,
-        pin_neg: u8,
+        cut: NodeSet,
+        matched: &'a GateMatch,
     },
     /// Not realizable directly (before inverter relaxation).
     None,
@@ -210,12 +208,12 @@ pub fn map_cells(aig: &Aig, library: &Library) -> CellMapping {
 
 /// [`map_cells`] with an explicit optimization objective.
 pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellMapping {
-    let cut_sets = aig.enumerate_cuts(4, 10);
+    let cut_table = aig.enumerate_cuts(4, 10);
     let num = aig.num_nodes();
     // [node][phase]: cost, arrival, choice.
     let mut cost = vec![[f64::INFINITY; 2]; num];
     let mut arrival = vec![[f64::INFINITY; 2]; num];
-    let mut choice = vec![[Choice::None, Choice::None]; num];
+    let mut choice = vec![[Choice::None; 2]; num];
     let mut eval = CutEvaluator::new();
 
     fn better(mode: MapMode, c1: f64, a1: f64, c2: f64, a2: f64) -> bool {
@@ -237,8 +235,8 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
                 choice[i][1] = Choice::Inverter;
             }
             Node::And { .. } => {
-                for cut in cut_sets[i].nontrivial() {
-                    let Some(bits) = eval.word(aig, id.lit(), cut.leaves()) else {
+                for &cut in cut_table.cuts(id) {
+                    let Some(bits) = eval.word(aig, id.lit(), &cut) else {
                         continue;
                     };
                     for (phase, bits) in [bits, !bits].into_iter().enumerate() {
@@ -252,7 +250,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
                             let mut a = 0.0f64;
                             let mut feasible = true;
                             for (j, &leaf_idx) in m.pin_leaf.iter().enumerate() {
-                                let leaf = cut.leaves()[leaf_idx as usize];
+                                let leaf = cut[leaf_idx as usize];
                                 let ph = (m.pin_neg >> j & 1) as usize;
                                 if cost[leaf.index()][ph].is_infinite() {
                                     feasible = false;
@@ -268,12 +266,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
                             if better(mode, c, a, cost[i][phase], arrival[i][phase]) {
                                 cost[i][phase] = c;
                                 arrival[i][phase] = a;
-                                choice[i][phase] = Choice::Mapped {
-                                    leaves: cut.leaves().to_vec(),
-                                    gate: m.gate,
-                                    pin_leaf: m.pin_leaf.clone(),
-                                    pin_neg: m.pin_neg,
-                                };
+                                choice[i][phase] = Choice::Mapped { cut, matched: m };
                             }
                         }
                     }
@@ -310,7 +303,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
         if placed.insert((id.index(), phase), ()).is_some() {
             continue;
         }
-        match &choice[id.index()][phase] {
+        match choice[id.index()][phase] {
             Choice::Wire => {}
             Choice::None => unreachable!("cover references unmapped signal"),
             Choice::Inverter => {
@@ -323,19 +316,15 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
                 });
                 stack.push((id, 1 - phase));
             }
-            Choice::Mapped {
-                leaves,
-                gate,
-                pin_leaf,
-                pin_neg,
-            } => {
-                let g = &library.gates[*gate];
-                let inputs: Vec<Signal> = pin_leaf
+            Choice::Mapped { cut, matched } => {
+                let g = &library.gates[matched.gate];
+                let inputs: Vec<Signal> = matched
+                    .pin_leaf
                     .iter()
                     .enumerate()
                     .map(|(j, &leaf_idx)| {
-                        let leaf = leaves[leaf_idx as usize];
-                        let ph = pin_neg >> j & 1 == 1;
+                        let leaf = cut[leaf_idx as usize];
+                        let ph = matched.pin_neg >> j & 1 == 1;
                         stack.push((leaf, ph as usize));
                         (leaf, ph)
                     })

@@ -48,10 +48,11 @@ impl LutMapping {
 ///
 /// # Panics
 ///
-/// Panics if `k < 2`.
+/// Panics if `k < 2` or `k > 6`: [`Aig::enumerate_cuts`] keeps cuts of at
+/// most [`NodeSet::CAPACITY`](alsrac_aig::NodeSet::CAPACITY) leaves.
 pub fn map_luts(aig: &Aig, k: usize) -> LutMapping {
     assert!(k >= 2, "LUT size must be at least 2");
-    let cut_sets = aig.enumerate_cuts(k, 12);
+    let cut_table = aig.enumerate_cuts(k, 12);
     let num = aig.num_nodes();
     // Best (depth, area_flow, cut index) per node.
     let mut best_depth = vec![0u32; num];
@@ -65,21 +66,15 @@ pub fn map_luts(aig: &Aig, k: usize) -> LutMapping {
         }
         let i = id.index();
         let mut chosen: Option<(u32, f64, usize)> = None;
-        for (c, cut) in cut_sets[i].nontrivial().iter().enumerate() {
-            let depth = 1 + cut
-                .leaves()
-                .iter()
-                .map(|l| best_depth[l.index()])
-                .max()
-                .unwrap_or(0);
+        for (c, cut) in cut_table.cuts(id).iter().enumerate() {
+            let depth = 1 + cut.iter().map(|l| best_depth[l.index()]).max().unwrap_or(0);
             let flow: f64 = 1.0
                 + cut
-                    .leaves()
                     .iter()
                     .map(|l| best_flow[l.index()] / f64::from(fanouts.ref_count(*l).max(1)))
                     .sum::<f64>();
             if chosen.is_none_or(|(d, f, _)| (depth, flow) < (d, f)) {
-                chosen = Some((depth, flow, c + 1)); // +1: index into cuts()
+                chosen = Some((depth, flow, c));
             }
         }
         let (d, f, c) = chosen.expect("every AND node has at least its fanin-pair cut");
@@ -103,18 +98,18 @@ pub fn map_luts(aig: &Aig, k: usize) -> LutMapping {
         if std::mem::replace(&mut needed[id.index()], true) {
             continue;
         }
-        let cut = &cut_sets[id.index()].cuts()[best_cut[id.index()]];
+        let cut = &cut_table.cuts(id)[best_cut[id.index()]];
         let tt = eval
-            .tt(aig, id.lit(), cut.leaves())
+            .tt(aig, id.lit(), cut)
             .expect("enumerated cuts are valid cuts");
-        for &leaf in cut.leaves() {
+        for &leaf in cut.iter() {
             if aig.node(leaf).is_and() {
                 stack.push(leaf);
             }
         }
         luts.push(Lut {
             root: id,
-            leaves: cut.leaves().to_vec(),
+            leaves: cut.to_vec(),
             tt,
         });
     }
@@ -240,6 +235,12 @@ mod tests {
         aig.add_output("y", root);
         let mapping = check_cover(&aig, 6);
         assert_eq!(mapping.depth(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 6 leaves")]
+    fn luts_over_six_inputs_panic() {
+        map_luts(&alsrac_circuits::arith::ripple_carry_adder(4), 7);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! fresh cache; only the time differs.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
-use alsrac_aig::Aig;
-use alsrac_truthtable::{factored_aig_cost, isop, Sop, Tt};
+use alsrac_aig::{Aig, Lit, NodeId};
+use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop, Tt};
 
 use crate::{balance, sweep, RefactorConfig, RewriteConfig};
 
@@ -44,6 +45,31 @@ impl Recipe {
             complemented,
         }
     }
+}
+
+/// The common end of `rewrite` and `refactor`: builds each decided
+/// replacement `(node, cover, complemented, leaves)` (the cover over the
+/// leaves' literals, complemented as needed) and rebuilds `aig` with the
+/// replaced nodes substituted and swept. A replacement that lands on its
+/// own node is skipped; with none decided the result is `aig.cleaned()`.
+pub(crate) fn substitute<L: Deref<Target = [NodeId]>>(
+    aig: &Aig,
+    pending: Vec<(NodeId, Sop, bool, L)>,
+) -> Aig {
+    if pending.is_empty() {
+        return aig.cleaned();
+    }
+    let mut work = aig.clone();
+    let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
+    for (id, cover, complemented, leaves) in pending {
+        let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| n.lit()).collect();
+        let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
+        if new_lit.node() != id {
+            substitutions.insert(id, new_lit);
+        }
+    }
+    work.rebuilt_with_substitutions(&substitutions)
+        .expect("replacements reference strict TFI cones")
 }
 
 /// A truth table as a cache key. Tables of at most 6 variables (every

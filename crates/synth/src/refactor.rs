@@ -7,11 +7,10 @@
 //! (ABC's `refactor`). Recipes come from the [`Optimizer`]'s cache, shared
 //! with `rewrite`.
 
-use std::collections::HashMap;
+use alsrac_aig::{Aig, MffcScratch, Node, NodeId};
+use alsrac_truthtable::{CutEvaluator, Sop};
 
-use alsrac_aig::{Aig, Lit, MffcScratch, Node, NodeId};
-use alsrac_truthtable::{sop_to_aig, CutEvaluator, Sop};
-
+use crate::optimizer::substitute;
 use crate::Optimizer;
 
 /// Only refactor nodes whose MFFC has at least this many nodes.
@@ -39,25 +38,24 @@ impl Optimizer {
     /// refactored (and swept) graph; the result is functionally equivalent
     /// to the input.
     pub fn refactor(&mut self, aig: &Aig, config: &RefactorConfig) -> Aig {
-        let mut work = aig.clone();
-        let fanouts = work.fanout_map();
+        let fanouts = aig.fanout_map();
         // Decisions are collected first and materialized after the scan, so
         // the fanout map and MFFC queries always see the unmodified graph.
         let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
-        let mut claimed = vec![false; work.num_nodes()];
+        let mut claimed = vec![false; aig.num_nodes()];
         let mut scratch = MffcScratch::new();
         let mut eval = CutEvaluator::new();
         // `in_mffc[i] == stamp`: node `i` is in the MFFC of the node with
         // that stamp.
-        let mut in_mffc = vec![0u32; work.num_nodes()];
+        let mut in_mffc = vec![0u32; aig.num_nodes()];
 
         // Visit large nodes first (reverse topological order) so enclosing
         // cones get priority over their sub-cones.
-        for (stamp, id) in (1u32..).zip(work.iter_ands().rev()) {
+        for (stamp, id) in (1u32..).zip(aig.iter_ands().rev()) {
             if claimed[id.index()] {
                 continue;
             }
-            let mffc = work.mffc_with(id, &fanouts, &mut scratch);
+            let mffc = aig.mffc_with(id, &fanouts, &mut scratch);
             if mffc.len() < MIN_CONE || mffc.iter().any(|n| claimed[n.index()]) {
                 continue;
             }
@@ -67,7 +65,7 @@ impl Optimizer {
             }
             let mut leaves: Vec<NodeId> = Vec::new();
             for &n in &mffc {
-                if let Node::And { f0, f1 } = *work.node(n) {
+                if let Node::And { f0, f1 } = *aig.node(n) {
                     for fanin in [f0.node(), f1.node()] {
                         if in_mffc[fanin.index()] != stamp
                             && fanin != NodeId::CONST
@@ -82,7 +80,7 @@ impl Optimizer {
                 continue;
             }
             leaves.sort_unstable();
-            let Some(tt) = eval.tt(&work, id.lit(), &leaves) else {
+            let Some(tt) = eval.tt(aig, id.lit(), &leaves) else {
                 continue;
             };
             let recipe = self.recipe(&tt);
@@ -95,19 +93,7 @@ impl Optimizer {
             }
         }
 
-        if pending.is_empty() {
-            return work.cleaned();
-        }
-        let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-        for (id, cover, complemented, leaves) in pending {
-            let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| l.lit()).collect();
-            let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
-            if new_lit.node() != id {
-                substitutions.insert(id, new_lit);
-            }
-        }
-        work.rebuilt_with_substitutions(&substitutions)
-            .expect("refactor substitutions reference strict TFI cones")
+        substitute(aig, pending)
     }
 }
 

@@ -13,11 +13,10 @@
 //! and the cone's interior, and the cut-local MFFC falls out of one
 //! reverse-topological sweep of that interior.
 
-use std::collections::HashMap;
+use alsrac_aig::{Aig, FanoutMap, NodeId, NodeSet};
+use alsrac_truthtable::{CutEvaluator, Sop};
 
-use alsrac_aig::{Aig, FanoutMap, Lit, NodeId};
-use alsrac_truthtable::{sop_to_aig, CutEvaluator, Sop};
-
+use crate::optimizer::substitute;
 use crate::Optimizer;
 
 /// Cut size, as in ABC's `rewrite`. The word-level cut evaluation covers
@@ -47,28 +46,27 @@ impl Optimizer {
     /// Returns the rewritten (and swept) graph; the result is functionally
     /// equivalent to the input.
     pub fn rewrite(&mut self, aig: &Aig, config: &RewriteConfig) -> Aig {
-        let mut work = aig.clone();
-        let cut_sets = work.enumerate_cuts(CUT_SIZE, MAX_CUTS);
-        let fanouts = work.fanout_map();
-        let mut scratch = CutScratch::new(&work);
+        let cut_table = aig.enumerate_cuts(CUT_SIZE, MAX_CUTS);
+        let fanouts = aig.fanout_map();
+        let mut scratch = CutScratch::new(aig);
         // Decisions are collected first and materialized after the scan, so
         // cut/fanout/MFFC queries always see the unmodified graph.
-        let mut pending: Vec<(NodeId, Sop, bool, Vec<NodeId>)> = Vec::new();
+        let mut pending: Vec<(NodeId, Sop, bool, NodeSet)> = Vec::new();
         // Nodes already freed by an accepted substitution this pass: their
         // savings must not be double-counted by enclosing cones.
-        let mut claimed = vec![false; work.num_nodes()];
+        let mut claimed = vec![false; aig.num_nodes()];
         let mut best_mffc: Vec<NodeId> = Vec::new();
 
-        for id in work.iter_ands() {
+        for id in aig.iter_ands() {
             if claimed[id.index()] {
                 continue;
             }
-            let mut best: Option<(isize, &[NodeId], u64)> = None;
-            for cut in cut_sets[id.index()].nontrivial() {
+            let mut best: Option<(isize, NodeSet, u64)> = None;
+            for &cut in cut_table.cuts(id) {
                 if cut.len() < 2 {
                     continue;
                 }
-                let Some(bits) = scratch.evaluate(&work, &fanouts, id, cut.leaves()) else {
+                let Some(bits) = scratch.evaluate(aig, &fanouts, id, &cut) else {
                     continue;
                 };
                 // Savings: interior nodes of the cone that are referenced
@@ -81,39 +79,21 @@ impl Optimizer {
                 let gain = saved - self.word_recipe(cut.len(), bits).cost as isize;
                 let acceptable = gain > 0 || (config.zero_gain && gain == 0);
                 if acceptable && best.is_none_or(|(g, ..)| gain > g) {
-                    best = Some((gain, cut.leaves(), bits));
+                    best = Some((gain, cut, bits));
                     best_mffc.clone_from(&scratch.mffc);
                 }
             }
-            if let Some((_gain, leaves, bits)) = best {
+            if let Some((_gain, cut, bits)) = best {
                 // Claim the freed nodes so overlapping cones don't recount
                 // them.
                 for n in &best_mffc {
                     claimed[n.index()] = true;
                 }
-                let recipe = self.word_recipe(leaves.len(), bits);
-                pending.push((
-                    id,
-                    recipe.cover.clone(),
-                    recipe.complemented,
-                    leaves.to_vec(),
-                ));
+                let recipe = self.word_recipe(cut.len(), bits);
+                pending.push((id, recipe.cover.clone(), recipe.complemented, cut));
             }
         }
-
-        if pending.is_empty() {
-            return work.cleaned();
-        }
-        let mut substitutions: HashMap<NodeId, Lit> = HashMap::new();
-        for (id, cover, complemented, leaves) in pending {
-            let leaf_lits: Vec<Lit> = leaves.iter().map(|&n| n.lit()).collect();
-            let new_lit = sop_to_aig(&mut work, &cover, &leaf_lits).complement_if(complemented);
-            if new_lit.node() != id {
-                substitutions.insert(id, new_lit);
-            }
-        }
-        work.rebuilt_with_substitutions(&substitutions)
-            .expect("rewrite substitutions reference strict TFI cones")
+        substitute(aig, pending)
     }
 }
 
@@ -257,15 +237,15 @@ mod tests {
     /// scratch serves the whole graph, as in a pass.
     fn assert_cut_evaluation_matches_oracle(aig: &Aig) {
         let fanouts = aig.fanout_map();
-        let cut_sets = aig.enumerate_cuts(CUT_SIZE, MAX_CUTS);
+        let cut_table = aig.enumerate_cuts(CUT_SIZE, MAX_CUTS);
         let mut scratch = CutScratch::new(aig);
         let mut evaluated = 0;
         for id in aig.iter_ands() {
-            for cut in cut_sets[id.index()].nontrivial() {
+            for cut in cut_table.cuts(id) {
                 for dropped in std::iter::once(None).chain((0..cut.len()).map(Some)) {
                     let leaves: Vec<NodeId> = (0..cut.len())
                         .filter(|&i| Some(i) != dropped)
-                        .map(|i| cut.leaves()[i])
+                        .map(|i| cut[i])
                         .collect();
                     let fast = scratch
                         .evaluate(aig, &fanouts, id, &leaves)

@@ -11,6 +11,11 @@
 # the release binaries exactly once.
 #
 # Steps (default `all` runs every one in order):
+#   loc     prints the non-test Rust line count per crate and in total:
+#           every `.rs` file under `crates/` and `src/` outside `tests/`
+#           directories, without its top-level `#[cfg(test)]` items (each
+#           from its column-0 attribute to its closing column-0 `}`).
+#           Only prints; never fails
 #   fmt     cargo fmt --check
 #   clippy  cargo clippy with warnings denied
 #   doc     the whole workspace's rustdoc with warnings denied, so a doc
@@ -105,6 +110,25 @@ ensure_release_build() {
 
 # --------------------------------------------------------------------
 # Steps
+
+run_loc() {
+    echo "==> non-test Rust lines (crates/ and src/, top-level #[cfg(test)] items excluded)"
+    find crates src -name '*.rs' -not -path '*/tests/*' | sort | xargs awk '
+        FNR == 1 { in_test = 0 }
+        !in_test && /^#\[cfg\(test\)\]/ { in_test = 1 }
+        in_test { if (/^}/) in_test = 0; next }
+        {
+            split(FILENAME, part, "/")
+            unit = part[1] == "src" ? "src" : part[1] "/" part[2]
+            lines[unit]++
+            total++
+        }
+        END {
+            for (unit in lines) printf "  %-18s %6d\n", unit, lines[unit] | "sort"
+            close("sort")
+            printf "  %-18s %6d\n", "total", total
+        }'
+}
 
 run_fmt() {
     echo "==> cargo fmt --check"
@@ -231,6 +255,7 @@ run_cert_smoke() {
 }
 
 case "$step" in
+loc) run_step loc run_loc ;;
 fmt) run_step fmt run_fmt ;;
 clippy) run_step clippy run_clippy ;;
 doc) run_step doc run_doc ;;
@@ -240,6 +265,7 @@ smoke) run_step smoke run_smoke ;;
 alsbench) run_step alsbench run_alsbench ;;
 cert-smoke) run_step cert-smoke run_cert_smoke ;;
 all)
+    run_step loc run_loc
     run_step fmt run_fmt
     run_step clippy run_clippy
     run_step doc run_doc
@@ -250,7 +276,7 @@ all)
     run_step cert-smoke run_cert_smoke
     ;;
 *)
-    echo "unknown step '$step' (expected fmt|clippy|doc|build|test|smoke|alsbench|cert-smoke|all)" >&2
+    echo "unknown step '$step' (expected loc|fmt|clippy|doc|build|test|smoke|alsbench|cert-smoke|all)" >&2
     exit 2
     ;;
 esac

@@ -96,10 +96,10 @@ fn simulate_exhaustively(aig: &Aig) -> Vec<Vec<u64>> {
 fn evaluated_cuts(aig: &Aig) -> Vec<(NodeId, Vec<NodeId>)> {
     let mut cuts = Vec::new();
     for (k, max_cuts) in [(4, 8), (4, 10), (6, 12)] {
-        let sets = aig.enumerate_cuts(k, max_cuts);
+        let table = aig.enumerate_cuts(k, max_cuts);
         for id in aig.iter_ands() {
-            for cut in sets[id.index()].nontrivial() {
-                cuts.push((id, cut.leaves().to_vec()));
+            for cut in table.cuts(id) {
+                cuts.push((id, cut.to_vec()));
             }
         }
     }
@@ -194,6 +194,116 @@ fn cut_functions_match_simulation_on_the_test_catalog() {
         .chain(catalog::epfl_arith(Scale::Test))
     {
         if let Err(e) = cut_functions_match_simulation(&bench.aig) {
+            panic!("{}: {e}", bench.paper_name);
+        }
+    }
+}
+
+/// The cut enumeration as it read before the flat cut table: every cut its
+/// own `Vec`, every node's list led by its trivial cut, dominance filtered
+/// while merging, then a stable sort by size and a cut to `max_cuts`. Kept
+/// as the reference the table is pinned to.
+fn reference_cuts(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Vec<NodeId>>> {
+    fn merge(a: &[NodeId], b: &[NodeId], k: usize) -> Option<Vec<NodeId>> {
+        let mut leaves = Vec::with_capacity(k);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) if x == y => {
+                    i += 1;
+                    j += 1;
+                    x
+                }
+                (Some(&x), Some(&y)) if x < y => {
+                    i += 1;
+                    x
+                }
+                (Some(_), Some(&y)) | (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, None) => unreachable!(),
+            };
+            if leaves.len() == k {
+                return None;
+            }
+            leaves.push(next);
+        }
+        Some(leaves)
+    }
+    fn dominates(a: &[NodeId], b: &[NodeId]) -> bool {
+        a.len() <= b.len() && a.iter().all(|leaf| b.contains(leaf))
+    }
+    let mut sets: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(aig.num_nodes());
+    for id in aig.iter_nodes() {
+        let mut cuts = vec![vec![id]];
+        if let Node::And { f0, f1 } = *aig.node(id) {
+            let mut merged: Vec<Vec<NodeId>> = Vec::new();
+            for c0 in &sets[f0.node().index()] {
+                for c1 in &sets[f1.node().index()] {
+                    let Some(cut) = merge(c0, c1, k) else {
+                        continue;
+                    };
+                    if merged.iter().any(|m| dominates(m, &cut)) {
+                        continue;
+                    }
+                    merged.retain(|m| !dominates(&cut, m));
+                    merged.push(cut);
+                }
+            }
+            merged.sort_by_key(Vec::len);
+            merged.truncate(max_cuts - 1);
+            cuts.extend(merged);
+        }
+        sets.push(cuts);
+    }
+    sets
+}
+
+/// At every node the flat cut table holds the reference's non-trivial cuts
+/// in the reference's order, at the passes' sizes and at edge sizes (the
+/// smallest `k`, and keeping one cut or none).
+fn cut_table_matches_reference(aig: &Aig) -> Result<(), String> {
+    for (k, max_cuts) in [(4, 8), (4, 10), (6, 12), (2, 1), (3, 2), (6, 1)] {
+        let table = aig.enumerate_cuts(k, max_cuts);
+        let reference = reference_cuts(aig, k, max_cuts);
+        for id in aig.iter_nodes() {
+            let got: Vec<&[NodeId]> = table.cuts(id).iter().map(|cut| &cut[..]).collect();
+            let want: Vec<&[NodeId]> = reference[id.index()][1..]
+                .iter()
+                .map(Vec::as_slice)
+                .collect();
+            prop_assert!(
+                got == want,
+                "({k}, {max_cuts}) node {id}: {got:?} != {want:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn cut_table_matches_the_nested_enumeration_on_random_networks() {
+    check(
+        "cut table matches the nested enumeration",
+        &config(),
+        &networks(),
+        |cfg| cut_table_matches_reference(&build(cfg)),
+    );
+}
+
+#[test]
+fn cut_table_matches_the_nested_enumeration_on_the_test_catalog() {
+    for bench in catalog::iscas_and_arith(Scale::Test)
+        .into_iter()
+        .chain(catalog::epfl_control(Scale::Test))
+        .chain(catalog::epfl_arith(Scale::Test))
+    {
+        if let Err(e) = cut_table_matches_reference(&bench.aig) {
             panic!("{}: {e}", bench.paper_name);
         }
     }
