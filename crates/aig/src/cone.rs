@@ -54,8 +54,11 @@ impl Cone {
 /// re-derive `Aig::levels` — an `O(n)` sweep — inside their own loops.
 #[derive(Clone, Debug)]
 pub struct FanoutMap {
-    /// `fanouts[n]` lists the AND nodes that reference node `n` as a fanin.
-    fanouts: Vec<Vec<NodeId>>,
+    /// Node `n`'s fanouts are `fanouts[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+    /// The AND nodes that reference each node as a fanin, node after node,
+    /// ascending within a node.
+    fanouts: Vec<NodeId>,
     /// Number of references to each node, counting primary outputs.
     ref_counts: Vec<u32>,
     /// Logic level per node (identical to [`Aig::levels`]).
@@ -67,8 +70,10 @@ pub struct FanoutMap {
 impl FanoutMap {
     /// Returns the fanout nodes of `id` (AND nodes only; primary-output
     /// references are reflected in [`FanoutMap::ref_count`] instead).
+    #[inline]
     pub fn fanouts(&self, id: NodeId) -> &[NodeId] {
-        &self.fanouts[id.index()]
+        let i = id.index();
+        &self.fanouts[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Returns the total reference count of `id` (fanin references plus
@@ -152,19 +157,22 @@ impl Aig {
     /// Builds the fanout map for the current graph.
     pub fn fanout_map(&self) -> FanoutMap {
         let n = self.num_nodes();
-        let mut fanouts = vec![Vec::new(); n];
+        // First pass: reference counts and levels, and each node's fanout
+        // count in `offsets[node + 1]`.
+        let mut offsets = vec![0u32; n + 1];
         let mut ref_counts = vec![0u32; n];
         let mut levels = vec![0u32; n];
         let mut num_levels = 1u32;
         for id in self.iter_nodes() {
             if let Node::And { f0, f1 } = *self.node(id) {
-                fanouts[f0.node().index()].push(id);
-                ref_counts[f0.node().index()] += 1;
-                if f1.node() != f0.node() {
-                    fanouts[f1.node().index()].push(id);
+                let (a, b) = (f0.node().index(), f1.node().index());
+                offsets[a + 1] += 1;
+                if b != a {
+                    offsets[b + 1] += 1;
                 }
-                ref_counts[f1.node().index()] += 1;
-                let level = 1 + levels[f0.node().index()].max(levels[f1.node().index()]);
+                ref_counts[a] += 1;
+                ref_counts[b] += 1;
+                let level = 1 + levels[a].max(levels[b]);
                 levels[id.index()] = level;
                 num_levels = num_levels.max(level + 1);
             }
@@ -172,7 +180,28 @@ impl Aig {
         for output in self.outputs() {
             ref_counts[output.lit.node().index()] += 1;
         }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // Second pass, in node order, so each node's fanouts ascend:
+        // `offsets[node]` serves as the node's write cursor and ends at the
+        // next node's start, so shifting it back by one node restores it.
+        let mut fanouts = vec![NodeId::CONST; offsets[n] as usize];
+        for id in self.iter_nodes() {
+            if let Node::And { f0, f1 } = *self.node(id) {
+                let (a, b) = (f0.node().index(), f1.node().index());
+                fanouts[offsets[a] as usize] = id;
+                offsets[a] += 1;
+                if b != a {
+                    fanouts[offsets[b] as usize] = id;
+                    offsets[b] += 1;
+                }
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         FanoutMap {
+            offsets,
             fanouts,
             ref_counts,
             levels,

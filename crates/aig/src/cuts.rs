@@ -11,7 +11,9 @@
 //! pruning: each node keeps up to `max_cuts - 1` smallest merged cuts, with
 //! dominated cuts (supersets of another kept cut) filtered out. The trivial
 //! cut `{node}` is implied rather than stored: a fanin's `{fanin}` joins
-//! the merge ahead of its stored cuts.
+//! the merge ahead of its stored cuts. As in ABC, every set in the merge
+//! carries a 64-bit signature (bit `id % 64` of each node), which rejects
+//! most oversized unions and most subset tests in one operation.
 //!
 //! A cut's leaves and a node's resubstitution divisors are both the support
 //! of a replacement function, so both are held as a [`NodeSet`].
@@ -78,6 +80,13 @@ impl NodeSet {
         Some(set)
     }
 
+    /// The OR of `1 << (id % 64)` over the nodes. A subset's signature is
+    /// a subset of the superset's, and a set of `n` nodes sets at most `n`
+    /// bits.
+    fn signature(&self) -> u64 {
+        self.iter().fold(0, |sig, n| sig | 1 << (n.index() % 64))
+    }
+
     /// `true` if every node of `self` is in `other`.
     fn is_subset(&self, other: &NodeSet) -> bool {
         if self.len > other.len {
@@ -139,30 +148,49 @@ impl Aig {
             cuts: Vec::new(),
         };
         table.offsets.push(0);
-        // Surviving merged cuts of the current node, kept ordered by size
-        // and, within a size, by merge order.
-        let mut merged: Vec<NodeSet> = Vec::new();
+        // Each fanin's cuts with their signatures, `{fanin}` first, and the
+        // surviving merged cuts of the current node, kept ordered by size
+        // and, within a size, by merge order. All three are reused across
+        // nodes.
+        let mut cuts0: Vec<(NodeSet, u64)> = Vec::new();
+        let mut cuts1: Vec<(NodeSet, u64)> = Vec::new();
+        let mut merged: Vec<(NodeSet, u64)> = Vec::new();
+        let signed_cuts_of = |table: &CutTable, n: NodeId, cuts: &mut Vec<(NodeSet, u64)>| {
+            cuts.clear();
+            cuts.push((NodeSet::new(&[n]), 1 << (n.index() % 64)));
+            cuts.extend(table.cuts(n).iter().map(|&c| (c, c.signature())));
+        };
         for id in self.iter_nodes() {
             if let Node::And { f0, f1 } = *self.node(id) {
+                signed_cuts_of(&table, f0.node(), &mut cuts0);
+                signed_cuts_of(&table, f1.node(), &mut cuts1);
                 merged.clear();
-                let cuts_of = |n: NodeId| {
-                    std::iter::once(NodeSet::new(&[n])).chain(table.cuts(n).iter().copied())
-                };
-                for c0 in cuts_of(f0.node()) {
-                    for c1 in cuts_of(f1.node()) {
-                        let Some(cut) = c0.union(&c1, k) else {
-                            continue;
-                        };
-                        if merged.iter().any(|m| m.is_subset(&cut)) {
+                for (c0, s0) in &cuts0 {
+                    for (c1, s1) in &cuts1 {
+                        // Both filters below are necessary conditions, so
+                        // they only skip work whose answer is known.
+                        let sig = s0 | s1;
+                        if sig.count_ones() as usize > k {
                             continue;
                         }
-                        merged.retain(|m| !cut.is_subset(m));
-                        let at = merged.partition_point(|m| m.len() <= cut.len());
-                        merged.insert(at, cut);
+                        let Some(cut) = c0.union(c1, k) else {
+                            continue;
+                        };
+                        if merged
+                            .iter()
+                            .any(|(m, ms)| ms & !sig == 0 && m.is_subset(&cut))
+                        {
+                            continue;
+                        }
+                        merged.retain(|(m, ms)| sig & !ms != 0 || !cut.is_subset(m));
+                        let at = merged.partition_point(|(m, _)| m.len() <= cut.len());
+                        merged.insert(at, (cut, sig));
                     }
                 }
                 let kept = merged.len().min(max_cuts - 1);
-                table.cuts.extend_from_slice(&merged[..kept]);
+                table
+                    .cuts
+                    .extend(merged[..kept].iter().map(|&(cut, _)| cut));
             }
             table.offsets.push(table.cuts.len());
         }
@@ -261,6 +289,41 @@ mod tests {
         for id in aig.iter_nodes() {
             assert!(table.cuts(id).len() <= 2);
         }
+    }
+
+    #[test]
+    fn colliding_signatures_change_no_cut() {
+        // 70 inputs, so ids pass 64: input `xs[i]` is node i + 1, nodes 1
+        // and 65 share signature bit 1, and nodes 10 and 74 bit 10.
+        let mut aig = Aig::new("wide ids");
+        let xs = aig.add_inputs("x", 70);
+        let a = aig.and(xs[64], xs[5]);
+        let b = aig.and(xs[0], xs[5]);
+        let g = aig.and(a, b);
+        let c = aig.and(xs[64], xs[9]);
+        let h = aig.and(xs[0], c);
+        aig.add_output("g", g);
+        aig.add_output("h", h);
+        assert_eq!([a, b, c].map(|l| l.node().index()), [71, 72, 74]);
+        // {6, 65} ∪ {1, 6} sets only bits 1 and 6, but has 3 nodes, so the
+        // union, not the signature, rejects it at k = 2.
+        let table = aig.enumerate_cuts(2, 8);
+        assert_eq!(table.cuts(g.node()), [set(&[71, 72])]);
+        let table = aig.enumerate_cuts(4, 8);
+        // The signature of {1, 6, 65} is a subset of those of the earlier
+        // {1, 6, 71} and {6, 65, 72}, and neither set contains it.
+        assert_eq!(
+            table.cuts(g.node()),
+            [
+                set(&[71, 72]),
+                set(&[1, 6, 71]),
+                set(&[6, 65, 72]),
+                set(&[1, 6, 65])
+            ]
+        );
+        // The signature of the earlier {1, 74} is a subset of that of
+        // {1, 10, 65}, which does not contain it.
+        assert_eq!(table.cuts(h.node()), [set(&[1, 74]), set(&[1, 10, 65])]);
     }
 
     #[test]

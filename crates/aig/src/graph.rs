@@ -1,9 +1,10 @@
 //! The [`Aig`] graph structure and its construction API.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::{Lit, NodeId};
+use crate::{FxHasher, Lit, NodeId};
 
 /// One node of an [`Aig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +62,7 @@ pub struct Aig {
     name: String,
     nodes: Vec<Node>,
     /// Structural hashing: normalized (f0.raw, f1.raw) -> node index.
-    strash: HashMap<(u32, u32), u32>,
+    strash: HashMap<(u32, u32), u32, FxHasher>,
     inputs: Vec<NodeId>,
     input_names: Vec<String>,
     outputs: Vec<Output>,
@@ -73,7 +74,7 @@ impl Aig {
         Aig {
             name: name.into(),
             nodes: vec![Node::Const],
-            strash: HashMap::new(),
+            strash: HashMap::default(),
             inputs: Vec::new(),
             input_names: Vec::new(),
             outputs: Vec::new(),
@@ -203,13 +204,22 @@ impl Aig {
         }
         let (f0, f1) = if a.raw() < b.raw() { (a, b) } else { (b, a) };
         let key = (f0.raw(), f1.raw());
-        if let Some(&idx) = self.strash.get(&key) {
-            return NodeId::new(idx as usize).lit();
+        match self.strash.entry(key) {
+            Entry::Occupied(e) => NodeId::new(*e.get() as usize).lit(),
+            Entry::Vacant(e) => {
+                let id = NodeId::new(self.nodes.len());
+                self.nodes.push(Node::And { f0, f1 });
+                e.insert(id.index() as u32);
+                id.lit()
+            }
         }
-        let id = NodeId::new(self.nodes.len());
-        self.nodes.push(Node::And { f0, f1 });
-        self.strash.insert(key, id.index() as u32);
-        id.lit()
+    }
+
+    /// Makes room for `ands` more AND nodes, so a graph rebuilt to a known
+    /// bound allocates its node table and strash map once.
+    pub(crate) fn reserve_ands(&mut self, ands: usize) {
+        self.nodes.reserve(ands);
+        self.strash.reserve(ands);
     }
 
     /// Returns the OR of two literals.

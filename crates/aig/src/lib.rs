@@ -61,6 +61,7 @@ mod cone;
 mod cuts;
 mod error;
 mod graph;
+mod hash;
 mod lit;
 mod rebuild;
 mod stats;
@@ -70,6 +71,7 @@ pub use cone::{Cone, FanoutMap, MffcScratch};
 pub use cuts::{CutTable, NodeSet};
 pub use error::{AigError, RebuildError};
 pub use graph::{Aig, Node};
+pub use hash::FxHasher;
 pub use lit::{Lit, NodeId};
 pub use stats::AigStats;
 pub use window::{Window, WindowExtractor, WindowParams};

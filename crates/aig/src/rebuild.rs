@@ -37,7 +37,8 @@ impl Aig {
     /// * [`RebuildError::Cycle`] if a substitution makes a node depend on
     ///   itself.
     /// * [`RebuildError::SubstitutionOutOfBounds`] if a target literal
-    ///   references a node outside the graph.
+    ///   references a node outside the graph; of several such entries, the
+    ///   one of the lowest node is reported.
     ///
     /// # Example
     ///
@@ -66,10 +67,19 @@ impl Aig {
         &self,
         substitutions: &HashMap<NodeId, Lit>,
     ) -> Result<Aig, RebuildError> {
+        // One dense copy of the map, so the walk below looks substitutions
+        // up by index. Keys outside the graph are never visited.
+        let mut substitute: Vec<Option<Lit>> = vec![None; self.num_nodes()];
+        let mut out_of_bounds: Option<NodeId> = None;
         for (&node, &lit) in substitutions {
             if lit.node().index() >= self.num_nodes() {
-                return Err(RebuildError::SubstitutionOutOfBounds { node });
+                out_of_bounds = Some(out_of_bounds.map_or(node, |bad| bad.min(node)));
+            } else if let Some(slot) = substitute.get_mut(node.index()) {
+                *slot = Some(lit);
             }
+        }
+        if let Some(node) = out_of_bounds {
+            return Err(RebuildError::SubstitutionOutOfBounds { node });
         }
 
         let mut out = Aig::new(self.name().to_string());
@@ -80,10 +90,12 @@ impl Aig {
         for (pos, &input) in self.inputs().iter().enumerate() {
             let lit = out.add_input(self.input_name(pos).to_string());
             // A substituted input is still declared but resolves elsewhere.
-            if !substitutions.contains_key(&input) {
+            if substitute[input.index()].is_none() {
                 map[input.index()] = Some(lit);
             }
         }
+        // The rebuilt graph has at most as many AND nodes as this one.
+        out.reserve_ands(self.num_nodes() - out.num_nodes());
 
         let mut state = vec![UNVISITED; self.num_nodes()];
         for i in 0..self.num_nodes() {
@@ -103,7 +115,7 @@ impl Aig {
                         _ => {
                             state[id.index()] = IN_PROGRESS;
                             stack.push(Task::Finish(id));
-                            if let Some(&target) = substitutions.get(&id) {
+                            if let Some(target) = substitute[id.index()] {
                                 stack.push(Task::Visit(target.node()));
                             } else if let Node::And { f0, f1 } = *self.node(id) {
                                 stack.push(Task::Visit(f0.node()));
@@ -112,7 +124,7 @@ impl Aig {
                         }
                     },
                     Task::Finish(id) => {
-                        let lit = if let Some(&target) = substitutions.get(&id) {
+                        let lit = if let Some(target) = substitute[id.index()] {
                             let mapped = map[target.node().index()]
                                 .expect("substitution target visited before finish");
                             mapped.complement_if(target.is_complement())
@@ -275,6 +287,27 @@ mod tests {
             .rebuilt_with_substitutions(&HashMap::from([(a.node(), bogus)]))
             .expect_err("out of bounds");
         assert!(matches!(err, RebuildError::SubstitutionOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn the_lowest_out_of_bounds_substitution_is_reported() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let x = aig.and(a, b);
+        aig.add_output("y", x);
+        let bogus = NodeId::new(1000).lit();
+        // Every map gets its own random iteration order, so one of them
+        // visits the higher bad entry first.
+        for _ in 0..16 {
+            let err = aig
+                .rebuilt_with_substitutions(&HashMap::from([(x.node(), bogus), (b.node(), !bogus)]))
+                .expect_err("out of bounds");
+            assert_eq!(
+                err,
+                RebuildError::SubstitutionOutOfBounds { node: b.node() }
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use std::collections::HashMap;
 
 use alsrac_aig::{Aig, FanoutMap, NodeId};
 use alsrac_metrics::{
-    compare_flipped_error_rate, compare_flipped_output_words, compare_output_words, ErrorMetric,
-    Measurement,
+    base_diff_columns, base_distance_lanes, compare_flipped_error_rate,
+    compare_flipped_output_words, compare_output_words, ErrorMetric, Measurement,
 };
 use alsrac_rt::{pool, trace};
 use alsrac_sim::{
@@ -32,14 +32,15 @@ use crate::lac::Lac;
 /// graph snapshot by the caller — every flow already has it in hand for
 /// LAC generation).
 ///
-/// Per-candidate comparisons are tailored to the metric being ranked.
-/// [`ErrorMetric::ErrorRate`] never reads the distance metrics, so it takes
-/// a sparse rate-only compare: the base mismatch columns are precomputed
-/// once per snapshot (`O(outputs × words)`) and each candidate then costs
-/// `O(words + outputs × dirty_words)`, where dirty words are those its
-/// flips actually reach. `error_rate` is bit-identical to a full compare;
-/// the unread distance metrics come back as `None`. Distance metrics take
-/// the full fused decode.
+/// Per-candidate comparisons are sparse: a candidate's outputs differ
+/// from the current circuit's only on the lanes where its flips reach an
+/// output, so the base mismatch columns are precomputed once per snapshot
+/// (`O(outputs × words)`) and each candidate rebuilds only the words its
+/// flips reach. [`ErrorMetric::ErrorRate`] never reads the distance
+/// metrics, so it takes the rate-only compare, and they come back as
+/// `None`. The distance metrics also precompute every lane's decoded
+/// terms, and each candidate decodes only the lanes it flips. Either way
+/// the result is bit-identical to a full compare.
 pub struct Estimator<'a> {
     current: &'a Aig,
     patterns: &'a PatternBuffer,
@@ -52,10 +53,12 @@ pub struct Estimator<'a> {
     /// Node → driven outputs, built once per snapshot so the influence
     /// pass can skip the per-candidate all-outputs scan.
     output_index: OutputIndex,
-    /// Per-word base mismatch columns + total error-lane count, present
-    /// exactly when `metric` is [`ErrorMetric::ErrorRate`] (the sparse
-    /// rate-only compare, [`alsrac_metrics::compare_flipped_error_rate`]).
-    rate_base: Option<(Vec<u64>, u64)>,
+    /// Per-word base mismatch columns + total error-lane count.
+    base_diff: (Vec<u64>, u64),
+    /// Per-lane base distance terms, present when `metric` reads the
+    /// distance metrics and the outputs decode to integers (at most 63);
+    /// otherwise candidates take the rate-only compare.
+    base_lanes: Option<Vec<(u64, u64, f64)>>,
 }
 
 impl<'a> Estimator<'a> {
@@ -98,8 +101,9 @@ impl<'a> Estimator<'a> {
         );
         let current_outputs = sim.output_words(current);
         let masks = patterns.word_masks();
-        let rate_base = (!metric.needs_distance())
-            .then(|| alsrac_metrics::base_diff_columns(original_outputs, &current_outputs, &masks));
+        let base_diff = base_diff_columns(original_outputs, &current_outputs, &masks);
+        let base_lanes = (metric.needs_distance() && current.num_outputs() <= 63)
+            .then(|| base_distance_lanes(original_outputs, &current_outputs, &masks));
         Estimator {
             current,
             patterns,
@@ -110,7 +114,8 @@ impl<'a> Estimator<'a> {
             current_outputs,
             masks,
             output_index: OutputIndex::new(current),
-            rate_base,
+            base_diff,
+            base_lanes,
         }
     }
 
@@ -146,8 +151,9 @@ impl<'a> Estimator<'a> {
             "influence/LAC node mismatch"
         );
         let change = self.change_mask(lac);
-        if let Some((base_diff, base_lanes)) = &self.rate_base {
-            return compare_flipped_error_rate(
+        let (base_diff, base_error_lanes) = &self.base_diff;
+        match &self.base_lanes {
+            Some(base_lanes) => compare_flipped_output_words(
                 self.original_outputs,
                 &self.current_outputs,
                 influence,
@@ -155,17 +161,21 @@ impl<'a> Estimator<'a> {
                 &self.masks,
                 self.patterns.num_patterns(),
                 base_diff,
-                *base_lanes,
-            );
+                base_lanes,
+            ),
+            // Ranking by error rate, or by a distance metric that more
+            // than 63 outputs leave `None` either way.
+            None => compare_flipped_error_rate(
+                self.original_outputs,
+                &self.current_outputs,
+                influence,
+                &change,
+                &self.masks,
+                self.patterns.num_patterns(),
+                base_diff,
+                *base_error_lanes,
+            ),
         }
-        compare_flipped_output_words(
-            self.original_outputs,
-            &self.current_outputs,
-            influence,
-            &change,
-            &self.masks,
-            self.patterns.num_patterns(),
-        )
     }
 
     /// Estimates all candidates, computing each node's influence once.

@@ -263,8 +263,8 @@ pub fn compare_output_words(
 /// and `base`: `diff[w] = OR over outputs of (exact[po][w] ^ base[po][w])`,
 /// plus the total masked mismatch-lane count. One `O(outputs × words)`
 /// sweep, done once per circuit snapshot so
-/// [`compare_flipped_error_rate`] can charge each candidate only for the
-/// words it actually changes.
+/// [`compare_flipped_error_rate`] and [`compare_flipped_output_words`] can
+/// charge each candidate only for the words it actually changes.
 pub fn base_diff_columns(
     exact: &OutputWords,
     base: &OutputWords,
@@ -299,8 +299,9 @@ pub fn base_diff_columns(
 /// `change`; on every other word the mismatch column — and hence its lane
 /// count — is exactly the precomputed base one. The error count is
 /// adjusted per dirty word with integer arithmetic, so `error_rate` is
-/// **bit-identical** to the full [`compare_flipped_output_words`] /
-/// materialize-then-compare result. Distance metrics are reported as
+/// **bit-identical** to the materialize-then-compare result
+/// (`compare_output_words(exact, &influence.apply(base, change), ..)`).
+/// Distance metrics are reported as
 /// `None`; use this only when ranking by [`ErrorMetric::ErrorRate`]
 /// (which never reads them — see [`ErrorMetric::needs_distance`]).
 ///
@@ -371,24 +372,70 @@ pub fn compare_flipped_error_rate(
     }
 }
 
-/// Compares an exact circuit's output words against a *virtually flipped*
-/// approximate circuit: the candidate outputs are
-/// `base[po] ^ (influence[po] & change)` (see [`FlipInfluence::apply`]),
-/// but instead of materializing them this walks word-major and evaluates
-/// one output column per word — each word of `base` and of the influence
-/// rows is loaded exactly once and feeds both the error-rate union and the
-/// distance decode while still hot.
-///
-/// This is the fused form of `compare_output_words(exact,
-/// influence.apply(base, change), ..)` that the estimator's hot path uses:
-/// it skips the per-candidate `OutputWords` clone + second sweep, and its
-/// result is bit-identical (same touched rows, and the floating-point
-/// distance sums accumulate in the same word-ascending, lane-ascending
-/// order — pinned by property tests).
+/// The base circuit's distance terms per pattern lane: entry `64 * w + l`
+/// holds, for lane `l` of word `w`, the exact output value `y`, the error
+/// distance `ed = |y - base|` and `ed / max(y, 1)`, decoded once per
+/// circuit snapshot so [`compare_flipped_output_words`] decodes only the
+/// lanes a candidate flips. Lanes outside `masks` hold zeros.
 ///
 /// # Panics
 ///
-/// Panics if the output counts or word shapes disagree.
+/// Panics if the output counts disagree or there are more than 63 outputs
+/// (the outputs must decode to one integer).
+pub fn base_distance_lanes(
+    exact: &OutputWords,
+    base: &OutputWords,
+    masks: &[u64],
+) -> Vec<(u64, u64, f64)> {
+    assert_eq!(
+        exact.num_outputs(),
+        base.num_outputs(),
+        "output count mismatch"
+    );
+    assert!(
+        exact.num_outputs() <= 63,
+        "outputs do not decode to integers"
+    );
+    let mut lanes = vec![(0, 0, 0.0); masks.len() * 64];
+    for (w, &word_mask) in masks.iter().enumerate() {
+        let mut mask = word_mask;
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let mut y = 0u64;
+            let mut yh = 0u64;
+            for po in 0..exact.num_outputs() {
+                y |= (exact.word(po, w) >> lane & 1) << po;
+                yh |= (base.word(po, w) >> lane & 1) << po;
+            }
+            let ed = y.abs_diff(yh);
+            lanes[64 * w + lane] = (y, ed, ed as f64 / (y.max(1)) as f64);
+        }
+    }
+    lanes
+}
+
+/// Compares an exact circuit's output words against a *virtually flipped*
+/// approximate circuit with every metric, decoding only the lanes the flip
+/// changes: the candidate outputs are `base[po] ^ (influence[po] & change)`
+/// (see [`FlipInfluence::apply`]), which differ from `base` only on the
+/// lanes of `any_mask & change`.
+///
+/// `(base_diff, _)` must come from [`base_diff_columns`]`(exact, base,
+/// masks)` and `base_lanes` from [`base_distance_lanes`] with the same
+/// arguments. Words without a flipped lane take their mismatch count from
+/// `base_diff`; the others rebuild their output column. Every valid lane
+/// adds its distance terms in word-ascending, lane-ascending order: a
+/// flipped lane decodes the candidate's value, any other lane adds its
+/// stored base terms. So the result, floating-point sums included, is
+/// bit-identical to `compare_output_words(exact, &influence.apply(base,
+/// change), ..)` (pinned by the tests).
+///
+/// # Panics
+///
+/// Panics if the output counts or word shapes disagree, or if there are
+/// more than 63 outputs.
+#[allow(clippy::too_many_arguments)]
 pub fn compare_flipped_output_words(
     exact: &OutputWords,
     base: &OutputWords,
@@ -396,6 +443,8 @@ pub fn compare_flipped_output_words(
     change: &[u64],
     masks: &[u64],
     num_patterns: usize,
+    base_diff: &[u64],
+    base_lanes: &[(u64, u64, f64)],
 ) -> Measurement {
     assert_eq!(
         exact.num_outputs(),
@@ -407,6 +456,8 @@ pub fn compare_flipped_output_words(
         influence.num_outputs(),
         "output count mismatch"
     );
+    assert_eq!(base_diff.len(), masks.len(), "word shape mismatch");
+    assert_eq!(base_lanes.len(), masks.len() * 64, "word shape mismatch");
     if num_patterns == 0 {
         return Measurement {
             num_patterns: 0,
@@ -418,9 +469,8 @@ pub fn compare_flipped_output_words(
     }
     let num_outputs = exact.num_outputs();
     let touched = influence.touched();
-    let decode = num_outputs <= 63;
-    // One column of candidate output words, rebuilt per word. The single
-    // small allocation replaces apply()'s full outputs × words clone.
+    let any = influence.any_mask();
+    // One column of candidate output words, rebuilt per flipped word.
     let mut approx_col = vec![0u64; num_outputs];
     let mut error_lanes = 0u64;
     let mut sum_ed = 0.0f64;
@@ -428,43 +478,49 @@ pub fn compare_flipped_output_words(
     let mut max_ed = 0u64;
     for (w, &word_mask) in masks.iter().enumerate() {
         let cw = change[w];
-        // Influence rows are sparse and ascending by output index: merge
-        // against them with one rising cursor instead of a search per
-        // output. Untouched outputs pass the base value through.
-        let mut cursor = 0usize;
-        let mut diff = 0u64;
-        for (po, slot) in approx_col.iter_mut().enumerate() {
-            let mut a = base.word(po, w);
-            if touched.get(cursor).is_some_and(|&t| t as usize == po) {
-                a ^= influence.row(cursor)[w] & cw;
-                cursor += 1;
+        let flipped = any[w] & cw & word_mask;
+        if flipped == 0 {
+            error_lanes += (base_diff[w] & word_mask).count_ones() as u64;
+        } else {
+            // Influence rows are sparse and ascending by output index:
+            // merge against them with one rising cursor. Untouched outputs
+            // pass the base value through.
+            let mut cursor = 0usize;
+            let mut diff = 0u64;
+            for (po, slot) in approx_col.iter_mut().enumerate() {
+                let mut a = base.word(po, w);
+                if touched.get(cursor).is_some_and(|&t| t as usize == po) {
+                    a ^= influence.row(cursor)[w] & cw;
+                    cursor += 1;
+                }
+                diff |= exact.word(po, w) ^ a;
+                *slot = a;
             }
-            diff |= exact.word(po, w) ^ a;
-            *slot = a;
+            error_lanes += (diff & word_mask).count_ones() as u64;
         }
-        error_lanes += (diff & word_mask).count_ones() as u64;
-        if decode {
-            let mut mask = word_mask;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let mut y = 0u64;
+        let lanes = &base_lanes[64 * w..64 * w + 64];
+        let mut mask = word_mask;
+        while mask != 0 {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let (y, mut ed, mut red) = lanes[lane];
+            if flipped >> lane & 1 != 0 {
                 let mut yh = 0u64;
                 for (po, &col) in approx_col.iter().enumerate() {
-                    y |= (exact.word(po, w) >> lane & 1) << po;
                     yh |= (col >> lane & 1) << po;
                 }
-                let ed = y.abs_diff(yh);
-                max_ed = max_ed.max(ed);
-                sum_ed += ed as f64;
-                sum_red += ed as f64 / (y.max(1)) as f64;
+                ed = y.abs_diff(yh);
+                red = ed as f64 / (y.max(1)) as f64;
             }
+            max_ed = max_ed.max(ed);
+            sum_ed += ed as f64;
+            sum_red += red;
         }
     }
     PartialCounts {
         patterns: num_patterns,
         error_lanes,
-        distance: decode.then_some((sum_ed, sum_red, max_ed)),
+        distance: Some((sum_ed, sum_red, max_ed)),
     }
     .finalize(num_outputs)
 }
@@ -912,6 +968,7 @@ mod tests {
             let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
             let applied = inf.apply(&exact_out, &change);
             let want = compare_output_words(&exact_out, &applied, &masks, patterns.num_patterns());
+            let (base_diff, base_lanes) = base_diff_columns(&exact_out, &exact_out, &masks);
             let got = compare_flipped_output_words(
                 &exact_out,
                 &exact_out,
@@ -919,6 +976,8 @@ mod tests {
                 &change,
                 &masks,
                 patterns.num_patterns(),
+                &base_diff,
+                &base_distance_lanes(&exact_out, &exact_out, &masks),
             );
             assert_eq!(want.num_patterns, got.num_patterns, "node {node}");
             assert_eq!(
@@ -932,7 +991,6 @@ mod tests {
 
             // Sparse rate-only path: identical error_rate bits via the
             // precomputed base columns + dirty-word adjustment.
-            let (base_diff, base_lanes) = base_diff_columns(&exact_out, &exact_out, &masks);
             let rate_only = compare_flipped_error_rate(
                 &exact_out,
                 &exact_out,
@@ -954,8 +1012,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rate_compare_against_shifted_base() {
-        // Exercise compare_flipped_error_rate with a base that already
+    fn sparse_compares_against_shifted_base() {
+        // Exercise both flipped compares with a base that already
         // disagrees with the exact outputs (mid-flow snapshot shape), so
         // base_error_lanes is nonzero and the dirty-word adjustment has to
         // subtract real counts.
@@ -977,10 +1035,14 @@ mod tests {
         base_rows[2][1] ^= 0xF0;
         let base = OutputWords::from_rows(&base_rows);
         let (base_diff, base_lanes) = base_diff_columns(&exact_out, &base, &masks);
+        let distance_lanes = base_distance_lanes(&exact_out, &base, &masks);
         let mut rng = alsrac_rt::Rng::from_seed(47);
         for node in exact_aig.iter_ands() {
             let inf = influence(&exact_aig, &sim, &fanouts, node);
-            let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
+            // Sparse change masks too, so most lanes keep their base terms.
+            let change: Vec<u64> = (0..sim.num_words())
+                .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
+                .collect();
             let want = compare_output_words(
                 &exact_out,
                 &inf.apply(&base, &change),
@@ -1002,6 +1064,22 @@ mod tests {
                 got.error_rate.to_bits(),
                 "node {node}"
             );
+            // The distance compare adds the stored terms of the unflipped
+            // lanes, which are nonzero here.
+            let got = compare_flipped_output_words(
+                &exact_out,
+                &base,
+                &inf,
+                &change,
+                &masks,
+                patterns.num_patterns(),
+                &base_diff,
+                &distance_lanes,
+            );
+            assert_eq!(want.error_rate.to_bits(), got.error_rate.to_bits());
+            assert_eq!(want.nmed.map(f64::to_bits), got.nmed.map(f64::to_bits));
+            assert_eq!(want.mred.map(f64::to_bits), got.mred.map(f64::to_bits));
+            assert_eq!(want.max_error_distance, got.max_error_distance);
         }
         // Empty change mask: nothing dirty, base counts pass through.
         let node = exact_aig.iter_ands().next().expect("has ands");
@@ -1030,7 +1108,8 @@ mod tests {
         let node = exact_aig.iter_ands().next().expect("has ands");
         let inf = influence(&exact_aig, &sim, &fanouts, node);
         let out = sim.output_words(&exact_aig);
-        let m = compare_flipped_output_words(&out, &out, &inf, &[0], &[0], 0);
+        let lanes = base_distance_lanes(&out, &out, &[0]);
+        let m = compare_flipped_output_words(&out, &out, &inf, &[0], &[0], 0, &[0], &lanes);
         assert_eq!(m.num_patterns, 0);
         assert_eq!(m.error_rate, 0.0);
         assert_eq!(m.nmed, Some(0.0));

@@ -22,6 +22,10 @@ pub fn balance(aig: &Aig) -> Aig {
     }
     // Logic level of every node of `out`, grown as nodes are appended.
     let mut levels = vec![0u32; out.num_nodes()];
+    // Per-tree buffers, reused across nodes.
+    let mut leaves: Vec<Lit> = Vec::new();
+    let mut stack: Vec<Lit> = Vec::new();
+    let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
 
     // Process AND nodes in topological order; node ids are already
     // topological.
@@ -31,8 +35,8 @@ pub fn balance(aig: &Aig) -> Aig {
         }
         // Collect the conjunction leaves of the chain rooted at `id`,
         // walking through non-complemented, single-reference AND children.
-        let mut leaves: Vec<Lit> = Vec::new();
-        let mut stack = vec![id.lit()];
+        leaves.clear();
+        stack.push(id.lit());
         while let Some(lit) = stack.pop() {
             let expandable = !lit.is_complement()
                 && aig.node(lit.node()).is_and()
@@ -48,15 +52,13 @@ pub fn balance(aig: &Aig) -> Aig {
         // Map leaves into the new graph. The heap is keyed by an upper
         // bound on each term's level (exact for fresh nodes; constant folds
         // and strash hits can only be shallower).
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = leaves
-            .iter()
-            .map(|&l| {
-                let mapped = map[l.node().index()]
-                    .expect("leaf processed before (topological order)")
-                    .complement_if(l.is_complement());
-                Reverse((levels[mapped.node().index()], mapped.raw()))
-            })
-            .collect();
+        heap.clear();
+        heap.extend(leaves.iter().map(|&l| {
+            let mapped = map[l.node().index()]
+                .expect("leaf processed before (topological order)")
+                .complement_if(l.is_complement());
+            Reverse((levels[mapped.node().index()], mapped.raw()))
+        }));
         // Huffman-style: repeatedly combine the two shallowest terms.
         while heap.len() > 1 {
             let Reverse((la, a_raw)) = heap.pop().expect("len > 1");

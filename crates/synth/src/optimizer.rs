@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::ops::Deref;
 
-use alsrac_aig::{Aig, Lit, NodeId};
+use alsrac_aig::{Aig, FxHasher, Lit, NodeId};
 use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop, Tt};
 
 use crate::{balance, sweep, RefactorConfig, RewriteConfig};
@@ -72,16 +72,6 @@ pub(crate) fn substitute<L: Deref<Target = [NodeId]>>(
         .expect("replacements reference strict TFI cones")
 }
 
-/// A truth table as a cache key. Tables of at most 6 variables (every
-/// rewrite cut) are one word, so looking them up allocates nothing; wider
-/// ones are boxed so that every key, and so every cache slot, stays small.
-#[derive(PartialEq, Eq, Hash)]
-enum Key {
-    /// Variable count and the table's (tail-masked) word.
-    Word(u8, u64),
-    Wide(Box<Tt>),
-}
-
 /// `sweep; resyn2` with one recipe cache shared by every [`rewrite`] and
 /// [`refactor`] pass it runs.
 ///
@@ -109,7 +99,12 @@ enum Key {
 /// ```
 #[derive(Default)]
 pub struct Optimizer {
-    recipes: HashMap<Key, Recipe>,
+    /// Recipes of tables of at most 6 variables (every rewrite cut), keyed
+    /// by variable count and (tail-masked) word, so a lookup allocates
+    /// nothing.
+    words: HashMap<(u8, u64), Recipe, FxHasher>,
+    /// Recipes of wider tables, looked up by reference.
+    wide: HashMap<Tt, Recipe, FxHasher>,
 }
 
 impl Optimizer {
@@ -121,23 +116,25 @@ impl Optimizer {
     /// Recipes derived so far: the cache misses over this optimizer's
     /// lifetime (every miss adds one entry).
     pub fn recipes_computed(&self) -> usize {
-        self.recipes.len()
+        self.words.len() + self.wide.len()
     }
 
     /// The recipe of `tt`.
     pub(crate) fn recipe(&mut self, tt: &Tt) -> &Recipe {
-        let key = match tt.nvars() {
-            n @ 0..=6 => Key::Word(n as u8, tt.to_bits()),
-            _ => Key::Wide(Box::new(tt.clone())),
-        };
-        self.recipes.entry(key).or_insert_with(|| Recipe::of(tt))
+        if tt.nvars() <= 6 {
+            return self.word_recipe(tt.nvars(), tt.to_bits());
+        }
+        if !self.wide.contains_key(tt) {
+            self.wide.insert(tt.clone(), Recipe::of(tt));
+        }
+        &self.wide[tt]
     }
 
     /// The recipe of the `nvars`-variable table whose word is `bits`
     /// (tail-masked, as [`Tt::to_bits`] returns it).
     pub(crate) fn word_recipe(&mut self, nvars: usize, bits: u64) -> &Recipe {
-        self.recipes
-            .entry(Key::Word(nvars as u8, bits))
+        self.words
+            .entry((nvars as u8, bits))
             .or_insert_with(|| Recipe::of(&Tt::from_bits(nvars, bits)))
     }
 

@@ -48,6 +48,7 @@ impl Optimizer {
         // `in_mffc[i] == stamp`: node `i` is in the MFFC of the node with
         // that stamp.
         let mut in_mffc = vec![0u32; aig.num_nodes()];
+        let mut leaves: Vec<NodeId> = Vec::new();
 
         // Visit large nodes first (reverse topological order) so enclosing
         // cones get priority over their sub-cones.
@@ -63,7 +64,7 @@ impl Optimizer {
             for &n in &mffc {
                 in_mffc[n.index()] = stamp;
             }
-            let mut leaves: Vec<NodeId> = Vec::new();
+            leaves.clear();
             for &n in &mffc {
                 if let Node::And { f0, f1 } = *aig.node(n) {
                     for fanin in [f0.node(), f1.node()] {
@@ -89,7 +90,12 @@ impl Optimizer {
                 for &n in &mffc {
                     claimed[n.index()] = true;
                 }
-                pending.push((id, recipe.cover.clone(), recipe.complemented, leaves));
+                pending.push((
+                    id,
+                    recipe.cover.clone(),
+                    recipe.complemented,
+                    leaves.clone(),
+                ));
             }
         }
 

@@ -309,6 +309,24 @@ fn cut_table_matches_the_nested_enumeration_on_the_test_catalog() {
     }
 }
 
+/// Paper-scale circuits, whose node ids pass 64 many times, so many
+/// leaves share a signature bit and the cut merge's signature filters
+/// meet collisions.
+#[test]
+fn cut_table_matches_the_nested_enumeration_on_paper_circuits() {
+    for name in ["alu4", "c880", "c1908", "mtp8"] {
+        let aig = catalog::by_name(name, Scale::Paper).expect("catalog circuit");
+        assert!(
+            aig.num_nodes() > 4 * 64,
+            "{name}: {} nodes",
+            aig.num_nodes()
+        );
+        if let Err(e) = cut_table_matches_reference(&aig) {
+            panic!("{name}: {e}");
+        }
+    }
+}
+
 /// An AIG node for node: its nodes, input names and outputs.
 fn structure(aig: &Aig) -> (Vec<Node>, Vec<&str>, Vec<(&str, Lit)>) {
     let nodes = aig.iter_nodes().map(|id| *aig.node(id)).collect();
