@@ -45,11 +45,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.add(u64::from(value));
-    }
-
-    #[inline]
     fn write_u32(&mut self, value: u32) {
         self.add(u64::from(value));
     }
@@ -57,11 +52,6 @@ impl Hasher for FxHasher {
     #[inline]
     fn write_u64(&mut self, value: u64) {
         self.add(value);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.add(value as u64);
     }
 
     /// The state with its well-mixed high bits rotated down, since hash
