@@ -103,7 +103,8 @@ impl FanoutMap {
 
 /// Reusable scratch for [`Aig::mffc_with`]: epoch-stamped per-node
 /// reference-count deltas, so repeated MFFC computations cost
-/// `O(|MFFC|)` per query instead of cloning all `n` reference counts.
+/// `O(|MFFC|)` per query instead of cloning all `n` reference counts, plus
+/// the member list and walk stack, so a warm query allocates nothing.
 ///
 /// Every query reads the base counts straight from the [`FanoutMap`] it is
 /// given and bumps the epoch, so a scratch can be reused across graph
@@ -115,6 +116,9 @@ pub struct MffcScratch {
     deltas: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
+    /// The last query's MFFC, lent out by [`Aig::mffc_with`].
+    members: Vec<NodeId>,
+    stack: Vec<NodeId>,
 }
 
 impl MffcScratch {
@@ -249,40 +253,43 @@ impl Aig {
     /// can save.
     pub fn mffc(&self, root: NodeId, fanouts: &FanoutMap) -> Vec<NodeId> {
         self.mffc_with(root, fanouts, &mut MffcScratch::new())
+            .to_vec()
     }
 
     /// Like [`Aig::mffc`], but reuses a caller-held [`MffcScratch`] so the
-    /// per-call cost is proportional to the MFFC itself, not the graph.
-    /// Per-node loops (LAC generation visits every AND node) should hold
-    /// one scratch and reuse it; results are identical to [`Aig::mffc`].
-    pub fn mffc_with(
+    /// per-call cost is proportional to the MFFC itself, not the graph,
+    /// and lends the result out of the scratch, so a warm call allocates
+    /// nothing. Per-node loops (LAC generation and `refactor` visit every
+    /// AND node) should hold one scratch and reuse it; results are
+    /// identical to [`Aig::mffc`].
+    pub fn mffc_with<'s>(
         &self,
         root: NodeId,
         fanouts: &FanoutMap,
-        scratch: &mut MffcScratch,
-    ) -> Vec<NodeId> {
+        scratch: &'s mut MffcScratch,
+    ) -> &'s [NodeId] {
+        scratch.members.clear();
         if !self.node(root).is_and() {
-            return Vec::new();
+            return &scratch.members;
         }
         // Simulate dereferencing root: counts of nodes whose refs all come
         // from inside the dereferenced cone drop to zero. The scratch
         // tracks the decrements of this query only; base counts come from
         // the fanout map every time, so nothing can go stale.
         scratch.begin(self.num_nodes());
-        let mut mffc = Vec::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            mffc.push(id);
+        scratch.stack.push(root);
+        while let Some(id) = scratch.stack.pop() {
+            scratch.members.push(id);
             if let Node::And { f0, f1 } = *self.node(id) {
                 for fanin in [f0.node(), f1.node()] {
                     let remaining = scratch.decrement(fanin, fanouts.ref_count(fanin));
                     if remaining == 0 && self.node(fanin).is_and() {
-                        stack.push(fanin);
+                        scratch.stack.push(fanin);
                     }
                 }
             }
         }
-        mffc
+        &scratch.members
     }
 
     /// Returns the literal-level fanins of an AND node as an array, panicking

@@ -225,7 +225,8 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
                 &fanouts,
                 config.metric,
             )
-            .best_candidate(&lacs)
+            .ranked_candidates(&lacs)
+            .and_then(|ranked| ranked.into_iter().next())
         });
         let Some((best_idx, best_m)) = best else {
             break;

@@ -8,14 +8,8 @@
 //! new function disagrees with the current one, and each such lane flips
 //! exactly the outputs the influence masks say it flips.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use alsrac_aig::{Aig, FanoutMap, NodeId};
-use alsrac_metrics::{
-    base_diff_columns, base_distance_lanes, compare_flipped_error_rate,
-    compare_flipped_output_words, compare_output_words, ErrorMetric, Measurement,
-};
+use alsrac_aig::{Aig, FanoutMap};
+use alsrac_metrics::{ErrorMetric, FlipCompare, Measurement};
 use alsrac_rt::{pool, trace};
 use alsrac_sim::{
     FlipInfluence, InfluenceScratch, OutputIndex, OutputWords, PatternBuffer, Simulation,
@@ -32,33 +26,21 @@ use crate::lac::Lac;
 /// graph snapshot by the caller — every flow already has it in hand for
 /// LAC generation).
 ///
-/// Per-candidate comparisons are sparse: a candidate's outputs differ
-/// from the current circuit's only on the lanes where its flips reach an
-/// output, so the base mismatch columns are precomputed once per snapshot
-/// (`O(outputs × words)`) and each candidate rebuilds only the words its
-/// flips reach. [`ErrorMetric::ErrorRate`] never reads the distance
-/// metrics, so it takes the rate-only compare, and they come back as
-/// `None`. The distance metrics also precompute every lane's decoded
-/// terms, and each candidate decodes only the lanes it flips. Either way
-/// the result is bit-identical to a full compare.
+/// Candidates are scored by one [`FlipCompare`] of the current circuit's
+/// outputs, which charges each candidate only for the words its flips
+/// reach. It decodes distances only when the metric reads them
+/// ([`ErrorMetric::needs_distance`]); under [`ErrorMetric::ErrorRate`]
+/// they come back as `None`. Either way the result is bit-identical to a
+/// full compare of the applied candidate.
 pub struct Estimator<'a> {
     current: &'a Aig,
-    patterns: &'a PatternBuffer,
     fanouts: &'a FanoutMap,
     metric: ErrorMetric,
     sim: &'a Simulation,
-    original_outputs: &'a OutputWords,
-    current_outputs: OutputWords,
-    masks: Vec<u64>,
     /// Node → driven outputs, built once per snapshot so the influence
     /// pass can skip the per-candidate all-outputs scan.
     output_index: OutputIndex,
-    /// Per-word base mismatch columns + total error-lane count.
-    base_diff: (Vec<u64>, u64),
-    /// Per-lane base distance terms, present when `metric` reads the
-    /// distance metrics and the outputs decode to integers (at most 63);
-    /// otherwise candidates take the rate-only compare.
-    base_lanes: Option<Vec<(u64, u64, f64)>>,
+    compare: FlipCompare<'a>,
 }
 
 impl<'a> Estimator<'a> {
@@ -99,137 +81,70 @@ impl<'a> Estimator<'a> {
             patterns.num_words(),
             "pattern shape"
         );
-        let current_outputs = sim.output_words(current);
-        let masks = patterns.word_masks();
-        let base_diff = base_diff_columns(original_outputs, &current_outputs, &masks);
-        let base_lanes = (metric.needs_distance() && current.num_outputs() <= 63)
-            .then(|| base_distance_lanes(original_outputs, &current_outputs, &masks));
         Estimator {
             current,
-            patterns,
             fanouts,
             metric,
             sim,
-            original_outputs,
-            current_outputs,
-            masks,
             output_index: OutputIndex::new(current),
-            base_diff,
-            base_lanes,
+            compare: FlipCompare::new(
+                original_outputs,
+                sim.output_words(current),
+                patterns.word_masks(),
+                patterns.num_patterns(),
+                metric.needs_distance(),
+            ),
         }
     }
 
-    /// The error of the *current* circuit against the original (no LAC).
-    pub fn baseline(&self) -> Measurement {
-        compare_output_words(
-            self.original_outputs,
-            &self.current_outputs,
-            &self.masks,
-            self.patterns.num_patterns(),
-        )
-    }
-
-    /// Evaluates the cover of a LAC on the divisor simulation words.
+    /// The lanes where a LAC's cover disagrees with the signal it
+    /// replaces: exactly the lanes where the underlying node flips
+    /// (polarity cancels in the XOR).
     fn change_mask(&self, lac: &Lac) -> Vec<u64> {
-        let words = self.sim.num_words();
-        let mut new_value = vec![0u64; words];
-        sop_eval_words(&lac.cover, &lac.divisors, self.sim, &mut new_value);
-        // The cover reproduces the signal lac.node; lanes where it
-        // disagrees with that signal are exactly the lanes where the
-        // underlying node flips (polarity cancels in the XOR).
-        (0..words)
-            .map(|w| new_value[w] ^ self.sim.lit_word(lac.node, w))
-            .collect()
-    }
-
-    /// Estimates the error measurement of applying one LAC to the current
-    /// circuit, relative to the original circuit.
-    fn estimate(&self, lac: &Lac, influence: &FlipInfluence) -> Measurement {
-        debug_assert_eq!(
-            influence.node(),
-            lac.node.node(),
-            "influence/LAC node mismatch"
-        );
-        let change = self.change_mask(lac);
-        let (base_diff, base_error_lanes) = &self.base_diff;
-        match &self.base_lanes {
-            Some(base_lanes) => compare_flipped_output_words(
-                self.original_outputs,
-                &self.current_outputs,
-                influence,
-                &change,
-                &self.masks,
-                self.patterns.num_patterns(),
-                base_diff,
-                base_lanes,
-            ),
-            // Ranking by error rate, or by a distance metric that more
-            // than 63 outputs leave `None` either way.
-            None => compare_flipped_error_rate(
-                self.original_outputs,
-                &self.current_outputs,
-                influence,
-                &change,
-                &self.masks,
-                self.patterns.num_patterns(),
-                base_diff,
-                *base_error_lanes,
-            ),
+        let mut change = vec![0u64; self.sim.num_words()];
+        sop_eval_words(&lac.cover, &lac.divisors, self.sim, &mut change);
+        for (w, word) in change.iter_mut().enumerate() {
+            *word ^= self.sim.lit_word(lac.node, w);
         }
+        change
     }
 
-    /// Estimates all candidates, computing each node's influence once.
+    /// Estimates all candidates: the error of applying each one to the
+    /// current circuit, relative to the original. Returns the
+    /// per-candidate measurements, aligned with `lacs`.
     ///
-    /// Returns the per-candidate measurements, aligned with `lacs`.
-    ///
-    /// Both stages — one [`FlipInfluence`] per distinct candidate node,
-    /// then one [`Measurement`] per candidate — run on the
-    /// [`alsrac_rt::pool`] executor. Every work item is a pure function of
-    /// the shared read-only simulations, so the result is bit-identical to
-    /// the serial loop at any thread count.
+    /// One stage on the [`alsrac_rt::pool`] executor: each work item is a
+    /// run of adjacent candidates at one node (LAC generation and Su emit
+    /// candidates grouped by node). It computes that node's
+    /// [`FlipInfluence`] in its worker's scratch arena, scores the whole
+    /// run, and drops the influence, so at most one influence per worker
+    /// is alive. A node whose candidates are not adjacent gets its
+    /// influence computed once per run: still exact, only slower. Every
+    /// item is a pure function of the shared read-only simulations, so the
+    /// result is bit-identical to the serial loop at any thread count.
     pub fn estimate_all(&self, lacs: &[Lac]) -> Vec<Measurement> {
-        // Distinct candidate nodes in first-appearance order (LACs are
-        // grouped by node, so this also keeps the dispatch cache-friendly).
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut slot: HashMap<NodeId, usize> = HashMap::new();
-        for lac in lacs {
-            if let Entry::Vacant(e) = slot.entry(lac.node.node()) {
-                e.insert(nodes.len());
-                nodes.push(lac.node.node());
-            }
-        }
-        // Telemetry: every candidate beyond the first at a node reuses
-        // that node's influence — the cache hit the two-stage split buys.
+        let runs: Vec<&[Lac]> = lacs
+            .chunk_by(|a, b| a.node.node() == b.node.node())
+            .collect();
+        // Telemetry: every candidate beyond the first of a run reuses the
+        // run's influence.
         trace::add("lacs_scored", lacs.len() as u64);
-        trace::add("influences_computed", nodes.len() as u64);
-        trace::add("influence_cache_hits", (lacs.len() - nodes.len()) as u64);
-        // One scratch arena per worker: allocation-free propagation in
-        // steady state, and since each influence is a pure function of the
-        // shared simulation, placement by index keeps the result
-        // bit-identical at any thread count.
-        let influences = pool::par_map_init(&nodes, InfluenceScratch::new, |scratch, &node| {
-            FlipInfluence::compute(
+        trace::add("influences_computed", runs.len() as u64);
+        trace::add("influence_cache_hits", (lacs.len() - runs.len()) as u64);
+        let scored = pool::par_map_init(&runs, InfluenceScratch::new, |scratch, run| {
+            let influence = FlipInfluence::compute(
                 self.current,
                 self.sim,
                 self.fanouts,
                 &self.output_index,
-                node,
+                run[0].node.node(),
                 scratch,
-            )
+            );
+            run.iter()
+                .map(|lac| self.compare.flipped(&influence, &self.change_mask(lac)))
+                .collect::<Vec<_>>()
         });
-        pool::par_map(lacs, |lac| {
-            self.estimate(lac, &influences[slot[&lac.node.node()]])
-        })
-    }
-
-    /// Picks the index of the candidate with the smallest error under the
-    /// estimator's metric, tie-breaking by the largest estimated node gain.
-    ///
-    /// Returns `None` when `lacs` is empty or the metric is unavailable
-    /// (distance metric on a >63-output circuit).
-    pub fn best_candidate(&self, lacs: &[Lac]) -> Option<(usize, Measurement)> {
-        self.ranked_candidates(lacs)
-            .map(|ranked| ranked.into_iter().next())?
+        scored.into_iter().flatten().collect()
     }
 
     /// Ranks all candidates by (error under the estimator's metric, then
@@ -379,8 +294,21 @@ mod tests {
             &fanouts,
             ErrorMetric::ErrorRate,
         );
-        let baseline = estimator.baseline();
-        assert!(baseline.error_rate > 0.0);
+        // A LAC that rebuilds a node from its own fanins flips nothing, so
+        // its estimate is the current circuit's own error: the stuck carry
+        // is wrong on the 6 of 16 patterns where a + b >= 4.
+        let node = current.iter_ands().next().expect("has ands");
+        let unchanged = Lac {
+            node: node.lit(),
+            divisors: current.and_fanins(node).to_vec(),
+            cover: Sop::new(vec![alsrac_truthtable::Cube::TAUTOLOGY
+                .with_pos(0)
+                .with_pos(1)]),
+            est_cost: 1,
+            est_saved: 1,
+        };
+        let baseline = estimator.estimate_all(&[unchanged])[0];
+        assert_eq!(baseline.error_rate, 6.0 / 16.0);
     }
 
     #[test]
@@ -410,7 +338,10 @@ mod tests {
             &fanouts,
             ErrorMetric::ErrorRate,
         );
-        let (best_idx, best_m) = estimator.best_candidate(&lacs).expect("candidates exist");
+        let (best_idx, best_m) = estimator
+            .ranked_candidates(&lacs)
+            .and_then(|ranked| ranked.into_iter().next())
+            .expect("candidates exist");
         let all = estimator.estimate_all(&lacs);
         for m in &all {
             assert!(best_m.error_rate <= m.error_rate + 1e-12);

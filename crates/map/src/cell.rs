@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use alsrac_aig::{Aig, Node, NodeId, NodeSet};
+use alsrac_aig::{Aig, FxHasher, Node, NodeId, NodeSet};
 use alsrac_truthtable::{CutEvaluator, Tt};
 
 /// One library gate: a named function with area and pin-to-output delay.
@@ -33,8 +33,9 @@ pub struct Library {
     gates: Vec<Gate>,
     inv_area: f64,
     inv_delay: f64,
-    /// Cut function -> ways to realize it with one gate.
-    matches: HashMap<Tt, Vec<GateMatch>>,
+    /// Cut function, as (variable count, tail-masked word) -> ways to
+    /// realize it with one gate. Matching a cut builds no table.
+    matches: HashMap<(u8, u64), Vec<GateMatch>, FxHasher>,
 }
 
 impl Library {
@@ -43,7 +44,7 @@ impl Library {
     /// Every permutation and input-phase variant of every gate is indexed,
     /// so matching is a single hash lookup per cut function.
     pub fn new(gates: Vec<Gate>, inv_area: f64, inv_delay: f64) -> Library {
-        let mut matches: HashMap<Tt, Vec<GateMatch>> = HashMap::new();
+        let mut matches: HashMap<(u8, u64), Vec<GateMatch>, FxHasher> = HashMap::default();
         for (g, gate) in gates.iter().enumerate() {
             let m = gate.tt.nvars();
             for perm in permutations(m) {
@@ -56,7 +57,8 @@ impl Library {
                         }
                         gate.tt.get(pins)
                     });
-                    matches.entry(variant).or_default().push(GateMatch {
+                    let key = (m as u8, variant.to_bits());
+                    matches.entry(key).or_default().push(GateMatch {
                         gate: g,
                         pin_leaf: perm.clone(),
                         pin_neg: neg,
@@ -239,8 +241,11 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
                     let Some(bits) = eval.word(aig, id.lit(), &cut) else {
                         continue;
                     };
+                    // Both phases' words tail-masked, as `Tt::to_bits` keys
+                    // the library.
+                    let tail = u64::MAX >> (64 - (1 << cut.len()));
                     for (phase, bits) in [bits, !bits].into_iter().enumerate() {
-                        let key = Tt::from_bits(cut.len(), bits);
+                        let key = (cut.len() as u8, bits & tail);
                         let Some(candidates) = library.matches.get(&key) else {
                             continue;
                         };
@@ -292,7 +297,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
     }
 
     // Extract the cover.
-    let mut placed: HashMap<(usize, usize), ()> = HashMap::new();
+    let mut placed = vec![[false; 2]; num];
     let mut cells = Vec::new();
     let mut stack: Vec<(NodeId, usize)> = aig
         .outputs()
@@ -300,7 +305,7 @@ pub fn map_cells_with_mode(aig: &Aig, library: &Library, mode: MapMode) -> CellM
         .map(|o| (o.lit.node(), o.lit.is_complement() as usize))
         .collect();
     while let Some((id, phase)) = stack.pop() {
-        if placed.insert((id.index(), phase), ()).is_some() {
+        if std::mem::replace(&mut placed[id.index()][phase], true) {
             continue;
         }
         match choice[id.index()][phase] {
@@ -514,9 +519,12 @@ mod tests {
             let tt = Tt::from_fn(2, |p| {
                 ((p & 1 != 0) ^ (neg & 1 != 0)) && ((p & 2 != 0) ^ (neg & 2 != 0))
             });
-            assert!(lib.matches.contains_key(&tt), "missing (±a)&(±b) {neg}");
             assert!(
-                lib.matches.contains_key(&tt.not()),
+                lib.matches.contains_key(&(2, tt.to_bits())),
+                "missing (±a)&(±b) {neg}"
+            );
+            assert!(
+                lib.matches.contains_key(&(2, tt.not().to_bits())),
                 "missing complement {neg}"
             );
         }

@@ -15,12 +15,13 @@
 //! vector as an unsigned integer (LSB-first output order) and therefore
 //! require at most 63 outputs.
 //!
-//! Two evaluation layers are provided: [`compare_output_words`] works on
-//! already-simulated output words (the fast path used inside the synthesis
-//! flows, fed by `alsrac-sim`'s batch estimation), and [`measure`] /
-//! [`measure_auto`] simulate two circuits from scratch (the accuracy
-//! measurement used to report results, exhaustive when the input count
-//! permits).
+//! Three evaluation layers are provided: [`FlipCompare`] scores
+//! candidates that flip one node of a simulated circuit (the batch
+//! estimation inside the synthesis flows, fed by `alsrac-sim`'s flip
+//! influences), [`compare_output_words`] compares two sets of
+//! already-simulated output words, and [`measure`] / [`measure_auto`]
+//! simulate two circuits from scratch (the accuracy measurement used to
+//! report results, exhaustive when the input count permits).
 //!
 //! # Example
 //!
@@ -259,270 +260,188 @@ pub fn compare_output_words(
     count_output_words(exact, approx, masks, num_patterns).finalize(exact.num_outputs())
 }
 
-/// Precomputes the per-word union of output differences between `exact`
-/// and `base`: `diff[w] = OR over outputs of (exact[po][w] ^ base[po][w])`,
-/// plus the total masked mismatch-lane count. One `O(outputs × words)`
-/// sweep, done once per circuit snapshot so
-/// [`compare_flipped_error_rate`] and [`compare_flipped_output_words`] can
-/// charge each candidate only for the words it actually changes.
-pub fn base_diff_columns(
-    exact: &OutputWords,
-    base: &OutputWords,
-    masks: &[u64],
-) -> (Vec<u64>, u64) {
-    assert_eq!(
-        exact.num_outputs(),
-        base.num_outputs(),
-        "output count mismatch"
-    );
-    let num_outputs = exact.num_outputs();
-    let mut columns = vec![0u64; masks.len()];
-    let mut error_lanes = 0u64;
-    for (w, (slot, &word_mask)) in columns.iter_mut().zip(masks).enumerate() {
-        let mut diff = 0u64;
-        for po in 0..num_outputs {
-            diff |= exact.word(po, w) ^ base.word(po, w);
-        }
-        *slot = diff;
-        error_lanes += (diff & word_mask).count_ones() as u64;
-    }
-    (columns, error_lanes)
-}
-
-/// Error-rate-only comparison of a *virtually flipped* candidate against
-/// the exact outputs, in time proportional to the words the flip actually
-/// touches rather than `outputs × words`.
+/// Scores *virtually flipped* candidates of one circuit snapshot against
+/// the exact outputs: the batch-estimation compare (§III-C).
 ///
-/// `(base_diff, base_error_lanes)` must come from
-/// [`base_diff_columns`]`(exact, base, masks)`. A candidate's outputs
-/// differ from `base` only on words where some influence row intersects
-/// `change`; on every other word the mismatch column — and hence its lane
-/// count — is exactly the precomputed base one. The error count is
-/// adjusted per dirty word with integer arithmetic, so `error_rate` is
-/// **bit-identical** to the materialize-then-compare result
-/// (`compare_output_words(exact, &influence.apply(base, change), ..)`).
-/// Distance metrics are reported as
-/// `None`; use this only when ranking by [`ErrorMetric::ErrorRate`]
-/// (which never reads them — see [`ErrorMetric::needs_distance`]).
+/// A candidate's outputs are `base[po] ^ (influence[po] & change)` (see
+/// [`FlipInfluence::apply`]), so they differ from `base` only on the lanes
+/// of `any_mask & change`. [`FlipCompare::new`] sweeps `base` once; then
+/// [`FlipCompare::flipped`] charges each candidate only for the words its
+/// flips reach. A word without a flipped lane keeps its base mismatch
+/// column; a flipped word rebuilds its column and adjusts the error-lane
+/// count with integer arithmetic, so `error_rate` is exact.
 ///
-/// # Panics
-///
-/// Panics if the output counts or word shapes disagree.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_flipped_error_rate(
-    exact: &OutputWords,
-    base: &OutputWords,
-    influence: &FlipInfluence,
-    change: &[u64],
-    masks: &[u64],
+/// With `decode` set and at most 63 outputs, the snapshot also stores each
+/// lane's `(y, ed, ed / max(y, 1))` and every candidate decodes only the
+/// lanes it flips. Lanes are summed in word-ascending, then lane-ascending
+/// order, so NMED, MRED and the maximum are bit-identical to
+/// `compare_output_words(exact, &influence.apply(base, change), ..)`.
+/// Otherwise the distance metrics read `None`: [`ErrorMetric::ErrorRate`]
+/// never needs them (see [`ErrorMetric::needs_distance`]), and more than
+/// 63 outputs do not decode to integers.
+#[derive(Debug)]
+pub struct FlipCompare<'a> {
+    exact: &'a OutputWords,
+    base: OutputWords,
+    masks: Vec<u64>,
     num_patterns: usize,
-    base_diff: &[u64],
+    /// Per-word mismatch column of `base` against `exact`, before masking.
+    base_diff: Vec<u64>,
+    /// Masked mismatch lanes of `base`.
     base_error_lanes: u64,
-) -> Measurement {
-    assert_eq!(
-        exact.num_outputs(),
-        base.num_outputs(),
-        "output count mismatch"
-    );
-    assert_eq!(
-        base.num_outputs(),
-        influence.num_outputs(),
-        "output count mismatch"
-    );
-    assert_eq!(base_diff.len(), masks.len(), "word shape mismatch");
-    if num_patterns == 0 {
-        return Measurement {
-            num_patterns: 0,
-            error_rate: 0.0,
-            nmed: None,
-            mred: None,
-            max_error_distance: None,
-        };
-    }
-    let num_outputs = exact.num_outputs();
-    let touched = influence.touched();
-    let any = influence.any_mask();
-    let mut error_lanes = base_error_lanes;
-    for (w, &word_mask) in masks.iter().enumerate() {
-        let cw = change[w];
-        if any[w] & cw == 0 {
-            continue; // no output flips in this word: base column stands
-        }
-        // Rebuild this word's mismatch column with the flips applied
-        // (rising-cursor merge over the sparse ascending touched set).
-        let mut cursor = 0usize;
-        let mut diff = 0u64;
-        for po in 0..num_outputs {
-            let mut a = base.word(po, w);
-            if touched.get(cursor).is_some_and(|&t| t as usize == po) {
-                a ^= influence.row(cursor)[w] & cw;
-                cursor += 1;
-            }
-            diff |= exact.word(po, w) ^ a;
-        }
-        error_lanes -= (base_diff[w] & word_mask).count_ones() as u64;
-        error_lanes += (diff & word_mask).count_ones() as u64;
-    }
-    Measurement {
-        num_patterns,
-        error_rate: error_lanes as f64 / num_patterns as f64,
-        nmed: None,
-        mred: None,
-        max_error_distance: None,
-    }
+    /// `(y, ed, ed / max(y, 1))` of `base` at entry `64 * w + lane`, when
+    /// decoding; lanes outside `masks` hold zeros.
+    lanes: Option<Vec<(u64, u64, f64)>>,
 }
 
-/// The base circuit's distance terms per pattern lane: entry `64 * w + l`
-/// holds, for lane `l` of word `w`, the exact output value `y`, the error
-/// distance `ed = |y - base|` and `ed / max(y, 1)`, decoded once per
-/// circuit snapshot so [`compare_flipped_output_words`] decodes only the
-/// lanes a candidate flips. Lanes outside `masks` hold zeros.
-///
-/// # Panics
-///
-/// Panics if the output counts disagree or there are more than 63 outputs
-/// (the outputs must decode to one integer).
-pub fn base_distance_lanes(
-    exact: &OutputWords,
-    base: &OutputWords,
-    masks: &[u64],
-) -> Vec<(u64, u64, f64)> {
-    assert_eq!(
-        exact.num_outputs(),
-        base.num_outputs(),
-        "output count mismatch"
-    );
-    assert!(
-        exact.num_outputs() <= 63,
-        "outputs do not decode to integers"
-    );
-    let mut lanes = vec![(0, 0, 0.0); masks.len() * 64];
-    for (w, &word_mask) in masks.iter().enumerate() {
-        let mut mask = word_mask;
-        while mask != 0 {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let mut y = 0u64;
-            let mut yh = 0u64;
-            for po in 0..exact.num_outputs() {
-                y |= (exact.word(po, w) >> lane & 1) << po;
-                yh |= (base.word(po, w) >> lane & 1) << po;
-            }
-            let ed = y.abs_diff(yh);
-            lanes[64 * w + lane] = (y, ed, ed as f64 / (y.max(1)) as f64);
-        }
-    }
-    lanes
-}
-
-/// Compares an exact circuit's output words against a *virtually flipped*
-/// approximate circuit with every metric, decoding only the lanes the flip
-/// changes: the candidate outputs are `base[po] ^ (influence[po] & change)`
-/// (see [`FlipInfluence::apply`]), which differ from `base` only on the
-/// lanes of `any_mask & change`.
-///
-/// `(base_diff, _)` must come from [`base_diff_columns`]`(exact, base,
-/// masks)` and `base_lanes` from [`base_distance_lanes`] with the same
-/// arguments. Words without a flipped lane take their mismatch count from
-/// `base_diff`; the others rebuild their output column. Every valid lane
-/// adds its distance terms in word-ascending, lane-ascending order: a
-/// flipped lane decodes the candidate's value, any other lane adds its
-/// stored base terms. So the result, floating-point sums included, is
-/// bit-identical to `compare_output_words(exact, &influence.apply(base,
-/// change), ..)` (pinned by the tests).
-///
-/// # Panics
-///
-/// Panics if the output counts or word shapes disagree, or if there are
-/// more than 63 outputs.
-#[allow(clippy::too_many_arguments)]
-pub fn compare_flipped_output_words(
-    exact: &OutputWords,
-    base: &OutputWords,
-    influence: &FlipInfluence,
-    change: &[u64],
-    masks: &[u64],
-    num_patterns: usize,
-    base_diff: &[u64],
-    base_lanes: &[(u64, u64, f64)],
-) -> Measurement {
-    assert_eq!(
-        exact.num_outputs(),
-        base.num_outputs(),
-        "output count mismatch"
-    );
-    assert_eq!(
-        base.num_outputs(),
-        influence.num_outputs(),
-        "output count mismatch"
-    );
-    assert_eq!(base_diff.len(), masks.len(), "word shape mismatch");
-    assert_eq!(base_lanes.len(), masks.len() * 64, "word shape mismatch");
-    if num_patterns == 0 {
-        return Measurement {
-            num_patterns: 0,
-            error_rate: 0.0,
-            nmed: Some(0.0),
-            mred: Some(0.0),
-            max_error_distance: Some(0),
-        };
-    }
-    let num_outputs = exact.num_outputs();
-    let touched = influence.touched();
-    let any = influence.any_mask();
-    // One column of candidate output words, rebuilt per flipped word.
-    let mut approx_col = vec![0u64; num_outputs];
-    let mut error_lanes = 0u64;
-    let mut sum_ed = 0.0f64;
-    let mut sum_red = 0.0f64;
-    let mut max_ed = 0u64;
-    for (w, &word_mask) in masks.iter().enumerate() {
-        let cw = change[w];
-        let flipped = any[w] & cw & word_mask;
-        if flipped == 0 {
-            error_lanes += (base_diff[w] & word_mask).count_ones() as u64;
-        } else {
-            // Influence rows are sparse and ascending by output index:
-            // merge against them with one rising cursor. Untouched outputs
-            // pass the base value through.
-            let mut cursor = 0usize;
+impl<'a> FlipCompare<'a> {
+    /// Prepares the compare of candidates of `base` against `exact`.
+    ///
+    /// `masks[w]` selects the valid lanes of word `w` (see
+    /// [`PatternBuffer::word_masks`]) and `num_patterns` counts them.
+    /// `decode` asks for the distance metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output counts or word shapes disagree.
+    pub fn new(
+        exact: &'a OutputWords,
+        base: OutputWords,
+        masks: Vec<u64>,
+        num_patterns: usize,
+        decode: bool,
+    ) -> FlipCompare<'a> {
+        let num_outputs = exact.num_outputs();
+        assert_eq!(num_outputs, base.num_outputs(), "output count mismatch");
+        assert_eq!(exact.num_words(), masks.len(), "word shape mismatch");
+        assert_eq!(base.num_words(), masks.len(), "word shape mismatch");
+        let mut base_diff = vec![0u64; masks.len()];
+        let mut base_error_lanes = 0u64;
+        let mut lanes = (decode && num_outputs <= 63).then(|| vec![(0, 0, 0.0); masks.len() * 64]);
+        for (w, &word_mask) in masks.iter().enumerate() {
             let mut diff = 0u64;
-            for (po, slot) in approx_col.iter_mut().enumerate() {
-                let mut a = base.word(po, w);
-                if touched.get(cursor).is_some_and(|&t| t as usize == po) {
-                    a ^= influence.row(cursor)[w] & cw;
-                    cursor += 1;
-                }
-                diff |= exact.word(po, w) ^ a;
-                *slot = a;
+            for po in 0..num_outputs {
+                diff |= exact.word(po, w) ^ base.word(po, w);
             }
-            error_lanes += (diff & word_mask).count_ones() as u64;
+            base_diff[w] = diff;
+            base_error_lanes += (diff & word_mask).count_ones() as u64;
+            let Some(lanes) = &mut lanes else {
+                continue;
+            };
+            let mut mask = word_mask;
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let y = decode_lane(lane, (0..num_outputs).map(|po| exact.word(po, w)));
+                let ed = y.abs_diff(decode_lane(
+                    lane,
+                    (0..num_outputs).map(|po| base.word(po, w)),
+                ));
+                lanes[64 * w + lane] = (y, ed, ed as f64 / (y.max(1)) as f64);
+            }
         }
-        let lanes = &base_lanes[64 * w..64 * w + 64];
-        let mut mask = word_mask;
-        while mask != 0 {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let (y, mut ed, mut red) = lanes[lane];
-            if flipped >> lane & 1 != 0 {
-                let mut yh = 0u64;
-                for (po, &col) in approx_col.iter().enumerate() {
-                    yh |= (col >> lane & 1) << po;
-                }
-                ed = y.abs_diff(yh);
-                red = ed as f64 / (y.max(1)) as f64;
-            }
-            max_ed = max_ed.max(ed);
-            sum_ed += ed as f64;
-            sum_red += red;
+        FlipCompare {
+            exact,
+            base,
+            masks,
+            num_patterns,
+            base_diff,
+            base_error_lanes,
+            lanes,
         }
     }
-    PartialCounts {
-        patterns: num_patterns,
-        error_lanes,
-        distance: Some((sum_ed, sum_red, max_ed)),
+
+    /// The measurement of the candidate that flips the influence's node on
+    /// the lanes of `change`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the influence's output count or `change`'s word count
+    /// disagrees with the snapshot.
+    pub fn flipped(&self, influence: &FlipInfluence, change: &[u64]) -> Measurement {
+        let num_outputs = self.base.num_outputs();
+        assert_eq!(
+            influence.num_outputs(),
+            num_outputs,
+            "output count mismatch"
+        );
+        assert_eq!(change.len(), self.masks.len(), "word shape mismatch");
+        if self.num_patterns == 0 {
+            let decoded = self.lanes.is_some();
+            return Measurement {
+                num_patterns: 0,
+                error_rate: 0.0,
+                nmed: decoded.then_some(0.0),
+                mred: decoded.then_some(0.0),
+                max_error_distance: decoded.then_some(0),
+            };
+        }
+        let touched = influence.touched();
+        let any = influence.any_mask();
+        // The candidate's output column of the word being rebuilt; decoding
+        // reads it, and decoding means at most 63 outputs.
+        let mut column = [0u64; 63];
+        let mut error_lanes = self.base_error_lanes;
+        let mut distance = self.lanes.as_ref().map(|_| (0.0f64, 0.0f64, 0u64));
+        for (w, &word_mask) in self.masks.iter().enumerate() {
+            let cw = change[w];
+            let flipped = any[w] & cw & word_mask;
+            if flipped != 0 {
+                // Influence rows are sparse and ascending by output index:
+                // merge against them with one rising cursor. Untouched
+                // outputs pass the base value through.
+                let mut cursor = 0usize;
+                let mut diff = 0u64;
+                for po in 0..num_outputs {
+                    let mut a = self.base.word(po, w);
+                    if touched.get(cursor).is_some_and(|&t| t as usize == po) {
+                        a ^= influence.row(cursor)[w] & cw;
+                        cursor += 1;
+                    }
+                    diff |= self.exact.word(po, w) ^ a;
+                    if let Some(slot) = column.get_mut(po) {
+                        *slot = a;
+                    }
+                }
+                error_lanes -= (self.base_diff[w] & word_mask).count_ones() as u64;
+                error_lanes += (diff & word_mask).count_ones() as u64;
+            }
+            let (Some(lanes), Some((sum_ed, sum_red, max_ed))) = (&self.lanes, &mut distance)
+            else {
+                continue;
+            };
+            let lanes = &lanes[64 * w..64 * w + 64];
+            let candidate = &column[..num_outputs];
+            let mut mask = word_mask;
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (y, mut ed, mut red) = lanes[lane];
+                if flipped >> lane & 1 != 0 {
+                    ed = y.abs_diff(decode_lane(lane, candidate.iter().copied()));
+                    red = ed as f64 / (y.max(1)) as f64;
+                }
+                *max_ed = (*max_ed).max(ed);
+                *sum_ed += ed as f64;
+                *sum_red += red;
+            }
+        }
+        PartialCounts {
+            patterns: self.num_patterns,
+            error_lanes,
+            distance,
+        }
+        .finalize(num_outputs)
     }
-    .finalize(num_outputs)
+}
+
+/// The integer whose bit `po` is bit `lane` of the `po`-th of `words`
+/// (LSB-first output order).
+#[inline]
+fn decode_lane(lane: usize, words: impl Iterator<Item = u64>) -> u64 {
+    words
+        .enumerate()
+        .fold(0, |value, (po, word)| value | (word >> lane & 1) << po)
 }
 
 /// Raw error counts of one comparison (or one pattern block of a blocked
@@ -950,79 +869,79 @@ mod tests {
         assert_eq!(ErrorMetric::Mred.to_string(), "MRED");
     }
 
+    /// Asserts that `got` equals `want` bit for bit: the error rate
+    /// always, the distance metrics when `decode`, and `None` otherwise.
+    fn assert_same(want: &Measurement, got: &Measurement, decode: bool, what: &str) {
+        assert_eq!(want.num_patterns, got.num_patterns, "{what}");
+        assert_eq!(
+            want.error_rate.to_bits(),
+            got.error_rate.to_bits(),
+            "{what}"
+        );
+        if decode {
+            assert_eq!(
+                want.nmed.map(f64::to_bits),
+                got.nmed.map(f64::to_bits),
+                "{what}"
+            );
+            assert_eq!(
+                want.mred.map(f64::to_bits),
+                got.mred.map(f64::to_bits),
+                "{what}"
+            );
+            assert_eq!(want.max_error_distance, got.max_error_distance, "{what}");
+        } else {
+            assert_eq!(got.nmed, None, "{what}");
+            assert_eq!(got.mred, None, "{what}");
+            assert_eq!(got.max_error_distance, None, "{what}");
+        }
+    }
+
     #[test]
     fn fused_compare_matches_apply_then_compare() {
-        // The fused single-pass comparison must reproduce the two-pass
-        // apply() + compare_output_words() result bit-for-bit, including
-        // the floating-point distance sums, for every node's influence and
-        // random change masks (ragged final word included).
+        // The flipped compare must reproduce apply() + compare_output_words()
+        // bit for bit, including the floating-point distance sums when
+        // decoding, for every node's influence and random change masks
+        // (ragged final word included).
         let exact_aig = alsrac_circuits::arith::ripple_carry_adder(3);
         let patterns = PatternBuffer::random(6, 200, 17);
         let sim = Simulation::new(&exact_aig, &patterns);
         let fanouts = exact_aig.fanout_map();
         let exact_out = sim.output_words(&exact_aig);
         let masks = patterns.word_masks();
-        let mut rng = alsrac_rt::Rng::from_seed(23);
-        for node in exact_aig.iter_ands() {
-            let inf = influence(&exact_aig, &sim, &fanouts, node);
-            let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
-            let applied = inf.apply(&exact_out, &change);
-            let want = compare_output_words(&exact_out, &applied, &masks, patterns.num_patterns());
-            let (base_diff, base_lanes) = base_diff_columns(&exact_out, &exact_out, &masks);
-            let got = compare_flipped_output_words(
-                &exact_out,
-                &exact_out,
-                &inf,
-                &change,
-                &masks,
-                patterns.num_patterns(),
-                &base_diff,
-                &base_distance_lanes(&exact_out, &exact_out, &masks),
-            );
-            assert_eq!(want.num_patterns, got.num_patterns, "node {node}");
-            assert_eq!(
-                want.error_rate.to_bits(),
-                got.error_rate.to_bits(),
-                "node {node}"
-            );
-            assert_eq!(want.nmed.map(f64::to_bits), got.nmed.map(f64::to_bits));
-            assert_eq!(want.mred.map(f64::to_bits), got.mred.map(f64::to_bits));
-            assert_eq!(want.max_error_distance, got.max_error_distance);
-
-            // Sparse rate-only path: identical error_rate bits via the
-            // precomputed base columns + dirty-word adjustment.
-            let rate_only = compare_flipped_error_rate(
-                &exact_out,
-                &exact_out,
-                &inf,
-                &change,
-                &masks,
-                patterns.num_patterns(),
-                &base_diff,
-                base_lanes,
-            );
-            assert_eq!(
-                rate_only.error_rate.to_bits(),
-                want.error_rate.to_bits(),
-                "node {node}"
-            );
-            assert_eq!(rate_only.nmed, None, "node {node}");
-            assert_eq!(rate_only.max_error_distance, None, "node {node}");
+        let n = patterns.num_patterns();
+        for decode in [false, true] {
+            let compare = FlipCompare::new(&exact_out, exact_out.clone(), masks.clone(), n, decode);
+            let mut rng = alsrac_rt::Rng::from_seed(23);
+            for node in exact_aig.iter_ands() {
+                let inf = influence(&exact_aig, &sim, &fanouts, node);
+                let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
+                let want =
+                    compare_output_words(&exact_out, &inf.apply(&exact_out, &change), &masks, n);
+                let got = compare.flipped(&inf, &change);
+                assert_same(
+                    &want,
+                    &got,
+                    decode,
+                    &format!("node {node}, decode {decode}"),
+                );
+            }
         }
     }
 
     #[test]
     fn sparse_compares_against_shifted_base() {
-        // Exercise both flipped compares with a base that already
-        // disagrees with the exact outputs (mid-flow snapshot shape), so
-        // base_error_lanes is nonzero and the dirty-word adjustment has to
-        // subtract real counts.
+        // A base that already disagrees with the exact outputs (mid-flow
+        // snapshot shape), so the base error-lane count is nonzero and the
+        // dirty-word adjustment has to subtract real counts, and the
+        // unflipped lanes add nonzero stored distance terms.
         let exact_aig = alsrac_circuits::arith::ripple_carry_adder(3);
         let patterns = PatternBuffer::random(6, 200, 31);
         let sim = Simulation::new(&exact_aig, &patterns);
         let fanouts = exact_aig.fanout_map();
         let exact_out = sim.output_words(&exact_aig);
         let masks = patterns.word_masks();
+        let n = patterns.num_patterns();
         // Perturb a copy of the outputs to act as the approximate base.
         let mut base_rows: Vec<Vec<u64>> = (0..exact_out.num_outputs())
             .map(|po| {
@@ -1034,69 +953,36 @@ mod tests {
         base_rows[0][0] ^= 0b1011;
         base_rows[2][1] ^= 0xF0;
         let base = OutputWords::from_rows(&base_rows);
-        let (base_diff, base_lanes) = base_diff_columns(&exact_out, &base, &masks);
-        let distance_lanes = base_distance_lanes(&exact_out, &base, &masks);
-        let mut rng = alsrac_rt::Rng::from_seed(47);
-        for node in exact_aig.iter_ands() {
-            let inf = influence(&exact_aig, &sim, &fanouts, node);
-            // Sparse change masks too, so most lanes keep their base terms.
-            let change: Vec<u64> = (0..sim.num_words())
-                .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
-                .collect();
-            let want = compare_output_words(
-                &exact_out,
-                &inf.apply(&base, &change),
-                &masks,
-                patterns.num_patterns(),
+        let first = exact_aig.iter_ands().next().expect("has ands");
+        for decode in [false, true] {
+            let compare = FlipCompare::new(&exact_out, base.clone(), masks.clone(), n, decode);
+            let mut rng = alsrac_rt::Rng::from_seed(47);
+            for node in exact_aig.iter_ands() {
+                let inf = influence(&exact_aig, &sim, &fanouts, node);
+                // Sparse change masks too, so most lanes keep their base terms.
+                let change: Vec<u64> = (0..sim.num_words())
+                    .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
+                    .collect();
+                let want = compare_output_words(&exact_out, &inf.apply(&base, &change), &masks, n);
+                let got = compare.flipped(&inf, &change);
+                assert_same(
+                    &want,
+                    &got,
+                    decode,
+                    &format!("node {node}, decode {decode}"),
+                );
+            }
+            // Empty change mask: nothing dirty, base counts pass through.
+            let inf = influence(&exact_aig, &sim, &fanouts, first);
+            let got = compare.flipped(&inf, &vec![0u64; sim.num_words()]);
+            let want = compare_output_words(&exact_out, &base, &masks, n);
+            assert_same(
+                &want,
+                &got,
+                decode,
+                &format!("empty change, decode {decode}"),
             );
-            let got = compare_flipped_error_rate(
-                &exact_out,
-                &base,
-                &inf,
-                &change,
-                &masks,
-                patterns.num_patterns(),
-                &base_diff,
-                base_lanes,
-            );
-            assert_eq!(
-                want.error_rate.to_bits(),
-                got.error_rate.to_bits(),
-                "node {node}"
-            );
-            // The distance compare adds the stored terms of the unflipped
-            // lanes, which are nonzero here.
-            let got = compare_flipped_output_words(
-                &exact_out,
-                &base,
-                &inf,
-                &change,
-                &masks,
-                patterns.num_patterns(),
-                &base_diff,
-                &distance_lanes,
-            );
-            assert_eq!(want.error_rate.to_bits(), got.error_rate.to_bits());
-            assert_eq!(want.nmed.map(f64::to_bits), got.nmed.map(f64::to_bits));
-            assert_eq!(want.mred.map(f64::to_bits), got.mred.map(f64::to_bits));
-            assert_eq!(want.max_error_distance, got.max_error_distance);
         }
-        // Empty change mask: nothing dirty, base counts pass through.
-        let node = exact_aig.iter_ands().next().expect("has ands");
-        let inf = influence(&exact_aig, &sim, &fanouts, node);
-        let zeros = vec![0u64; sim.num_words()];
-        let got = compare_flipped_error_rate(
-            &exact_out,
-            &base,
-            &inf,
-            &zeros,
-            &masks,
-            patterns.num_patterns(),
-            &base_diff,
-            base_lanes,
-        );
-        let want = compare_output_words(&exact_out, &base, &masks, patterns.num_patterns());
-        assert_eq!(want.error_rate.to_bits(), got.error_rate.to_bits());
     }
 
     #[test]
@@ -1108,11 +994,51 @@ mod tests {
         let node = exact_aig.iter_ands().next().expect("has ands");
         let inf = influence(&exact_aig, &sim, &fanouts, node);
         let out = sim.output_words(&exact_aig);
-        let lanes = base_distance_lanes(&out, &out, &[0]);
-        let m = compare_flipped_output_words(&out, &out, &inf, &[0], &[0], 0, &[0], &lanes);
-        assert_eq!(m.num_patterns, 0);
-        assert_eq!(m.error_rate, 0.0);
-        assert_eq!(m.nmed, Some(0.0));
+        for decode in [false, true] {
+            let m = FlipCompare::new(&out, out.clone(), vec![0], 0, decode).flipped(&inf, &[0]);
+            assert_eq!(m.num_patterns, 0);
+            assert_eq!(m.error_rate, 0.0);
+            assert_eq!(m.nmed, decode.then_some(0.0));
+            assert_eq!(m.max_error_distance, decode.then_some(0));
+        }
+    }
+
+    #[test]
+    fn flipped_compare_past_63_outputs_skips_the_decode() {
+        // 70 outputs do not decode to one integer: a decode request still
+        // scores the exact error rate and leaves the distances `None`, as
+        // compare_output_words does.
+        let mut aig = Aig::new("wide");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
+        let ab = aig.and(a, b);
+        let abc = aig.and(ab, !c);
+        for i in 0..70 {
+            let lit = match i % 3 {
+                0 => ab,
+                1 => !abc,
+                _ => c,
+            };
+            aig.add_output(format!("y{i}"), lit);
+        }
+        let patterns = PatternBuffer::random(3, 100, 5);
+        let sim = Simulation::new(&aig, &patterns);
+        let fanouts = aig.fanout_map();
+        let out = sim.output_words(&aig);
+        let masks = patterns.word_masks();
+        let n = patterns.num_patterns();
+        let compare = FlipCompare::new(&out, out.clone(), masks.clone(), n, true);
+        let mut rng = alsrac_rt::Rng::from_seed(3);
+        for node in aig.iter_ands() {
+            let inf = influence(&aig, &sim, &fanouts, node);
+            let change: Vec<u64> = (0..sim.num_words()).map(|_| rng.next_u64()).collect();
+            let want = compare_output_words(&out, &inf.apply(&out, &change), &masks, n);
+            assert!(want.error_rate > 0.0, "node {node} must flip some output");
+            assert_eq!(want.nmed, None);
+            let got = compare.flipped(&inf, &change);
+            assert_same(&want, &got, false, &format!("node {node}"));
+        }
     }
 
     #[test]

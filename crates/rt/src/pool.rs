@@ -107,42 +107,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// Runs inline when the effective worker count is 1, when `n < 2`, or when
 /// called from inside another pool primitive.
 pub fn par_indices<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-    let threads = current_threads().min(n);
-    if threads <= 1 || IN_POOL.with(|p| p.get()) {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                IN_POOL.with(|p| p.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // The receiver outlives the scope; a send can only fail
-                    // after a sibling worker panicked, and then the scope
-                    // itself propagates that panic.
-                    let _ = tx.send((i, f(i)));
-                }
-            });
-        }
-        drop(tx);
-        for (i, value) in rx {
-            slots[i] = Some(value);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|v| v.expect("every index was dispatched exactly once"))
-        .collect()
+    par_indices_init(n, || (), |(), i| f(i))
 }
 
 /// Maps `f` over a slice in parallel, preserving input order.
@@ -150,7 +115,7 @@ pub fn par_indices<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
 /// Equivalent to `items.iter().map(f).collect()` for pure `f`, at any
 /// thread count.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    par_indices(items.len(), |i| f(&items[i]))
+    par_indices_init(items.len(), || (), |(), i| f(&items[i]))
 }
 
 /// Like [`par_indices`], with a per-worker scratch state.
@@ -190,8 +155,9 @@ pub fn par_indices_init<S, U: Send>(
                     if i >= n {
                         break;
                     }
-                    // See par_indices: a failed send means a sibling
-                    // panicked and the scope re-raises.
+                    // The receiver outlives the scope; a send can only fail
+                    // after a sibling worker panicked, and then the scope
+                    // itself propagates that panic.
                     let _ = tx.send((i, f(&mut scratch, i)));
                 }
             });

@@ -23,6 +23,8 @@
 //! touched outputs *during* propagation via an [`OutputIndex`] instead of
 //! re-scanning every primary output per candidate.
 
+use std::borrow::Cow;
+
 use alsrac_aig::{Aig, FanoutMap, Node, NodeId};
 
 use crate::{kernel, OutputWords, Simulation};
@@ -312,8 +314,6 @@ pub struct FlipInfluence {
     /// Flattened `touched.len() × words` rows, parallel to `touched`: bit
     /// set iff flipping the node flips that output in that lane.
     rows: Vec<u64>,
-    /// All-zero row lent out for untouched outputs.
-    zeros: Vec<u64>,
     /// Union of the rows over all outputs.
     any: Vec<u64>,
 }
@@ -367,7 +367,6 @@ impl FlipInfluence {
             num_outputs: aig.num_outputs(),
             touched: dirty_pos,
             rows,
-            zeros: vec![0u64; num_words],
             any,
         }
     }
@@ -377,13 +376,13 @@ impl FlipInfluence {
         self.node
     }
 
-    /// Influence mask of output `po` (`[w]` indexed). Outputs the flip
-    /// never reached share one all-zero row.
-    pub fn po_mask(&self, po: usize) -> &[u64] {
+    /// Influence mask of output `po` (`[w]` indexed). An output the flip
+    /// never reached has no stored row and gets a fresh all-zero mask.
+    pub fn po_mask(&self, po: usize) -> Cow<'_, [u64]> {
         assert!(po < self.num_outputs, "output index out of range");
         match self.touched.binary_search(&(po as u32)) {
-            Ok(slot) => &self.rows[slot * self.num_words..(slot + 1) * self.num_words],
-            Err(_) => &self.zeros,
+            Ok(slot) => Cow::Borrowed(self.row(slot)),
+            Err(_) => Cow::Owned(vec![0; self.num_words]),
         }
     }
 
@@ -535,7 +534,7 @@ mod tests {
                 .collect();
             assert_eq!(inf.touched(), reached.as_slice(), "node {id}");
             for (slot, &po) in inf.touched().iter().enumerate() {
-                assert_eq!(inf.row(slot), inf.po_mask(po as usize), "node {id}");
+                assert_eq!(inf.po_mask(po as usize), inf.row(slot), "node {id}");
             }
         }
     }

@@ -61,11 +61,11 @@ impl Optimizer {
                 continue;
             }
             // Leaves: fanins of MFFC members that are not themselves members.
-            for &n in &mffc {
+            for &n in mffc {
                 in_mffc[n.index()] = stamp;
             }
             leaves.clear();
-            for &n in &mffc {
+            for &n in mffc {
                 if let Node::And { f0, f1 } = *aig.node(n) {
                     for fanin in [f0.node(), f1.node()] {
                         if in_mffc[fanin.index()] != stamp
@@ -87,7 +87,7 @@ impl Optimizer {
             let recipe = self.recipe(&tt);
             let gain = mffc.len() as isize - recipe.cost as isize;
             if gain > 0 || (config.zero_gain && gain == 0) {
-                for &n in &mffc {
+                for &n in mffc {
                     claimed[n.index()] = true;
                 }
                 pending.push((
