@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the performance-critical kernels: bit-parallel
 //! simulation, ISOP computation, cut enumeration, care-set harvesting,
-//! flip-influence / batch error estimation, the traditional optimizer, and
-//! both technology mappers.
+//! flip influence on all lanes and on a candidate's change lanes, LAC
+//! generation, batch error estimation, the traditional optimizer, and both
+//! technology mappers.
 //!
 //! Runs on the `alsrac-rt` timer: `cargo bench -p alsrac-bench` takes full
 //! timed samples; any other invocation (e.g. `cargo test`, which executes
@@ -11,7 +12,8 @@ use std::hint::black_box;
 
 use alsrac::care::ApproximateCareSet;
 use alsrac::estimate::Estimator;
-use alsrac::lac::{generate_lacs, LacConfig};
+use alsrac::lac::{generate_lacs, generate_lacs_with, LacConfig};
+use alsrac::window::WindowConfig;
 use alsrac_circuits::arith;
 use alsrac_map::cell::{map_cells, Library};
 use alsrac_map::lut::map_luts;
@@ -66,15 +68,58 @@ fn bench_influence(runner: &mut Runner) {
     let fanouts = aig.fanout_map();
     let outputs = OutputIndex::new(&aig);
     let mut scratch = InfluenceScratch::new();
-    let node = aig.iter_ands().nth(10).expect("ands");
-    runner.bench("flip influence mtp6 x 2048 patterns", || {
-        black_box(FlipInfluence::compute(
+    // A real candidate's change lanes: where its cover, appended to a copy
+    // of the graph, disagrees with the node it replaces.
+    let care_patterns = PatternBuffer::random(12, 16, 8);
+    let care_sim = Simulation::new(&aig, &care_patterns);
+    let lacs = generate_lacs(
+        &aig,
+        &care_sim,
+        &care_patterns,
+        &fanouts,
+        &LacConfig::default(),
+    );
+    let lac = &lacs[lacs.len() / 2];
+    let mut with_cover = aig.clone();
+    let cover = lac.materialize(&mut with_cover);
+    let cover_sim = Simulation::new(&with_cover, &patterns);
+    let change: Vec<u64> = (0..sim.num_words())
+        .map(|w| cover_sim.lit_word(cover, w) ^ cover_sim.lit_word(lac.node, w))
+        .collect();
+    let all = vec![u64::MAX; sim.num_words()];
+    let node = lac.node.node();
+    for (name, lanes) in [
+        ("flip influence mtp6 x 2048, all lanes", &all),
+        ("flip influence mtp6 x 2048, LAC lanes", &change),
+    ] {
+        runner.bench(name, || {
+            black_box(FlipInfluence::compute(
+                black_box(&aig),
+                &sim,
+                &fanouts,
+                &outputs,
+                node,
+                lanes,
+                &mut scratch,
+            ));
+        });
+    }
+}
+
+fn bench_lac_generation(runner: &mut Runner) {
+    // 3,720 ANDs: four pivot blocks.
+    let aig = arith::array_multiplier(20);
+    let patterns = PatternBuffer::random(aig.num_inputs(), 64, 4);
+    let sim = Simulation::new(&aig, &patterns);
+    let fanouts = aig.fanout_map();
+    runner.bench("windowed LAC generation mtp20 x 64", || {
+        black_box(generate_lacs_with(
             black_box(&aig),
             &sim,
+            &patterns,
             &fanouts,
-            &outputs,
-            node,
-            &mut scratch,
+            &LacConfig::default(),
+            &WindowConfig::default(),
         ));
     });
 }
@@ -132,6 +177,7 @@ fn main() {
     bench_cuts(&mut runner);
     bench_care_harvest(&mut runner);
     bench_influence(&mut runner);
+    bench_lac_generation(&mut runner);
     bench_batch_estimation(&mut runner);
     bench_optimizer(&mut runner);
     bench_mappers(&mut runner);

@@ -97,16 +97,14 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// The lanes where a LAC's cover disagrees with the signal it
-    /// replaces: exactly the lanes where the underlying node flips
-    /// (polarity cancels in the XOR).
-    fn change_mask(&self, lac: &Lac) -> Vec<u64> {
-        let mut change = vec![0u64; self.sim.num_words()];
-        sop_eval_words(&lac.cover, &lac.divisors, self.sim, &mut change);
+    /// Writes the lanes where a LAC's cover disagrees with the signal it
+    /// replaces into `change`: exactly the lanes where the underlying node
+    /// flips (polarity cancels in the XOR).
+    fn change_mask(&self, lac: &Lac, change: &mut [u64]) {
+        sop_eval_words(&lac.cover, &lac.divisors, self.sim, change);
         for (w, word) in change.iter_mut().enumerate() {
             *word ^= self.sim.lit_word(lac.node, w);
         }
-        change
     }
 
     /// Estimates all candidates: the error of applying each one to the
@@ -115,13 +113,16 @@ impl<'a> Estimator<'a> {
     ///
     /// One stage on the [`alsrac_rt::pool`] executor: each work item is a
     /// run of adjacent candidates at one node (LAC generation and Su emit
-    /// candidates grouped by node). It computes that node's
-    /// [`FlipInfluence`] in its worker's scratch arena, scores the whole
-    /// run, and drops the influence, so at most one influence per worker
-    /// is alive. A node whose candidates are not adjacent gets its
-    /// influence computed once per run: still exact, only slower. Every
-    /// item is a pure function of the shared read-only simulations, so the
-    /// result is bit-identical to the serial loop at any thread count.
+    /// candidates grouped by node). It writes the run's change masks into
+    /// its worker's buffer, computes that node's [`FlipInfluence`] on the
+    /// union of those masks in its worker's scratch (a candidate reads the
+    /// influence only on its own change lanes, so every score is the one
+    /// the full influence gives), scores the whole run, and drops the
+    /// influence, so at most one influence per worker is alive. A node
+    /// whose candidates are not adjacent gets its influence computed once
+    /// per run: still exact, only slower. Every item is a pure function of
+    /// the shared read-only simulations, so the result is bit-identical to
+    /// the serial loop at any thread count.
     pub fn estimate_all(&self, lacs: &[Lac]) -> Vec<Measurement> {
         let runs: Vec<&[Lac]> = lacs
             .chunk_by(|a, b| a.node.node() == b.node.node())
@@ -131,17 +132,32 @@ impl<'a> Estimator<'a> {
         trace::add("lacs_scored", lacs.len() as u64);
         trace::add("influences_computed", runs.len() as u64);
         trace::add("influence_cache_hits", (lacs.len() - runs.len()) as u64);
-        let scored = pool::par_map_init(&runs, InfluenceScratch::new, |scratch, run| {
+        let num_words = self.sim.num_words();
+        let init = || (InfluenceScratch::new(), Vec::new());
+        let scored = pool::par_map_init(&runs, init, |(scratch, masks), run| {
+            // Row 0 is the union of the run's change masks, row `1 + i`
+            // candidate `i`'s own mask.
+            masks.clear();
+            masks.resize((run.len() + 1) * num_words, 0);
+            let (lanes, changes) = masks.split_at_mut(num_words);
+            for (lac, change) in run.iter().zip(changes.chunks_exact_mut(num_words)) {
+                self.change_mask(lac, change);
+                for (lane, &word) in lanes.iter_mut().zip(change.iter()) {
+                    *lane |= word;
+                }
+            }
             let influence = FlipInfluence::compute(
                 self.current,
                 self.sim,
                 self.fanouts,
                 &self.output_index,
                 run[0].node.node(),
+                lanes,
                 scratch,
             );
-            run.iter()
-                .map(|lac| self.compare.flipped(&influence, &self.change_mask(lac)))
+            changes
+                .chunks_exact(num_words)
+                .map(|change| self.compare.flipped(&influence, change))
                 .collect::<Vec<_>>()
         });
         scored.into_iter().flatten().collect()

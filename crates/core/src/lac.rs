@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, NodeSet, RebuildError, WindowExtractor};
+use alsrac_rt::pool;
 use alsrac_sim::{PatternBuffer, Signatures, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop};
 
@@ -125,6 +126,11 @@ pub fn generate_lacs(
     )
 }
 
+/// Pivots per work item of [`generate_lacs_with`]. A block of about this
+/// many pivots costs milliseconds, which dwarfs the pool's per-call thread
+/// spawn; circuits up to this many ANDs are one block and run inline.
+const PIVOT_BLOCK: usize = 1024;
+
 /// [`generate_lacs`] with explicit windowing control (the flow's entry
 /// point; plain `generate_lacs` runs with windowing off).
 ///
@@ -135,6 +141,12 @@ pub fn generate_lacs(
 /// [`provably_infeasible`]), and a window bound covering a pivot's whole
 /// TFI leaves its pool unchanged, so on circuits inside the bound the
 /// windowed LAC list is bit-identical to the unwindowed one.
+///
+/// Pivots run on the [`alsrac_rt::pool`] executor in blocks of
+/// consecutive AND nodes, each worker with its own window and MFFC
+/// scratch; every pivot is a pure function of the shared read-only graph,
+/// simulation and signatures, and the blocks' lists are joined in block
+/// order, so the result is the serial loop's at any thread count.
 ///
 /// Emits `window_extracted` / `window_nodes` /
 /// `divisors_filtered_by_signature` trace counters when windowing is on,
@@ -154,68 +166,87 @@ pub fn generate_lacs_with(
         .enabled
         .then(|| Signatures::build(aig, sim, patterns));
     let params = window.params();
-    let mut extractor = WindowExtractor::new();
-    let mut mffc_scratch = MffcScratch::new();
-    let (mut windows, mut window_nodes, mut screened) = (0u64, 0u64, 0u64);
-
-    let mut lacs = Vec::new();
-    for node in aig.iter_ands() {
-        let mffc_size = aig.mffc_with(node, fanouts, &mut mffc_scratch).len();
-        let extracted = signatures.is_some().then(|| {
-            let w = extractor.extract(aig, fanouts, node, &params);
-            windows += 1;
-            window_nodes += w.num_nodes() as u64;
-            w
-        });
-        let sets =
-            select_divisor_sets_with(aig, node, levels, extracted.as_ref(), &config.divisors);
-        let mut count = 0usize;
-        for set in sets {
-            if count >= config.lac_limit {
-                break;
-            }
-            if let Some(sigs) = &signatures {
-                if provably_infeasible(sigs, node, &set) {
-                    // Exactly the sets harvest would reject: skipping them
-                    // keeps the LAC list bit-identical while saving the
-                    // harvest.
-                    screened += 1;
-                    continue;
-                }
-            }
-            let mut lits = [Lit::FALSE; NodeSet::CAPACITY];
-            for (lit, d) in lits.iter_mut().zip(set.iter()) {
-                *lit = d.lit();
-            }
-            let divisors = &lits[..set.len()];
-            let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), divisors)
-            else {
-                continue; // infeasible divisor set
-            };
-            let on = care.on_set();
-            let dc = care.dont_care_set();
-            let cover = isop(on, &on.or(&dc));
-            let est_cost = factored_aig_cost(&cover, divisors.len());
-            lacs.push(Lac {
-                node: node.lit(),
-                divisors: divisors.to_vec(),
-                cover,
-                est_cost,
-                est_saved: mffc_size,
+    let num_blocks = aig.num_ands().div_ceil(PIVOT_BLOCK);
+    let init = || (WindowExtractor::new(), MffcScratch::new());
+    let blocks = pool::par_indices_init(num_blocks, init, |(extractor, mffc_scratch), block| {
+        let mut out = PivotBlock::default();
+        for node in aig.iter_ands().skip(block * PIVOT_BLOCK).take(PIVOT_BLOCK) {
+            let mffc_size = aig.mffc_with(node, fanouts, mffc_scratch).len();
+            let extracted = signatures.is_some().then(|| {
+                let w = extractor.extract(aig, fanouts, node, &params);
+                out.windows += 1;
+                out.window_nodes += w.num_nodes() as u64;
+                w
             });
-            count += 1;
+            let sets =
+                select_divisor_sets_with(aig, node, levels, extracted.as_ref(), &config.divisors);
+            let mut count = 0usize;
+            for set in sets {
+                if count >= config.lac_limit {
+                    break;
+                }
+                if let Some(sigs) = &signatures {
+                    if provably_infeasible(sigs, node, &set) {
+                        // Exactly the sets harvest would reject: skipping
+                        // them keeps the LAC list bit-identical while
+                        // saving the harvest.
+                        out.screened += 1;
+                        continue;
+                    }
+                }
+                let mut lits = [Lit::FALSE; NodeSet::CAPACITY];
+                for (lit, d) in lits.iter_mut().zip(set.iter()) {
+                    *lit = d.lit();
+                }
+                let divisors = &lits[..set.len()];
+                let Some(care) = ApproximateCareSet::harvest(sim, patterns, node.lit(), divisors)
+                else {
+                    continue; // infeasible divisor set
+                };
+                let on = care.on_set();
+                let dc = care.dont_care_set();
+                let cover = isop(on, &on.or(&dc));
+                let est_cost = factored_aig_cost(&cover, divisors.len());
+                out.lacs.push(Lac {
+                    node: node.lit(),
+                    divisors: divisors.to_vec(),
+                    cover,
+                    est_cost,
+                    est_saved: mffc_size,
+                });
+                count += 1;
+            }
         }
+        out
+    });
+
+    let mut blocks = blocks.into_iter();
+    let mut total = blocks.next().unwrap_or_default();
+    for block in blocks {
+        total.lacs.extend(block.lacs);
+        total.windows += block.windows;
+        total.window_nodes += block.window_nodes;
+        total.screened += block.screened;
     }
-    for (name, total) in [
-        ("window_extracted", windows),
-        ("window_nodes", window_nodes),
-        ("divisors_filtered_by_signature", screened),
+    for (name, value) in [
+        ("window_extracted", total.windows),
+        ("window_nodes", total.window_nodes),
+        ("divisors_filtered_by_signature", total.screened),
     ] {
-        if total > 0 {
-            alsrac_rt::trace::add(name, total);
+        if value > 0 {
+            alsrac_rt::trace::add(name, value);
         }
     }
-    lacs
+    total.lacs
+}
+
+/// The candidates and window counters of one block of pivots.
+#[derive(Default)]
+struct PivotBlock {
+    lacs: Vec<Lac>,
+    windows: u64,
+    window_nodes: u64,
+    screened: u64,
 }
 
 #[cfg(test)]

@@ -9,12 +9,18 @@
 //!    flow bit for bit on every bundled Test-scale circuit over 12
 //!    iterations, at worker counts 1, 3, and 7, and its window counters
 //!    are live (the whole-circuit flow's read 0).
+//! 3. **Block-parallel LAC generation** — on a circuit of several pivot
+//!    blocks, `generate_lacs_with` returns the same candidates in the same
+//!    order, with the same window counters, at worker counts 1 to 4.
 
 use std::io;
+use std::sync::Mutex;
 
 use alsrac::flow::{run, FlowConfig, FlowResult};
+use alsrac::lac::{generate_lacs_with, LacConfig};
 use alsrac::window::WindowConfig;
 use alsrac_aig::Aig;
+use alsrac_circuits::arith;
 use alsrac_circuits::catalog::{iscas_and_arith, Scale};
 use alsrac_circuits::random_logic::{random_network, RandomNetworkConfig};
 use alsrac_metrics::ErrorMetric;
@@ -110,23 +116,42 @@ fn assert_flows_identical(name: &str, threads: usize, reference: &FlowResult, go
     );
 }
 
-/// Runs the flow at `threads` workers with the trace on (into a sink that
-/// drops the records) and returns its result and its `window_extracted`
-/// and `window_nodes` counters. Counters are process-wide; this binary's
-/// other test adds neither.
-fn traced_run(aig: &Aig, window: WindowConfig, threads: usize) -> (FlowResult, u64, u64) {
+/// Serializes the tests that trace: the trace and its counters are
+/// process-wide, and the tests of this binary run concurrently.
+static TRACE: Mutex<()> = Mutex::new(());
+
+/// Runs `f` at `threads` workers with the trace on (into a sink that drops
+/// the records) and returns its result and the named counters.
+fn traced<R, const N: usize>(
+    threads: usize,
+    names: [&str; N],
+    f: impl FnOnce() -> R,
+) -> (R, [u64; N]) {
+    let _lock = TRACE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     trace::reset();
     trace::enable_writer(Box::new(io::sink()));
-    let result = with_threads(threads, || run(aig, &flow_config(window)).expect("flow"));
+    let result = with_threads(threads, f);
     trace::disable();
     let (_, counters) = trace::snapshot();
-    let counter = |name: &str| {
+    let values = names.map(|name| {
         counters
             .iter()
             .find(|(n, _)| n == name)
             .map_or(0, |&(_, value)| value)
-    };
-    (result, counter("window_extracted"), counter("window_nodes"))
+    });
+    (result, values)
+}
+
+/// Runs the flow at `threads` workers, traced, and returns its result and
+/// its `window_extracted` and `window_nodes` counters.
+fn traced_run(aig: &Aig, window: WindowConfig, threads: usize) -> (FlowResult, u64, u64) {
+    let (result, [extracted, nodes]) =
+        traced(threads, ["window_extracted", "window_nodes"], || {
+            run(aig, &flow_config(window)).expect("flow")
+        });
+    (result, extracted, nodes)
 }
 
 #[test]
@@ -151,5 +176,67 @@ fn windowed_flow_is_bit_identical_on_all_bundled_circuits() {
                 "{name}@{threads}: {nodes} window nodes over {extracted} windows"
             );
         }
+    }
+}
+
+#[test]
+fn block_parallel_lac_generation_is_order_and_thread_independent() {
+    // 3,720 ANDs: four pivot blocks, so every worker count above one runs
+    // blocks concurrently. At four workers each block has its own, and the
+    // short last block finishes before the two middle ones, so a join in
+    // completion order would reorder the list. Sixteen care patterns leave
+    // every block with candidates, which makes any reordering visible.
+    let aig = arith::array_multiplier(20);
+    assert!(aig.num_ands() > 3 * 1024, "fewer than four pivot blocks");
+    let patterns = PatternBuffer::random(aig.num_inputs(), 16, 9);
+    let sim = Simulation::new(&aig, &patterns);
+    let fanouts = aig.fanout_map();
+    let generate = |threads| {
+        let (lacs, counters) = traced(
+            threads,
+            [
+                "window_extracted",
+                "window_nodes",
+                "divisors_filtered_by_signature",
+            ],
+            || {
+                generate_lacs_with(
+                    &aig,
+                    &sim,
+                    &patterns,
+                    &fanouts,
+                    &LacConfig::default(),
+                    &WindowConfig::default(),
+                )
+            },
+        );
+        let lacs: Vec<_> = lacs
+            .into_iter()
+            .map(|lac| {
+                (
+                    lac.node,
+                    lac.divisors,
+                    lac.cover,
+                    lac.est_cost,
+                    lac.est_saved,
+                )
+            })
+            .collect();
+        (lacs, counters)
+    };
+    let (serial, serial_counters) = generate(1);
+    assert!(!serial.is_empty(), "no candidates");
+    assert_eq!(
+        serial_counters[0],
+        aig.num_ands() as u64,
+        "one window per pivot"
+    );
+    for threads in [2, 3, 4] {
+        let (parallel, counters) = generate(threads);
+        assert_eq!(parallel.len(), serial.len(), "{threads} workers: count");
+        for (i, (p, s)) in parallel.iter().zip(&serial).enumerate() {
+            assert!(p == s, "{threads} workers: candidate {i} differs");
+        }
+        assert_eq!(counters, serial_counters, "{threads} workers: counters");
     }
 }

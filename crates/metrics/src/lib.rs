@@ -685,7 +685,8 @@ mod tests {
     use alsrac_aig::{FanoutMap, Lit, NodeId};
     use alsrac_sim::{InfluenceScratch, OutputIndex};
 
-    /// [`FlipInfluence::compute`] with a fresh index and scratch.
+    /// [`FlipInfluence::compute`] on every lane with a fresh index and
+    /// scratch.
     fn influence(aig: &Aig, sim: &Simulation, fanouts: &FanoutMap, node: NodeId) -> FlipInfluence {
         let outputs = OutputIndex::new(aig);
         FlipInfluence::compute(
@@ -694,6 +695,7 @@ mod tests {
             fanouts,
             &outputs,
             node,
+            &vec![u64::MAX; sim.num_words()],
             &mut InfluenceScratch::new(),
         )
     }

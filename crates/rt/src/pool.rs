@@ -1,8 +1,9 @@
 //! Zero-dependency data-parallel executor.
 //!
 //! The simulation-dominated hot paths of this workspace (per-node flip
-//! influence, per-candidate scoring, blocked Monte-Carlo measurement, the
-//! per-circuit loops of the experiment binaries) are embarrassingly
+//! influence, per-candidate scoring, blocks of LAC-generation pivots,
+//! blocked Monte-Carlo measurement, the per-circuit loops of the
+//! experiment binaries) are embarrassingly
 //! parallel: every work item is a pure function of shared read-only
 //! state. This module fans such loops out over OS threads while keeping
 //! the workspace's two non-negotiable properties:

@@ -16,12 +16,18 @@
 //!
 //! Propagation is event-driven over a reusable [`InfluenceScratch`]: a flip
 //! only visits nodes whose diff mask is still non-zero, so a flip that dies
-//! locally costs a handful of word ops instead of a full-TFO sweep, and the
-//! arena makes the hot loop allocation-free after warm-up (pinned by a
-//! counting-allocator test). The per-visit word loop goes through the
-//! word-row [`crate::kernel`], and [`FlipInfluence::compute`] discovers
-//! touched outputs *during* propagation via an [`OutputIndex`] instead of
-//! re-scanning every primary output per candidate.
+//! locally costs a handful of word ops instead of a full-TFO sweep. A
+//! caller that will read the influence only on some lanes (a candidate
+//! reads it only where its cover disagrees with the node) flips only those
+//! lanes: AND evaluation never mixes lanes, so the masks stay exact there,
+//! every other lane keeps its base value, and with fewer live lanes the
+//! flip quenches sooner. The scratch stacks a flipped row only for each
+//! node that turned dirty, so its size follows the flip's reach rather
+//! than the graph, and the hot loop is allocation-free after warm-up
+//! (pinned by a counting-allocator test). The per-visit word loop goes
+//! through the word-row [`crate::kernel`], and [`FlipInfluence::compute`]
+//! discovers touched outputs *during* propagation via an [`OutputIndex`]
+//! instead of re-scanning every primary output per candidate.
 
 use std::borrow::Cow;
 
@@ -32,19 +38,23 @@ use crate::{kernel, OutputWords, Simulation};
 /// Sentinel marking an empty frontier bucket / end of a bucket list.
 const EMPTY: u32 = u32::MAX;
 
-/// Reusable arena for event-driven flip propagation.
+/// Reusable scratch for event-driven flip propagation.
 ///
-/// Holds a flat `nodes × words` buffer of flipped values plus epoch-stamped
-/// dirty/queued arrays: bumping the epoch invalidates every per-node stamp
-/// in O(1), so consecutive [`propagate`](InfluenceScratch::propagate) calls
-/// reuse the buffers without clearing them. The frontier is a level-bucketed
-/// worklist: one intrusive singly-linked list of node indices per circuit
-/// level, drained by a monotonically rising level cursor. That is a valid
-/// evaluation order because every fanout of a level-`L` node sits strictly
-/// above `L` (so nothing is ever pushed at or below the cursor), and
-/// same-level AND nodes never feed each other. Unlike the min-heap frontier
-/// it replaces, a pop is O(1) with no comparisons or sift-downs, and the
-/// buckets drain to empty on every call so they need no per-epoch clearing.
+/// Flipped values live on a row stack: each visited node evaluates into
+/// the next free row and keeps it only if its value differs from the base
+/// simulation (otherwise the next visit overwrites it), and a per-node
+/// `slot` names the kept row. Epoch-stamped dirty/queued arrays make
+/// every per-node stamp (slots included) stale in O(1), so consecutive
+/// [`propagate`](InfluenceScratch::propagate) calls reuse the buffers
+/// without clearing them, and the stack only grows, to the widest flip
+/// seen. The frontier is a level-bucketed worklist: one intrusive
+/// singly-linked list of node indices per circuit level, drained by a
+/// monotonically rising level cursor. That is a valid evaluation order
+/// because every fanout of a level-`L` node sits strictly above `L` (so
+/// nothing is ever pushed at or below the cursor), and same-level AND
+/// nodes never feed each other. A pop is O(1) with no comparisons, and
+/// the buckets drain to empty on every call so they need no per-epoch
+/// clearing.
 ///
 /// One scratch per worker thread keeps the parallel estimator bit-identical
 /// at any thread count: the scratch carries no cross-call state that the
@@ -52,9 +62,14 @@ const EMPTY: u32 = u32::MAX;
 #[derive(Debug, Default)]
 pub struct InfluenceScratch {
     num_words: usize,
-    /// Flipped values, `flipped[node * num_words + w]`; valid only where
+    /// Stack of flipped rows, `num_words` each, in the order their nodes
+    /// turned dirty; the rows below `kept` belong to this propagation.
+    rows: Vec<u64>,
+    /// Rows of `rows` kept by the current propagation.
+    kept: usize,
+    /// Row index of each node's flipped values; valid only where
     /// `dirty_epoch[node] == epoch`.
-    flipped: Vec<u64>,
+    slot: Vec<u32>,
     /// Stamp of the last propagation in which the node's value differed
     /// from the base simulation.
     dirty_epoch: Vec<u32>,
@@ -78,18 +93,18 @@ impl InfluenceScratch {
         InfluenceScratch::default()
     }
 
-    /// Resizes the arena for a graph of `num_nodes` nodes at `num_levels`
-    /// levels simulated at `num_words` words and starts a fresh epoch.
+    /// Resizes the per-node stamps for a graph of `num_nodes` nodes at
+    /// `num_levels` levels simulated at `num_words` words and starts a
+    /// fresh epoch with an empty row stack.
     fn begin(&mut self, num_nodes: usize, num_words: usize, num_levels: usize) {
-        if self.num_words != num_words || self.dirty_epoch.len() < num_nodes {
-            self.num_words = num_words;
-            self.flipped.clear();
-            self.flipped.resize(num_nodes * num_words, 0);
+        self.num_words = num_words;
+        self.kept = 0;
+        if self.dirty_epoch.len() < num_nodes {
+            self.slot.resize(num_nodes, 0);
             self.dirty_epoch.clear();
             self.dirty_epoch.resize(num_nodes, 0);
             self.queued_epoch.clear();
             self.queued_epoch.resize(num_nodes, 0);
-            self.next_in_bucket.clear();
             self.next_in_bucket.resize(num_nodes, EMPTY);
             self.epoch = 0;
         }
@@ -105,6 +120,28 @@ impl InfluenceScratch {
             self.epoch = 0;
         }
         self.epoch += 1;
+    }
+
+    /// The next free row of the stack, grown by one row if the stack is
+    /// full, together with every kept row below it.
+    #[inline]
+    fn next_row(&mut self) -> (&[u64], &mut [u64]) {
+        let start = self.kept * self.num_words;
+        let end = start + self.num_words;
+        if self.rows.len() < end {
+            self.rows.resize(end, 0);
+        }
+        let (kept, free) = self.rows.split_at_mut(start);
+        (kept, &mut free[..self.num_words])
+    }
+
+    /// Keeps the row just written by [`next_row`](Self::next_row) as the
+    /// flipped values of `id`, marking it dirty.
+    #[inline]
+    fn keep_row(&mut self, id: NodeId) {
+        self.slot[id.index()] = self.kept as u32;
+        self.dirty_epoch[id.index()] = self.epoch;
+        self.kept += 1;
     }
 
     /// Pushes `id` onto its level's frontier bucket unless it was already
@@ -131,30 +168,38 @@ impl InfluenceScratch {
     #[inline]
     pub fn node_words<'a>(&'a self, sim: &'a Simulation, node: NodeId) -> &'a [u64] {
         if self.is_dirty(node) {
-            let base = node.index() * self.num_words;
-            &self.flipped[base..base + self.num_words]
+            let start = self.slot[node.index()] as usize * self.num_words;
+            &self.rows[start..start + self.num_words]
         } else {
             sim.node_words(node)
         }
     }
 
-    /// Propagates a flip of `node` through its fanout, event-driven.
+    /// Propagates a flip of `node` on the lanes set in `lanes` through its
+    /// fanout, event-driven. Every other lane keeps its base value.
     ///
     /// After the call, [`is_dirty`](InfluenceScratch::is_dirty) and
     /// [`node_words`](InfluenceScratch::node_words) describe the flipped
-    /// circuit state. The hot loop performs no allocations once the arena
-    /// and frontier heap have warmed up to the graph's size.
+    /// circuit state. All-ones `lanes` flip the node everywhere; all-zero
+    /// `lanes` change nothing and visit no node. The hot loop performs no
+    /// allocations once the row stack and the stamps have warmed up to the
+    /// graph's size.
     ///
     /// Returns the number of nodes whose flipped values were evaluated
     /// (the root plus every frontier node visited).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not one word per simulated word.
     pub fn propagate(
         &mut self,
         aig: &Aig,
         sim: &Simulation,
         fanouts: &FanoutMap,
         node: NodeId,
+        lanes: &[u64],
     ) -> usize {
-        self.propagate_inner(aig, sim, fanouts, node, |_| {})
+        self.propagate_inner(aig, sim, fanouts, node, lanes, |_| {})
     }
 
     /// [`propagate`](InfluenceScratch::propagate) with a callback invoked
@@ -167,19 +212,21 @@ impl InfluenceScratch {
         sim: &Simulation,
         fanouts: &FanoutMap,
         node: NodeId,
+        lanes: &[u64],
         mut on_dirty: impl FnMut(NodeId),
     ) -> usize {
         let num_words = sim.num_words();
+        assert_eq!(lanes.len(), num_words, "lane mask shape");
         self.begin(aig.num_nodes(), num_words, fanouts.num_levels() as usize);
+        if lanes.iter().all(|&w| w == 0) {
+            return 0;
+        }
         let epoch = self.epoch;
 
-        // Seed: the root differs from the base in every lane.
-        let root_base = node.index() * num_words;
-        kernel::not_into(
-            &mut self.flipped[root_base..root_base + num_words],
-            sim.node_words(node),
-        );
-        self.dirty_epoch[node.index()] = epoch;
+        // Seed: the root differs from the base on exactly `lanes`.
+        let (_, root) = self.next_row();
+        kernel::xor_into(root, sim.node_words(node), lanes);
+        self.keep_row(node);
         on_dirty(node);
         for &f in fanouts.fanouts(node) {
             self.enqueue(f, fanouts.level(f));
@@ -207,35 +254,35 @@ impl InfluenceScratch {
             visited += 1;
             let m0 = if f0.is_complement() { u64::MAX } else { 0 };
             let m1 = if f1.is_complement() { u64::MAX } else { 0 };
-            let base = id.index() * num_words;
-            // Fanins sit strictly below `id` in the arena, so splitting at
-            // `base` separates the destination row from both source rows;
-            // resolving each fanin's dirty branch once per row (instead of
-            // once per word) hands whole rows to the kernel.
-            let f0_base = f0.node().index() * num_words;
-            let f1_base = f1.node().index() * num_words;
-            let (lo, hi) = self.flipped.split_at_mut(base);
-            let v0: &[u64] = if self.dirty_epoch[f0.node().index()] == epoch {
-                &lo[f0_base..f0_base + num_words]
-            } else {
-                sim.node_words(f0.node())
+            // Dirty fanins turned dirty earlier in this propagation, so
+            // their rows sit below the free row; resolving each fanin's
+            // dirty branch once per row (instead of once per word) hands
+            // whole rows to the kernel.
+            let row_of = |fanin: NodeId| {
+                (self.dirty_epoch[fanin.index()] == epoch)
+                    .then(|| self.slot[fanin.index()] as usize * num_words)
             };
-            let v1: &[u64] = if self.dirty_epoch[f1.node().index()] == epoch {
-                &lo[f1_base..f1_base + num_words]
-            } else {
-                sim.node_words(f1.node())
+            let (r0, r1) = (row_of(f0.node()), row_of(f1.node()));
+            let (kept, dst) = self.next_row();
+            let v0 = match r0 {
+                Some(start) => &kept[start..start + num_words],
+                None => sim.node_words(f0.node()),
             };
-            let diff =
-                kernel::and_diff_into(&mut hi[..num_words], v0, v1, m0, m1, sim.node_words(id));
+            let v1 = match r1 {
+                Some(start) => &kept[start..start + num_words],
+                None => sim.node_words(f1.node()),
+            };
+            let diff = kernel::and_diff_into(dst, v0, v1, m0, m1, sim.node_words(id));
             if diff == 0 {
                 // The flip quenched here: downstream of this node nothing
                 // changes through this path, so its fanouts are not
-                // enqueued. When every frontier branch quenches the
-                // worklist drains and the propagation stops early.
+                // enqueued and its row is left for the next visit. When
+                // every frontier branch quenches the worklist drains and
+                // the propagation stops early.
                 quenched += 1;
                 continue;
             }
-            self.dirty_epoch[id.index()] = epoch;
+            self.keep_row(id);
             on_dirty(id);
             for &f in fanouts.fanouts(id) {
                 self.enqueue(f, fanouts.level(f));
@@ -319,27 +366,39 @@ pub struct FlipInfluence {
 }
 
 impl FlipInfluence {
-    /// Computes the influence masks of `node` by event-driven propagation
-    /// over `scratch`, with touched outputs discovered *during* the walk:
-    /// every node that turns dirty is checked against the [`OutputIndex`]
-    /// in O(1). An output is touched iff its driver ended the walk dirty;
-    /// rows are stored ascending by output index.
+    /// Computes the influence masks of `node` on the lanes set in `lanes`
+    /// by event-driven propagation over `scratch`, with touched outputs
+    /// discovered *during* the walk: every node that turns dirty is checked
+    /// against the [`OutputIndex`] in O(1). An output is touched iff its
+    /// driver ended the walk dirty; rows are stored ascending by output
+    /// index.
+    ///
+    /// Rows are exact on `lanes` and zero on every other lane, so
+    /// [`apply`](FlipInfluence::apply) and every other reader that masks
+    /// rows by a candidate's change stay exact for any change within
+    /// `lanes`. All-ones `lanes` give the full influence; all-zero `lanes`
+    /// an empty one, without visiting any node.
     ///
     /// Batch callers hold one [`InfluenceScratch`] per worker and reuse it.
     /// Lanes beyond the pattern buffer's valid count carry unspecified
     /// values; callers must mask with the buffer's `word_mask` when
     /// counting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not one word per simulated word.
     pub fn compute(
         aig: &Aig,
         sim: &Simulation,
         fanouts: &FanoutMap,
         outputs: &OutputIndex,
         node: NodeId,
+        lanes: &[u64],
         scratch: &mut InfluenceScratch,
     ) -> FlipInfluence {
         let num_words = sim.num_words();
         let mut dirty_pos: Vec<u32> = Vec::new();
-        scratch.propagate_inner(aig, sim, fanouts, node, |id| {
+        scratch.propagate_inner(aig, sim, fanouts, node, lanes, |id| {
             dirty_pos.extend_from_slice(outputs.pos_of(id));
         });
         // Discovery happens in propagation order; rows are stored ascending
@@ -419,7 +478,9 @@ impl FlipInfluence {
     /// `base_outputs` are the current output values (from the base
     /// simulation) and `change_mask[w]` flags the lanes where the
     /// replacement function disagrees with the node's current value. The
-    /// result is exact: `out'[po] = out[po] ^ (influence[po] & change)`.
+    /// result is exact, `out'[po] = out[po] ^ (influence[po] & change)`,
+    /// whenever `change_mask` lies within the lanes the influence was
+    /// computed on.
     pub fn apply(&self, base_outputs: &OutputWords, change_mask: &[u64]) -> OutputWords {
         assert_eq!(
             base_outputs.num_outputs(),
@@ -493,7 +554,13 @@ mod tests {
         result
     }
 
-    /// [`FlipInfluence::compute`] with a fresh index and scratch.
+    /// Every lane of `sim`: the full influence.
+    fn all_lanes(sim: &Simulation) -> Vec<u64> {
+        vec![u64::MAX; sim.num_words()]
+    }
+
+    /// [`FlipInfluence::compute`] on every lane with a fresh index and
+    /// scratch.
     fn fresh(aig: &Aig, sim: &Simulation, fanouts: &FanoutMap, node: NodeId) -> FlipInfluence {
         let outputs = OutputIndex::new(aig);
         FlipInfluence::compute(
@@ -502,6 +569,7 @@ mod tests {
             fanouts,
             &outputs,
             node,
+            &all_lanes(sim),
             &mut InfluenceScratch::new(),
         )
     }
@@ -518,7 +586,15 @@ mod tests {
         // into the next would show up here.
         let mut scratch = InfluenceScratch::new();
         for id in aig.iter_nodes().skip(1) {
-            let inf = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, id, &mut scratch);
+            let inf = FlipInfluence::compute(
+                &aig,
+                &sim,
+                &fanouts,
+                &outputs,
+                id,
+                &all_lanes(&sim),
+                &mut scratch,
+            );
             let want = reference_influence(&aig, &patterns, id);
             for (po, want_po) in want.iter().enumerate() {
                 assert_eq!(
@@ -564,12 +640,14 @@ mod tests {
         let fanouts = aig.fanout_map();
         let nodes: Vec<NodeId> = aig.iter_ands().collect();
         let outputs = OutputIndex::new(&aig);
+        let lanes = all_lanes(&sim);
         let mut shared = InfluenceScratch::new();
         for &warm in &nodes {
-            FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, warm, &mut shared);
+            FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, warm, &lanes, &mut shared);
         }
         for &id in &nodes {
-            let reused = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, id, &mut shared);
+            let reused =
+                FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, id, &lanes, &mut shared);
             let alone = fresh(&aig, &sim, &fanouts, id);
             assert_eq!(reused.po_mask(0), alone.po_mask(0), "node {id}");
             assert_eq!(reused.po_mask(1), alone.po_mask(1), "node {id}");
@@ -706,10 +784,19 @@ mod tests {
         // value of b changes both fanin edges, so dead = !b & b = 0 still).
         // So the flip of b quenches at `dead`... unless it also feeds other
         // nodes. b only feeds dead here, so the frontier dies immediately.
-        let visited = scratch.propagate(&aig, &sim, &fanouts, b.node());
+        let lanes = all_lanes(&sim);
+        let visited = scratch.propagate(&aig, &sim, &fanouts, b.node(), &lanes);
         assert!(visited <= 2, "visited {visited} nodes, expected quench");
         let outputs = OutputIndex::new(&aig);
-        let inf = FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, b.node(), &mut scratch);
+        let inf = FlipInfluence::compute(
+            &aig,
+            &sim,
+            &fanouts,
+            &outputs,
+            b.node(),
+            &lanes,
+            &mut scratch,
+        );
         assert_eq!(inf.any_mask()[0] & patterns.word_mask(0), 0);
     }
 }

@@ -12,10 +12,11 @@
 //!   [`Aig`](alsrac_aig::Aig) under a pattern buffer, computed in one
 //!   topological sweep at 64 patterns per word op;
 //! * [`FlipInfluence`] — for a chosen node, the exact per-pattern, per-output
-//!   effect of flipping that node's value, computed by event-driven
-//!   propagation over a reusable [`InfluenceScratch`] arena that stops the
-//!   moment the flip quenches. This is the engine behind the batch error
-//!   estimation of Su et al. (DAC 2018) that ALSRAC reuses;
+//!   effect of flipping that node's value on the lanes a caller will read,
+//!   computed by event-driven propagation over a reusable
+//!   [`InfluenceScratch`] that stops the moment the flip quenches. This is
+//!   the engine behind the batch error estimation of Su et al. (DAC 2018)
+//!   that ALSRAC reuses;
 //! * [`Signatures`] — complement-canonical equivalence classes over node
 //!   signatures, turning pairwise simulation-equality checks into O(1)
 //!   class-id comparisons for windowed divisor filtering;

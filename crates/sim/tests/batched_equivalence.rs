@@ -13,7 +13,10 @@
 //!    (touched outputs discovered during propagation) yields the same
 //!    masks as a whole-TFO resimulation kept in test code
 //!    (`support/full_cone.rs`), and its sparse layout stores exactly the
-//!    outputs whose driver ended the walk dirty, ascending.
+//!    outputs whose driver ended the walk dirty, ascending. Computed on a
+//!    subset of the lanes, it equals the full-cone masks restricted to
+//!    those lanes, stores exactly the outputs that keep a non-zero row,
+//!    and an empty subset visits no node.
 //! 3. **Both hold across random LAC applies.** After random node
 //!    substitutions — the structural edits the flow performs — a fresh
 //!    simulation of the rebuilt graph, the scalar reference, and the
@@ -81,9 +84,10 @@ fn assert_influence_matches_full_cone(aig: &Aig, patterns: &PatternBuffer, what:
     let sim = Simulation::new(aig, patterns);
     let fanouts = aig.fanout_map();
     let outputs = OutputIndex::new(aig);
+    let lanes = vec![u64::MAX; sim.num_words()];
     let mut scratch = InfluenceScratch::new();
     for id in aig.iter_nodes().skip(1) {
-        let inf = FlipInfluence::compute(aig, &sim, &fanouts, &outputs, id, &mut scratch);
+        let inf = FlipInfluence::compute(aig, &sim, &fanouts, &outputs, id, &lanes, &mut scratch);
         let full = full_cone::full_cone_influence(aig, &sim, &fanouts, id);
         // Sparse layout: one row per output whose driver ended the walk
         // dirty, ascending by output index.
@@ -109,6 +113,67 @@ fn assert_influence_matches_full_cone(aig: &Aig, patterns: &PatternBuffer, what:
         for (w, &any_w) in any.iter().enumerate() {
             let mask = patterns.word_mask(w);
             assert_eq!(inf.any_mask()[w] & mask, any_w & mask, "{what}: node {id}");
+        }
+    }
+}
+
+/// The four kinds of lane masks a flip is computed on: none, all, one
+/// valid lane, and random sparse words (about one lane in eight).
+fn lane_masks(patterns: &PatternBuffer, rng: &mut Rng) -> Vec<(&'static str, Vec<u64>)> {
+    let num_words = patterns.num_words();
+    let mut one = vec![0u64; num_words];
+    let lane = rng.next_u64() as usize % patterns.num_patterns();
+    one[lane / 64] = 1 << (lane % 64);
+    let sparse = (0..num_words)
+        .map(|_| rng.next_u64() & rng.next_u64() & rng.next_u64())
+        .collect();
+    vec![
+        ("zero", vec![0; num_words]),
+        ("ones", vec![u64::MAX; num_words]),
+        ("one", one),
+        ("sparse", sparse),
+    ]
+}
+
+/// An influence computed on `lanes` is the full-cone influence masked by
+/// `lanes`, row for row, and it stores exactly the outputs whose masked row
+/// is non-zero. One scratch serves every node and mask.
+fn assert_lane_influence_is_masked_full_cone(
+    aig: &Aig,
+    patterns: &PatternBuffer,
+    rng: &mut Rng,
+    what: &str,
+) {
+    let sim = Simulation::new(aig, patterns);
+    let fanouts = aig.fanout_map();
+    let outputs = OutputIndex::new(aig);
+    let mut scratch = InfluenceScratch::new();
+    for id in aig.iter_nodes().skip(1) {
+        let full = full_cone::full_cone_influence(aig, &sim, &fanouts, id);
+        for (kind, lanes) in lane_masks(patterns, rng) {
+            let what = format!("{what}: node {id}, {kind} lanes");
+            let inf =
+                FlipInfluence::compute(aig, &sim, &fanouts, &outputs, id, &lanes, &mut scratch);
+            let masked: Vec<Vec<u64>> = full
+                .iter()
+                .map(|row| row.iter().zip(&lanes).map(|(&r, &l)| r & l).collect())
+                .collect();
+            let mut any = vec![0u64; sim.num_words()];
+            for (po, row) in masked.iter().enumerate() {
+                assert_eq!(&*inf.po_mask(po), row.as_slice(), "{what}, po {po}");
+                for (a, &w) in any.iter_mut().zip(row) {
+                    *a |= w;
+                }
+            }
+            assert_eq!(inf.any_mask(), any.as_slice(), "{what}");
+            let reached: Vec<u32> = (0..aig.num_outputs() as u32)
+                .filter(|&po| masked[po as usize].iter().any(|&w| w != 0))
+                .collect();
+            assert_eq!(inf.touched(), reached.as_slice(), "{what}");
+            if kind == "zero" {
+                let visited = scratch.propagate(aig, &sim, &fanouts, id, &lanes);
+                assert_eq!(visited, 0, "{what}: visited nodes");
+            }
         }
     }
 }
@@ -144,6 +209,18 @@ fn influence_matches_full_cone_on_real_circuits() {
 }
 
 #[test]
+fn influence_on_lanes_is_full_cone_masked_by_lanes() {
+    let mut rng = Rng::from_seed(29);
+    for (name, aig) in circuits() {
+        for (seed, num_patterns) in ragged_pattern_counts().into_iter().enumerate() {
+            let patterns = PatternBuffer::random(aig.num_inputs(), num_patterns, seed as u64 + 11);
+            let what = format!("{name} @ {num_patterns} patterns");
+            assert_lane_influence_is_masked_full_cone(&aig, &patterns, &mut rng, &what);
+        }
+    }
+}
+
+#[test]
 fn equivalences_hold_across_random_lac_applies() {
     let mut aig = arith::ripple_carry_adder(4);
     let patterns_of = |aig: &Aig, round: u64| {
@@ -152,6 +229,7 @@ fn equivalences_hold_across_random_lac_applies() {
         PatternBuffer::random(aig.num_inputs(), 130, 100 + round)
     };
     let mut rng = Rng::from_seed(41);
+    let mut lane_rng = Rng::from_seed(43);
     for round in 0..6u64 {
         // A random constant-substitution LAC: replace one AND node with a
         // constant, as the flow's simplest candidate shape does, and
@@ -174,5 +252,6 @@ fn equivalences_hold_across_random_lac_applies() {
         let what = format!("round {round}");
         assert_simulation_matches_reference(&aig, &patterns, &what);
         assert_influence_matches_full_cone(&aig, &patterns, &what);
+        assert_lane_influence_is_masked_full_cone(&aig, &patterns, &mut lane_rng, &what);
     }
 }

@@ -67,11 +67,19 @@ fn scratch_arena_influence_matches_full_cone_on_random_graphs() {
             let outputs = OutputIndex::new(&aig);
             // One scratch reused across every node: stale state leaking
             // from one propagation into the next would show up here.
+            let lanes = vec![u64::MAX; sim.num_words()];
             let mut scratch = InfluenceScratch::new();
             for raw in 0..aig.num_nodes() {
                 let node = NodeId::new(raw);
-                let fast =
-                    FlipInfluence::compute(&aig, &sim, &fanouts, &outputs, node, &mut scratch);
+                let fast = FlipInfluence::compute(
+                    &aig,
+                    &sim,
+                    &fanouts,
+                    &outputs,
+                    node,
+                    &lanes,
+                    &mut scratch,
+                );
                 let full = full_cone::full_cone_influence(&aig, &sim, &fanouts, node);
                 assert_same_influence(&fast, &full)?;
             }
