@@ -64,7 +64,6 @@ mod graph;
 mod hash;
 mod lit;
 mod rebuild;
-mod stats;
 mod window;
 
 pub use cone::{Cone, FanoutMap, MffcScratch};
@@ -73,5 +72,4 @@ pub use error::{AigError, RebuildError};
 pub use graph::{Aig, Node};
 pub use hash::FxHasher;
 pub use lit::{Lit, NodeId};
-pub use stats::AigStats;
 pub use window::{Window, WindowExtractor, WindowParams};

@@ -82,7 +82,6 @@ const KNOWN_COUNTERS: &[&str] = &[
     "patterns_simulated",
     "window_extracted",
     "window_nodes",
-    "divisors_filtered_by_signature",
     "overhead_probe",
     "cert_miters_built",
     "cert_sat_queries",
@@ -1071,6 +1070,70 @@ mod tests {
         documented.sort_unstable();
         known.sort_unstable();
         assert_eq!(documented, known, "DESIGN.md and KNOWN_COUNTERS disagree");
+    }
+
+    /// Adds the literal name of every `trace::add("…", …)` call in the
+    /// non-test code under `path` to `names`. Non-test code is what
+    /// `scripts/ci.sh loc` counts: `.rs` files outside `tests/`
+    /// directories, without their top-level `#[cfg(test)]` items (from the
+    /// column-0 attribute to the next column-0 `}`). Comment lines are
+    /// skipped, and a call whose name is not a string literal fails, since
+    /// this check could not see what it emits.
+    fn collect_emitted_counters(path: &std::path::Path, names: &mut Vec<String>) {
+        if path.is_dir() {
+            if path.file_name().is_some_and(|name| name == "tests") {
+                return;
+            }
+            for entry in std::fs::read_dir(path).expect("read source directory") {
+                collect_emitted_counters(&entry.expect("directory entry").path(), names);
+            }
+            return;
+        }
+        if path.extension().is_none_or(|ext| ext != "rs") {
+            return;
+        }
+        let source = std::fs::read_to_string(path).expect("read source file");
+        let mut in_test = false;
+        for (i, line) in source.lines().enumerate() {
+            if in_test || line.starts_with("#[cfg(test)]") {
+                in_test = !line.starts_with('}');
+                continue;
+            }
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for call in line.split("trace::add(").skip(1) {
+                let name = call
+                    .strip_prefix('"')
+                    .and_then(|rest| rest.split_once('"'))
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "{}:{}: counter name is not a literal",
+                            path.display(),
+                            i + 1
+                        )
+                    })
+                    .0;
+                names.push(name.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn known_counters_are_exactly_the_emitted_ones() {
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut emitted = Vec::new();
+        for dir in ["crates", "src"] {
+            collect_emitted_counters(&root.join(dir), &mut emitted);
+        }
+        emitted.sort_unstable();
+        emitted.dedup();
+        let mut known = KNOWN_COUNTERS.to_vec();
+        known.sort_unstable();
+        assert_eq!(
+            emitted, known,
+            "emitted counters and KNOWN_COUNTERS disagree"
+        );
     }
 
     /// The double-quoted values in the DESIGN.md "Telemetry" bullet that

@@ -119,7 +119,7 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
         let proposal = &pool[rng.gen_range(0..pool.len())];
 
         // Constraint check by batch estimation against the original.
-        let m = it.time("estimate", || {
+        let error = it.time("estimate", || {
             let sim = Simulation::new(&current, &est_patterns);
             Estimator::new(
                 &original_outputs,
@@ -130,10 +130,9 @@ pub fn run(original: &Aig, config: &LiuConfig) -> Result<FlowResult, FlowError> 
                 config.metric,
             )
             .estimate_all(std::slice::from_ref(proposal))[0]
+                .value(config.metric)
+                .expect("`Estimator::new` checked the metric")
         });
-        let Some(error) = m.value(config.metric) else {
-            break;
-        };
         if error > config.threshold {
             run.reject(&it, "over_budget", pool.len());
             continue; // constraint violated: reject outright

@@ -226,12 +226,12 @@ pub fn run(original: &Aig, config: &SuConfig) -> Result<FlowResult, FlowError> {
                 config.metric,
             )
             .ranked_candidates(&lacs)
-            .and_then(|ranked| ranked.into_iter().next())
+            .into_iter()
+            .next()
         });
-        let Some((best_idx, best_m)) = best else {
-            break;
+        let Some((best_idx, best_error)) = best else {
+            break; // every estimate was NaN
         };
-        let best_error = best_m.value(config.metric).expect("checked up front");
         if best_error > config.threshold {
             run.reject(&it, "over_budget", lacs.len());
             break;

@@ -17,9 +17,10 @@
 //! the sweep merges the node pairs of the two circuits it proves equal,
 //! so the queries search only the logic that really differs.
 //!
-//! **Budgets and degradation.** Every entry point has a `_budgeted`
-//! variant threading an [`alsrac_rt::budget::Budget`] into the miter: its
-//! sweep runs under it, then its solver does. When a SAT cap cuts a
+//! **Budgets and degradation.** [`certify_error_rate`], [`certify_wce`]
+//! and [`wce_gate`] take an [`alsrac_rt::budget::Budget`] and thread it
+//! into the miter: its sweep runs under it, then its solver does
+//! ([`wce_within`] runs unlimited). When a SAT cap cuts a
 //! query short the certificate comes back with [`CertStatus::Degraded`]
 //! (deterministic — caps count solver events, so the same run always
 //! degrades the same way); a cap that cuts a sweep proof short only
@@ -54,7 +55,8 @@ fn swept_miter(original: &Aig, approx: &Aig, budget: &Budget) -> Miter {
 }
 
 /// Certifies the error rate of `approx` against `original` by model
-/// counting over the miter inputs.
+/// counting over the miter inputs, with the miter sweep and solver under
+/// `budget` (its SAT caps, cancel token, and deadline).
 ///
 /// Exact (complete enumeration) for input counts up to
 /// [`count::ENUMERATION_INPUT_LIMIT`] — and whenever the differing-input
@@ -62,17 +64,7 @@ fn swept_miter(original: &Aig, approx: &Aig, budget: &Budget) -> Miter {
 /// ([`count::DEFAULT_EPSILON`], [`count::DEFAULT_DELTA`]). `seed` only
 /// influences the hash randomness.
 ///
-/// # Panics
-///
-/// Panics if the circuits disagree in input or output counts.
-pub fn certify_error_rate(original: &Aig, approx: &Aig, seed: u64) -> CertifiedMeasurement {
-    certify_error_rate_budgeted(original, approx, seed, &Budget::unlimited())
-}
-
-/// [`certify_error_rate`] under a [`Budget`]: the miter solver runs with
-/// the budget's SAT caps, cancel token, and deadline attached.
-///
-/// When any of those cuts the model count short, the certificate comes
+/// When the budget cuts the model count short, the certificate comes
 /// back with [`CertStatus::Degraded`] and `exact == false`: its `value`
 /// is a *proven lower bound* on the error rate (the differing inputs
 /// enumerated before the cut), not a guarantee. Callers on the
@@ -81,7 +73,7 @@ pub fn certify_error_rate(original: &Aig, approx: &Aig, seed: u64) -> CertifiedM
 /// # Panics
 ///
 /// Panics if the circuits disagree in input or output counts.
-pub fn certify_error_rate_budgeted(
+pub fn certify_error_rate(
     original: &Aig,
     approx: &Aig,
     seed: u64,
@@ -112,20 +104,11 @@ pub fn certify_error_rate_budgeted(
 }
 
 /// Certifies the exact maximum error distance (WCE) of `approx` against
-/// `original` by binary search over `distance > t` comparator queries.
+/// `original` by binary search over `distance > t` comparator queries,
+/// with the miter sweep and solver under `budget` (its SAT caps, cancel
+/// token, and deadline).
 ///
-/// # Panics
-///
-/// Panics if the circuits disagree in arity or have more than 63 outputs
-/// (error distances are undecodable, as in `alsrac-metrics`).
-pub fn certify_wce(original: &Aig, approx: &Aig) -> CertifiedMeasurement {
-    certify_wce_budgeted(original, approx, &Budget::unlimited())
-}
-
-/// [`certify_wce`] under a [`Budget`]: the miter solver runs with the
-/// budget's SAT caps, cancel token, and deadline attached.
-///
-/// When the binary search is cut short the certificate comes back with
+/// When the budget cuts the search short the certificate comes back with
 /// [`CertStatus::Degraded`] and `exact == false`: its `value` is still a
 /// *sound upper bound* on the maximum error distance (every `Unsat`
 /// answer that tightened the bound is a hard fact), just not proven
@@ -133,8 +116,9 @@ pub fn certify_wce(original: &Aig, approx: &Aig) -> CertifiedMeasurement {
 ///
 /// # Panics
 ///
-/// Panics if the circuits disagree in arity or have more than 63 outputs.
-pub fn certify_wce_budgeted(original: &Aig, approx: &Aig, budget: &Budget) -> CertifiedMeasurement {
+/// Panics if the circuits disagree in arity or have more than 63 outputs
+/// (error distances are undecodable, as in `alsrac-metrics`).
+pub fn certify_wce(original: &Aig, approx: &Aig, budget: &Budget) -> CertifiedMeasurement {
     let span = trace::span("certify");
     let mut miter = swept_miter(original, approx, budget);
     let cert = miter.certify_max_distance();
@@ -261,7 +245,7 @@ mod tests {
             let patterns = alsrac_sim::PatternBuffer::exhaustive(bench.aig.num_inputs());
             let measured =
                 alsrac_metrics::measure(&bench.aig, &approx, &patterns).expect("measure");
-            let cert = certify_error_rate(&bench.aig, &approx, 7);
+            let cert = certify_error_rate(&bench.aig, &approx, 7, &Budget::unlimited());
             assert!(
                 cert.exact,
                 "{}: certificate must be exact",
@@ -296,7 +280,7 @@ mod tests {
             let measured =
                 alsrac_metrics::measure(&bench.aig, &approx, &patterns).expect("measure");
             let expected = measured.max_error_distance.expect("decodable");
-            let cert = certify_wce(&bench.aig, &approx);
+            let cert = certify_wce(&bench.aig, &approx, &Budget::unlimited());
             assert!(
                 cert.exact,
                 "{}: WCE certificates are exact",
@@ -325,10 +309,10 @@ mod tests {
     #[test]
     fn identical_circuits_certify_zero() {
         let a = alsrac_circuits::arith::ripple_carry_adder(3);
-        let er = certify_error_rate(&a, &a.clone(), 1);
+        let er = certify_error_rate(&a, &a.clone(), 1, &Budget::unlimited());
         assert!(er.exact);
         assert_eq!(er.value, 0.0);
-        let wce = certify_wce(&a, &a.clone());
+        let wce = certify_wce(&a, &a.clone(), &Budget::unlimited());
         assert_eq!(wce.value, 0.0);
         assert!(wce_within(&a, &a.clone(), 0));
     }
@@ -342,20 +326,20 @@ mod tests {
         let approx = corrupted(&original, 0);
         let starved = Budget::unlimited().with_sat_propagations(0);
 
-        let er = certify_error_rate_budgeted(&original, &approx, 7, &starved);
+        let er = certify_error_rate(&original, &approx, 7, &starved);
         assert!(!er.status.is_certified(), "{:?}", er.status);
         assert!(!er.exact);
-        let full = certify_error_rate(&original, &approx, 7);
+        let full = certify_error_rate(&original, &approx, 7, &Budget::unlimited());
         assert!(full.status.is_certified());
         assert!(
             er.value <= full.value,
             "degraded rate must be a lower bound"
         );
 
-        let wce = certify_wce_budgeted(&original, &approx, &starved);
+        let wce = certify_wce(&original, &approx, &starved);
         assert!(!wce.status.is_certified(), "{:?}", wce.status);
         assert!(!wce.exact);
-        let full_wce = certify_wce(&original, &approx);
+        let full_wce = certify_wce(&original, &approx, &Budget::unlimited());
         assert!(full_wce.status.is_certified());
         assert!(full_wce.exact);
         assert!(
@@ -368,7 +352,7 @@ mod tests {
     fn wce_gate_classifies_unknown_by_interrupt_kind() {
         let original = alsrac_circuits::arith::ripple_carry_adder(3);
         let approx = corrupted(&original, 0);
-        let bound = certify_wce(&original, &approx).value as u64;
+        let bound = certify_wce(&original, &approx, &Budget::unlimited()).value as u64;
 
         // Unlimited budget: hard answers on both sides of the bound.
         let unlimited = Budget::unlimited();
@@ -427,7 +411,7 @@ mod tests {
         approx.set_output_lit(1, Lit::FALSE);
         let patterns = alsrac_sim::PatternBuffer::exhaustive(original.num_inputs());
         let measured = alsrac_metrics::measure(&original, &approx, &patterns).expect("measure");
-        let cert = certify_error_rate(&original, &approx, 1);
+        let cert = certify_error_rate(&original, &approx, 1, &Budget::unlimited());
         assert!(cert.exact);
         assert_eq!(cert.value, measured.error_rate);
     }
@@ -440,7 +424,7 @@ mod tests {
         approx.set_output_lit(last, Lit::FALSE);
         let patterns = alsrac_sim::PatternBuffer::exhaustive(original.num_inputs());
         let measured = alsrac_metrics::measure(&original, &approx, &patterns).expect("measure");
-        let cert = certify_wce(&original, &approx);
+        let cert = certify_wce(&original, &approx, &Budget::unlimited());
         assert_eq!(
             cert.value,
             measured.max_error_distance.expect("decodable") as f64

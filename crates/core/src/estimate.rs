@@ -56,7 +56,9 @@ impl<'a> Estimator<'a> {
     /// # Panics
     ///
     /// Panics if `sim` simulates a graph with another node count than
-    /// `current`, or the output or pattern shapes disagree.
+    /// `current`, the output or pattern shapes disagree, or `metric` is a
+    /// distance metric and `current` has more than 63 outputs (the flows
+    /// reject that case up front with [`crate::FlowError::MetricUnavailable`]).
     pub fn new(
         original_outputs: &'a OutputWords,
         sim: &'a Simulation,
@@ -80,6 +82,10 @@ impl<'a> Estimator<'a> {
             original_outputs.num_words(),
             patterns.num_words(),
             "pattern shape"
+        );
+        assert!(
+            !metric.needs_distance() || current.num_outputs() <= 63,
+            "{metric} needs integer-decodable outputs"
         );
         Estimator {
             current,
@@ -164,33 +170,30 @@ impl<'a> Estimator<'a> {
     }
 
     /// Ranks all candidates by (error under the estimator's metric, then
-    /// largest estimated gain), best first. Candidates whose metric value
-    /// is NaN are excluded — a NaN compares as "greater than everything"
-    /// under a naive sort recovery and must never outrank a real
-    /// measurement.
-    ///
-    /// Returns `None` when the metric is unavailable (distance metric on a
-    /// >63-output circuit).
-    pub fn ranked_candidates(&self, lacs: &[Lac]) -> Option<Vec<(usize, Measurement)>> {
-        let measurements = self.estimate_all(lacs);
-        let mut indexed: Vec<(usize, f64, isize)> = Vec::with_capacity(lacs.len());
-        for (i, m) in measurements.iter().enumerate() {
-            let value = m.value(self.metric)?;
-            indexed.push((i, value, lacs[i].est_gain()));
-        }
-        Some(
-            rank_entries(indexed)
-                .into_iter()
-                .map(|i| (i, measurements[i]))
-                .collect(),
-        )
+    /// largest estimated gain), best first, as `(index into lacs, error)`.
+    /// Candidates whose metric value is NaN are excluded — a NaN compares
+    /// as "greater than everything" under a naive sort recovery and must
+    /// never outrank a real measurement.
+    pub fn ranked_candidates(&self, lacs: &[Lac]) -> Vec<(usize, f64)> {
+        let entries = self
+            .estimate_all(lacs)
+            .iter()
+            .zip(lacs)
+            .enumerate()
+            .map(|(i, (m, lac))| {
+                let error = m.value(self.metric).expect("`new` checked the metric");
+                (i, error, lac.est_gain())
+            })
+            .collect();
+        rank_entries(entries)
     }
 }
 
 /// Orders `(index, error, gain)` entries best-first: ascending error
-/// (total order — no NaN surprises), ties broken by descending gain. NaN
-/// errors are dropped entirely rather than ranked arbitrarily.
-fn rank_entries(entries: Vec<(usize, f64, isize)>) -> Vec<usize> {
+/// (total order — no NaN surprises), ties broken by descending gain, and
+/// returns their `(index, error)` pairs. NaN errors are dropped entirely
+/// rather than ranked arbitrarily.
+fn rank_entries(entries: Vec<(usize, f64, isize)>) -> Vec<(usize, f64)> {
     let before = entries.len();
     let mut ranked: Vec<(usize, f64, isize)> = entries
         .into_iter()
@@ -198,7 +201,7 @@ fn rank_entries(entries: Vec<(usize, f64, isize)>) -> Vec<usize> {
         .collect();
     trace::add("nan_filtered", (before - ranked.len()) as u64);
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(b.2.cmp(&a.2)));
-    ranked.into_iter().map(|(i, ..)| i).collect()
+    ranked.into_iter().map(|(i, error, _)| (i, error)).collect()
 }
 
 /// Evaluates a cover bitwise over the simulated divisor signal words.
@@ -327,8 +330,11 @@ mod tests {
         assert_eq!(baseline.error_rate, 6.0 / 16.0);
     }
 
+    /// The ranking is a permutation of the candidates (none of these
+    /// errors is NaN), best first, and every entry carries its candidate's
+    /// `estimate_all` value under the estimator's metric, bit for bit.
     #[test]
-    fn best_candidate_prefers_smaller_error() {
+    fn ranked_candidates_sort_the_estimated_errors() {
         let aig = alsrac_circuits::arith::kogge_stone_adder(3);
         let care_patterns = PatternBuffer::random(6, 4, 11);
         let care_sim = Simulation::new(&aig, &care_patterns);
@@ -346,23 +352,25 @@ mod tests {
         assert!(lacs.len() >= 2);
         let est_patterns = PatternBuffer::exhaustive(6);
         let (outputs, sim) = simulated(&aig, &est_patterns);
-        let estimator = Estimator::new(
-            &outputs,
-            &sim,
-            &aig,
-            &est_patterns,
-            &fanouts,
-            ErrorMetric::ErrorRate,
-        );
-        let (best_idx, best_m) = estimator
-            .ranked_candidates(&lacs)
-            .and_then(|ranked| ranked.into_iter().next())
-            .expect("candidates exist");
-        let all = estimator.estimate_all(&lacs);
-        for m in &all {
-            assert!(best_m.error_rate <= m.error_rate + 1e-12);
+        for metric in [ErrorMetric::ErrorRate, ErrorMetric::Nmed] {
+            let estimator = Estimator::new(&outputs, &sim, &aig, &est_patterns, &fanouts, metric);
+            let ranked = estimator.ranked_candidates(&lacs);
+            let all = estimator.estimate_all(&lacs);
+            let mut indices: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
+            indices.sort_unstable();
+            assert_eq!(indices, (0..lacs.len()).collect::<Vec<_>>(), "{metric}");
+            for &(i, error) in &ranked {
+                let value = all[i].value(metric).expect("decodable");
+                assert_eq!(error.to_bits(), value.to_bits(), "{metric}: LAC {i}");
+            }
+            for pair in ranked.windows(2) {
+                let ((a, ea), (b, eb)) = (pair[0], pair[1]);
+                assert!(
+                    ea < eb || ea == eb && lacs[a].est_gain() >= lacs[b].est_gain(),
+                    "{metric}: {a} ranked before {b}"
+                );
+            }
         }
-        assert!(best_idx < lacs.len());
     }
 
     #[test]
@@ -429,10 +437,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "NMED needs integer-decodable outputs")]
+    fn rejects_a_distance_metric_past_63_outputs() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        for i in 0..64 {
+            aig.add_output(format!("y{i}"), a);
+        }
+        let patterns = PatternBuffer::exhaustive(1);
+        let (outputs, sim) = simulated(&aig, &patterns);
+        let fanouts = aig.fanout_map();
+        let estimator = |metric| Estimator::new(&outputs, &sim, &aig, &patterns, &fanouts, metric);
+        // The error rate needs no decode, so it accepts any output count.
+        estimator(ErrorMetric::ErrorRate);
+        estimator(ErrorMetric::Nmed);
+    }
+
+    #[test]
     fn nan_entries_never_outrank_real_candidates() {
         // A NaN error with a huge gain must be dropped, not sorted first.
         let entries = vec![(0, f64::NAN, 1000), (1, 0.5, 0), (2, 0.1, 0)];
-        assert_eq!(rank_entries(entries), vec![2, 1]);
+        assert_eq!(rank_entries(entries), vec![(2, 0.1), (1, 0.5)]);
         // All-NaN input ranks nothing.
         assert!(rank_entries(vec![(0, f64::NAN, 0)]).is_empty());
     }
@@ -440,7 +465,7 @@ mod tests {
     #[test]
     fn rank_breaks_error_ties_by_largest_gain() {
         let entries = vec![(0, 0.2, 1), (1, 0.2, 5), (2, 0.3, 9)];
-        assert_eq!(rank_entries(entries), vec![1, 0, 2]);
+        assert_eq!(rank_entries(entries), vec![(1, 0.2), (0, 0.2), (2, 0.3)]);
     }
 
     #[test]

@@ -454,19 +454,13 @@ fn run_from(
             )
             .ranked_candidates(&lacs)
         });
-        let Some(ranked) = ranked else {
-            break; // metric not evaluable — cannot happen after the arity check
-        };
         // Set when the WCE accept gate is interrupted mid-query: the answer
         // is wall-clock-nondeterministic, so the iteration is rolled back.
         let mut gate_interrupt: Option<Interrupt> = None;
         let choice = it.time("apply", || {
             ranked
                 .iter()
-                .find_map(|&(idx, m)| {
-                    // Never None once `ranked_candidates` returned Some;
-                    // skipping is still safer than panicking mid-flow.
-                    let error = m.value(config.metric)?;
+                .find_map(|&(idx, error)| {
                     if error > config.threshold {
                         return Some(None); // best remaining over budget
                     }
@@ -559,12 +553,8 @@ fn run_from(
     run.finish(current, iterations, interrupted, |approx| {
         match config.metric {
             _ if !completed => None,
-            ErrorMetric::Wce => Some(certify::certify_wce_budgeted(
-                original,
-                approx,
-                &config.budget,
-            )),
-            ErrorMetric::ErrorRate if config.certify => Some(certify::certify_error_rate_budgeted(
+            ErrorMetric::Wce => Some(certify::certify_wce(original, approx, &config.budget)),
+            ErrorMetric::ErrorRate if config.certify => Some(certify::certify_error_rate(
                 original,
                 approx,
                 derive_seed(config.seed, Stream::Hashing),

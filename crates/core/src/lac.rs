@@ -10,12 +10,12 @@ use std::collections::HashMap;
 
 use alsrac_aig::{Aig, FanoutMap, Lit, MffcScratch, NodeSet, RebuildError, WindowExtractor};
 use alsrac_rt::pool;
-use alsrac_sim::{PatternBuffer, Signatures, Simulation};
+use alsrac_sim::{PatternBuffer, Simulation};
 use alsrac_truthtable::{factored_aig_cost, isop, sop_to_aig, Sop};
 
 use crate::care::ApproximateCareSet;
 use crate::divisors::{select_divisor_sets_with, DivisorConfig};
-use crate::window::{provably_infeasible, WindowConfig};
+use crate::window::WindowConfig;
 
 /// One candidate local approximate change.
 #[derive(Clone, Debug)]
@@ -135,22 +135,20 @@ const PIVOT_BLOCK: usize = 1024;
 /// point; plain `generate_lacs` runs with windowing off).
 ///
 /// With windowing enabled, each pivot's divisor pool comes from a bounded
-/// [`alsrac_aig::Window`] instead of its full TFI cone, and divisor sets
-/// that the signature classes *prove* infeasible are skipped without
-/// harvesting. The pre-screen is exact (see
-/// [`provably_infeasible`]), and a window bound covering a pivot's whole
-/// TFI leaves its pool unchanged, so on circuits inside the bound the
-/// windowed LAC list is bit-identical to the unwindowed one.
+/// [`alsrac_aig::Window`] instead of its full TFI cone. A window bound
+/// covering a pivot's whole TFI leaves its pool unchanged, so on circuits
+/// inside the bound the windowed LAC list is bit-identical to the
+/// unwindowed one. Every divisor set is kept or rejected by the care-set
+/// harvest alone.
 ///
 /// Pivots run on the [`alsrac_rt::pool`] executor in blocks of
 /// consecutive AND nodes, each worker with its own window and MFFC
-/// scratch; every pivot is a pure function of the shared read-only graph,
-/// simulation and signatures, and the blocks' lists are joined in block
-/// order, so the result is the serial loop's at any thread count.
+/// scratch; every pivot is a pure function of the shared read-only graph
+/// and simulation, and the blocks' lists are joined in block order, so
+/// the result is the serial loop's at any thread count.
 ///
-/// Emits `window_extracted` / `window_nodes` /
-/// `divisors_filtered_by_signature` trace counters when windowing is on,
-/// each summed over the call and added once.
+/// Emits the `window_extracted` / `window_nodes` trace counters when
+/// windowing is on, each summed over the call and added once.
 pub fn generate_lacs_with(
     aig: &Aig,
     sim: &Simulation,
@@ -162,9 +160,6 @@ pub fn generate_lacs_with(
     // Shared structural data, hoisted once per call (= once per flow
     // iteration) instead of once per node.
     let levels = fanouts.levels();
-    let signatures = window
-        .enabled
-        .then(|| Signatures::build(aig, sim, patterns));
     let params = window.params();
     let num_blocks = aig.num_ands().div_ceil(PIVOT_BLOCK);
     let init = || (WindowExtractor::new(), MffcScratch::new());
@@ -172,7 +167,7 @@ pub fn generate_lacs_with(
         let mut out = PivotBlock::default();
         for node in aig.iter_ands().skip(block * PIVOT_BLOCK).take(PIVOT_BLOCK) {
             let mffc_size = aig.mffc_with(node, fanouts, mffc_scratch).len();
-            let extracted = signatures.is_some().then(|| {
+            let extracted = window.enabled.then(|| {
                 let w = extractor.extract(aig, fanouts, node, &params);
                 out.windows += 1;
                 out.window_nodes += w.num_nodes() as u64;
@@ -184,15 +179,6 @@ pub fn generate_lacs_with(
             for set in sets {
                 if count >= config.lac_limit {
                     break;
-                }
-                if let Some(sigs) = &signatures {
-                    if provably_infeasible(sigs, node, &set) {
-                        // Exactly the sets harvest would reject: skipping
-                        // them keeps the LAC list bit-identical while
-                        // saving the harvest.
-                        out.screened += 1;
-                        continue;
-                    }
                 }
                 let mut lits = [Lit::FALSE; NodeSet::CAPACITY];
                 for (lit, d) in lits.iter_mut().zip(set.iter()) {
@@ -226,16 +212,11 @@ pub fn generate_lacs_with(
         total.lacs.extend(block.lacs);
         total.windows += block.windows;
         total.window_nodes += block.window_nodes;
-        total.screened += block.screened;
     }
-    for (name, value) in [
-        ("window_extracted", total.windows),
-        ("window_nodes", total.window_nodes),
-        ("divisors_filtered_by_signature", total.screened),
-    ] {
-        if value > 0 {
-            alsrac_rt::trace::add(name, value);
-        }
+    // Every window holds its pivot, so `window_nodes` is positive too.
+    if total.windows > 0 {
+        alsrac_rt::trace::add("window_extracted", total.windows);
+        alsrac_rt::trace::add("window_nodes", total.window_nodes);
     }
     total.lacs
 }
@@ -246,7 +227,6 @@ struct PivotBlock {
     lacs: Vec<Lac>,
     windows: u64,
     window_nodes: u64,
-    screened: u64,
 }
 
 #[cfg(test)]
@@ -484,8 +464,7 @@ mod tests {
     }
 
     /// `generate_lacs_with` composed from the bit-serial harvest and the
-    /// full-sort Algorithm 1 oracles, without the signature pre-screen
-    /// (which is exact, so the list must not change either).
+    /// full-sort Algorithm 1 oracles.
     fn oracle_lacs(
         aig: &Aig,
         sim: &Simulation,

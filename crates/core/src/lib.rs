@@ -26,8 +26,9 @@
 //!   truth table (Algorithm 2);
 //! * [`estimate`] — batch error estimation of all candidates from one base
 //!   simulation (the Su et al. DAC'18 scheme the paper adopts);
-//! * [`window`] — bounded-window configuration and the signature-class
-//!   feasibility pre-screen for window-local resubstitution;
+//! * [`window`] — bounded-window configuration for window-local
+//!   resubstitution (and a signature-class infeasibility certificate that
+//!   no flow calls);
 //! * [`flow`] — the complete ALSRAC loop (Algorithm 3) with dynamic
 //!   simulation-round control, budget-aware interruption, and
 //!   checkpoint/resume;

@@ -1,5 +1,5 @@
-//! Windowed resubstitution configuration and the signature-based
-//! feasibility pre-screen.
+//! Windowed resubstitution configuration, and a signature-class
+//! certificate that no flow calls.
 //!
 //! Windowing bounds the per-pivot work of LAC generation: instead of
 //! walking the pivot's whole transitive fanin for divisor candidates, a
@@ -7,13 +7,17 @@
 //! ([`alsrac_aig::Window`]) collects the divisor pool. On circuits whose
 //! TFI cones fit inside the bound the pool — and therefore the whole flow — is
 //! bit-identical to the unwindowed path; on larger circuits the bound is
-//! what keeps LAC generation near-linear.
+//! what keeps LAC generation near-linear. The care-set harvest alone
+//! decides which divisor sets of the pool are feasible.
 //!
 //! The second half of this module is [`provably_infeasible`]: an exact
 //! O(|divisors|) certificate, computed from signature equivalence classes,
 //! that [`crate::care::ApproximateCareSet::harvest`] would reject a divisor
-//! set. Exactness is what lets the flow skip the harvest without changing
-//! any result:
+//! set. LAC generation no longer screens with it: the word-parallel
+//! harvest rejects the same sets, so the screen only repeated part of
+//! that test. It stays public, with its tests, only because the
+//! benchmark's stage-by-stage `lac_gen` probe (`alsbench/src/probes.rs`)
+//! still imports it. Why it is exact:
 //!
 //! * Every divisor's signature is, up to complement, either constant or
 //!   equal to its class representative. If the divisors span **zero**
@@ -25,7 +29,7 @@
 //!   must itself be constant or in class `c`; any other target takes both
 //!   values on two patterns with equal divisor rows.
 //! * With **two or more** classes the certificate is silent (returns
-//!   `false`) and the harvest runs as before.
+//!   `false`).
 
 use alsrac_aig::{NodeId, WindowParams};
 use alsrac_sim::Signatures;
@@ -33,8 +37,8 @@ use alsrac_sim::Signatures;
 /// Windowing knobs threaded through [`crate::flow::FlowConfig`].
 #[derive(Clone, Debug)]
 pub struct WindowConfig {
-    /// Master switch. `false` reproduces the pre-windowing code path
-    /// exactly (whole-TFI divisor pools, no signature pre-screen).
+    /// Master switch. `false` gives every pivot its whole TFI as its
+    /// divisor pool.
     pub enabled: bool,
     /// Collected-node count at which the TFI walk stops expanding (`0` =
     /// unbounded). Bounds at or above a pivot's TFI size leave the divisor
@@ -76,7 +80,8 @@ impl WindowConfig {
 /// Exact with respect to
 /// [`harvest`](crate::care::ApproximateCareSet::harvest) on the same
 /// simulation/patterns the signature table was built from, so skipping
-/// certified sets never changes the generated LAC list.
+/// certified sets would never change a LAC list. No flow calls it (see
+/// the module docs).
 pub fn provably_infeasible(signatures: &Signatures, target: NodeId, divisors: &[NodeId]) -> bool {
     let target_class = signatures.class(target);
     // The target's demanded values are constant per divisor row whenever

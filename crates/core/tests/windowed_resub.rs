@@ -192,24 +192,16 @@ fn block_parallel_lac_generation_is_order_and_thread_independent() {
     let sim = Simulation::new(&aig, &patterns);
     let fanouts = aig.fanout_map();
     let generate = |threads| {
-        let (lacs, counters) = traced(
-            threads,
-            [
-                "window_extracted",
-                "window_nodes",
-                "divisors_filtered_by_signature",
-            ],
-            || {
-                generate_lacs_with(
-                    &aig,
-                    &sim,
-                    &patterns,
-                    &fanouts,
-                    &LacConfig::default(),
-                    &WindowConfig::default(),
-                )
-            },
-        );
+        let (lacs, counters) = traced(threads, ["window_extracted", "window_nodes"], || {
+            generate_lacs_with(
+                &aig,
+                &sim,
+                &patterns,
+                &fanouts,
+                &LacConfig::default(),
+                &WindowConfig::default(),
+            )
+        });
         let lacs: Vec<_> = lacs
             .into_iter()
             .map(|lac| {

@@ -19,7 +19,8 @@
 //!   that ALSRAC reuses;
 //! * [`Signatures`] — complement-canonical equivalence classes over node
 //!   signatures, turning pairwise simulation-equality checks into O(1)
-//!   class-id comparisons for windowed divisor filtering;
+//!   class-id comparisons (no flow uses them; the benchmark's `lac_gen`
+//!   probe does);
 //! * [`kernel`] — the word-row primitives every hot loop above is built on,
 //!   one bitwise recurrence each.
 //!

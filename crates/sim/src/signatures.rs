@@ -14,6 +14,10 @@
 //! Class 0 is always the constant class: node 0 (constant false) carries
 //! the all-zero signature and is bucketed first, so `class(id) == 0` means
 //! "constant under the current patterns, up to complement".
+//!
+//! No flow builds a table; the type stays public, with its tests, only
+//! for the benchmark's stage-by-stage `lac_gen` probe
+//! (`alsbench/src/probes.rs`).
 
 use std::collections::HashMap;
 

@@ -369,11 +369,13 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
     if let FlowOutcome::Interrupted { reason } = &result.outcome {
         eprintln!("interrupted: {reason}");
     }
+    // Every flow starts from the cleaned input, so costs compare against it.
+    let cleaned = exact.cleaned();
     println!(
         "{} -> {} AND nodes ({:.2}%), {} changes applied{}",
-        exact.num_ands(),
+        cleaned.num_ands(),
         result.approx.num_ands(),
-        result.approx.num_ands() as f64 / exact.num_ands().max(1) as f64 * 100.0,
+        result.approx.num_ands() as f64 / cleaned.num_ands().max(1) as f64 * 100.0,
         result.applied,
         if result.outcome.is_completed() {
             ""
@@ -412,7 +414,7 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
 
     match args.map {
         Some(Mapper::Lut6) => {
-            let base = map_luts(&exact, 6);
+            let base = map_luts(&cleaned, 6);
             let approx = map_luts(&result.approx, 6);
             println!(
                 "6-LUT: {} -> {} LUTs, depth {} -> {}",
@@ -424,7 +426,7 @@ fn real_main(args: &Args) -> Result<ExitCode, Box<dyn Error>> {
         }
         Some(Mapper::Cells) => {
             let lib = Library::mcnc();
-            let base = map_cells(&exact, &lib);
+            let base = map_cells(&cleaned, &lib);
             let approx = map_cells(&result.approx, &lib);
             println!(
                 "cells: area {:.1} -> {:.1}, delay {:.1} -> {:.1}",

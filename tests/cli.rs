@@ -1,6 +1,7 @@
 //! End-to-end tests of the `alsrac-cli` binary: flag values are rejected
-//! before any circuit is loaded, Verilog output is written, and deadlines
-//! too long for the clock never expire.
+//! before any circuit is loaded, Verilog output is written, deadlines
+//! too long for the clock never expire, and costs are compared against
+//! the cleaned input every flow starts from.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -78,4 +79,40 @@ fn unrepresentable_deadlines_never_expire() {
         );
         assert_eq!(out.stdout, plain.stdout, "--deadline {secs}");
     }
+}
+
+/// The two sides of the `B -> A` pair that starts `line`.
+fn before_after(line: &str) -> (&str, &str) {
+    let (before, rest) = line.split_once(" -> ").expect("a `B -> A` pair");
+    (before, rest.split(' ').next().expect("an after value"))
+}
+
+#[test]
+fn a_run_that_changes_nothing_reports_equal_costs() {
+    // `router`'s cleaned graph is the same graph renumbered, and the LUT
+    // mapper's result depends on numbering: the raw input maps to 40
+    // 6-LUTs, the cleaned one every flow starts from to 48.
+    let out = Command::new(env!("CARGO_BIN_EXE_alsrac-cli"))
+        .args("--bench router --threshold 0.01 --seed 1 --map lut6".split(' '))
+        .output()
+        .expect("run alsrac-cli");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let ands = stdout
+        .lines()
+        .find(|line| line.contains(" AND nodes"))
+        .expect("an AND line");
+    assert!(ands.ends_with(", 0 changes applied"), "{stdout}");
+    let (before, after) = before_after(ands);
+    assert_eq!(before, after, "AND nodes: {stdout}");
+    let luts = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("6-LUT: "))
+        .expect("a 6-LUT line");
+    let (before, after) = before_after(luts);
+    assert_eq!(before, after, "6-LUTs: {stdout}");
 }
